@@ -5,7 +5,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,16 +52,23 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path):
-        doc = json.load(open(path))
-        kwargs = {}
-        for key, value in doc.items():
-            if key == "tracker":
-                kwargs[key] = TrackerConfig(**value)
-            elif key == "rwalker":
-                kwargs[key] = RWConfig(**value)
-            else:
-                kwargs[key] = value
+        with open(path) as f:
+            doc = json.load(f)
+        kwargs = _checked_keys(cls, doc, path)
+        for key, sub_cls in (("tracker", TrackerConfig), ("rwalker", RWConfig)):
+            if key in kwargs:
+                kwargs[key] = sub_cls(**_checked_keys(sub_cls, kwargs[key], "%s: %s" % (path, key)))
         return cls(**kwargs)
+
+
+def _checked_keys(cls, doc, where):
+    """`doc` as keyword arguments for dataclass `cls`; unknown keys are an error."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s: expected a JSON object" % where)
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("%s: unknown key %s" % (where, ", ".join(repr(k) for k in unknown)))
+    return doc
 
 
 def _load_frames(directory):

@@ -28,9 +28,17 @@ class Frame:
     def width(self):
         return self.pixels.shape[1]
 
-    def normalized(self):
-        """Intensities rescaled to [0, 1] as float64."""
-        return self.pixels.astype(np.float64) / 255.0
+    def normalized(self, region=None):
+        """Intensities rescaled to [0, 1] as float64.
+
+        `region`, an inclusive (top, left, bottom, right) box, limits the
+        result to that part of the frame.
+        """
+        pixels = self.pixels
+        if region is not None:
+            top, left, bottom, right = region
+            pixels = pixels[top : bottom + 1, left : right + 1]
+        return pixels.astype(np.float64) / 255.0
 
 
 @dataclass(frozen=True)

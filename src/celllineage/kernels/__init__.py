@@ -1,25 +1,5 @@
-"""NCC search kernels: compiled extension when available, numpy fallback otherwise.
+"""Exhaustive NCC placement search (see `ncc_numpy`)."""
 
-Both backends implement the same contract; `ncc_map`/`ncc_best` resolve to
-the compiled version when the extension built, and `BACKEND` names the one
-in use. Set CELLLINEAGE_NO_EXT=1 to force the fallback.
-"""
+from .ncc_numpy import ncc_best, ncc_map
 
-import os
-
-from . import ncc_numpy
-
-if os.environ.get("CELLLINEAGE_NO_EXT"):
-    _impl = ncc_numpy
-    BACKEND = "numpy"
-else:
-    try:
-        from . import _nccfast as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = ncc_numpy
-        BACKEND = "numpy"
-
-ncc_map = _impl.ncc_map
-ncc_best = _impl.ncc_best
+__all__ = ["ncc_best", "ncc_map"]

@@ -1,9 +1,49 @@
-"""Vectorized numpy fallback for the exhaustive NCC placement search."""
+"""Exhaustive NCC placement search: FFT cross term, summed-area-table sums.
+
+The zero-mean template is correlated with the window by real FFTs, and the
+window sums Σv and Σv² of every placement come from two summed-area tables
+(J. P. Lewis, *Fast Normalized Cross-Correlation*, Vision Interface 1995).
+"""
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _VAR_EPS = 1e-12
+# FFT round-off breaks exact score plateaus at random; ncc_best treats
+# scores this close to the maximum as tied and keeps the row-major first.
+_TIE_EPS = 1e-12
+
+
+def _fast_len(n):
+    """Smallest 5-smooth length >= n; FFTs of other lengths are much slower."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _placement_sums(values, th, tw):
+    """Sum of `values` over every th x tw placement, from a summed-area table."""
+    h, w = values.shape
+    sat = np.zeros((h + 1, w + 1))
+    np.cumsum(values, axis=0, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    return sat[th:, tw:] - sat[: h + 1 - th, tw:] - sat[th:, : w + 1 - tw] + sat[: h + 1 - th, : w + 1 - tw]
+
+
+def _flat_placements(window, th, tw):
+    """True where every pixel of the placement has the same value.
+
+    Counted exactly from neighbour differences: the summed-area variance of
+    such a patch is round-off, not zero.
+    """
+    rows = _placement_sums(window[1:, :] != window[:-1, :], th - 1, tw)
+    cols = _placement_sums(window[:, 1:] != window[:, :-1], th, tw - 1)
+    return (rows == 0) & (cols == 0)
 
 
 def ncc_map(window, template):
@@ -12,8 +52,8 @@ def ncc_map(window, template):
     Returns a float64 map of shape (wh - th + 1, ww - tw + 1); placements
     where the candidate patch has (numerically) zero variance score 0.
     """
-    window = np.ascontiguousarray(window, dtype=np.float64)
-    template = np.ascontiguousarray(template, dtype=np.float64)
+    window = np.asarray(window, dtype=np.float64)
+    template = np.asarray(template, dtype=np.float64)
     th, tw = template.shape
     if th > window.shape[0] or tw > window.shape[1]:
         raise ValueError("template larger than search window")
@@ -23,23 +63,39 @@ def ncc_map(window, template):
     out_shape = (window.shape[0] - th + 1, window.shape[1] - tw + 1)
     if t_ss <= _VAR_EPS:
         return np.zeros(out_shape)
-    patches = sliding_window_view(window, (th, tw))
-    # sum(t0) == 0, so the cross term needs no patch-mean subtraction
-    cross = np.tensordot(patches, t0, axes=([2, 3], [0, 1]))
-    s1 = patches.sum(axis=(2, 3))
-    s2 = np.einsum("ijkl,ijkl->ij", patches, patches)
+    # NCC ignores a constant offset; centring keeps s2 - s1^2/n from
+    # cancelling on bright, flat patches
+    v = window - window.mean()
+    # sum(t0) == 0, so the cross term needs no patch-mean subtraction; a
+    # circular correlation no smaller than the window does not wrap at
+    # valid placements
+    size = (_fast_len(v.shape[0]), _fast_len(v.shape[1]))
+    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
+    cross = np.fft.irfft2(spectrum, s=size)[: out_shape[0], : out_shape[1]]
+    vv = v * v
+    s1 = _placement_sums(v, th, tw)
+    s2 = _placement_sums(vv, th, tw)
     var = s2 - s1 * s1 / n
     np.clip(var, 0.0, None, out=var)
+    # the tables' round-off grows with the window's total; below that bound
+    # a variance may belong to a flat patch, so check those exactly
+    roundoff = 4 * sum(v.shape) * np.finfo(np.float64).eps * float(vv.sum())
+    low = var <= roundoff
+    if low.any():
+        var[low & _flat_placements(window, th, tw)] = 0.0
     denom = np.sqrt(var * t_ss)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = cross / denom
     scores[var <= _VAR_EPS] = 0.0
-    return np.clip(scores, -1.0, 1.0)
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def ncc_best(window, template):
-    """Best placement (row, col, score); ties go to the row-major earliest."""
+    """Best placement (row, col, score); ties go to the row-major earliest.
+
+    Scores within _TIE_EPS of the maximum count as tied.
+    """
     scores = ncc_map(window, template)
-    idx = int(np.argmax(scores))
+    idx = int(np.argmax(scores >= scores.max() - _TIE_EPS))
     r, c = divmod(idx, scores.shape[1])
     return r, c, float(scores[r, c])

@@ -47,7 +47,8 @@ def _read_header(data, expected_magic):
 
 def read_pgm8(path):
     """Read an 8-bit binary PGM into a uint8 (height, width) array."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as f:
+        data = f.read()
     width, height, maxval, off = _read_header(data, b"P5")
     if maxval != 255:
         raise PnmError("%s: expected maxval 255, got %d" % (path, maxval))
@@ -68,7 +69,8 @@ def write_pgm8(path, pixels):
 
 def read_pgm16(path):
     """Read a 16-bit binary PGM (big-endian samples) into a uint16 array."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as f:
+        data = f.read()
     width, height, maxval, off = _read_header(data, b"P5")
     if maxval != 65535:
         raise PnmError("%s: expected maxval 65535, got %d" % (path, maxval))
@@ -102,7 +104,8 @@ def write_ppm(path, rgb):
 
 
 def read_ppm(path):
-    data = open(path, "rb").read()
+    with open(path, "rb") as f:
+        data = f.read()
     width, height, maxval, off = _read_header(data, b"P6")
     if maxval != 255:
         raise PnmError("%s: expected maxval 255, got %d" % (path, maxval))

@@ -9,7 +9,7 @@ log. Everything is a pure function of the config and seed.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -59,7 +59,13 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, path):
-        doc = json.load(open(path))
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError("%s: expected a JSON object" % path)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("%s: unknown key %s" % (path, ", ".join(repr(k) for k in unknown)))
         for key in ("collision_script", "mitosis_script", "apoptosis_script", "radius_range"):
             if key in doc:
                 doc[key] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[key])

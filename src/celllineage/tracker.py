@@ -81,7 +81,7 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     invalid = lambda score: TrackerPrediction(cell.id, direction, tb, score, False)
     if th > h or tw > w:
         return invalid(-1.0)
-    template = frame_src.normalized()[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
+    template = frame_src.normalized(tb)
     if np.ptp(template) == 0:
         return invalid(0.0)
 
@@ -99,7 +99,7 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     wtop, wbottom = window_span((tb[0] + tb[2]) / 2.0, th, h)
     wleft, wright = window_span((tb[1] + tb[3]) / 2.0, tw, w)
 
-    window = frame_dst.normalized()[wtop : wbottom + 1, wleft : wright + 1]
+    window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, template)
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
     return TrackerPrediction(cell.id, direction, region, score, score >= config.min_score)
@@ -126,7 +126,9 @@ class ExternalTracker:
             self._load(backward_path, BACKWARD, frame_shape)
 
     def _load(self, path, direction, frame_shape):
-        for lineno, line in enumerate(open(path), start=1):
+        with open(path) as f:
+            lines = f.readlines()
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

@@ -93,4 +93,6 @@ def write_track_file(path, graph):
 
 
 def read_track_file(path, masks=None):
-    return lineage_from_records(parse_track_file(open(path).read()), masks)
+    with open(path) as f:
+        text = f.read()
+    return lineage_from_records(parse_track_file(text), masks)

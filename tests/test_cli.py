@@ -4,13 +4,16 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from celllineage import pgm
+from celllineage import pgm, trackfile
 from celllineage.cli import PipelineConfig, build_parser, main
+from celllineage.simulator import SimConfig
+from celllineage.tracker import ExternalTracker
 
 
 def run(argv):
@@ -152,6 +155,63 @@ def test_pipeline_config_from_json(tmp_path):
     assert cfg.threshold_method == "fixed"
     assert cfg.tracker.search_size == 100
     assert cfg.rwalker.beta == 90.0
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("track", {"tracker": {"search_sise": 64}}, "search_sise"),
+        ("track", {"rwalker": {"beta": 90.0, "betta": 1.0}}, "betta"),
+        ("track", {"segmentaton": "masks"}, "segmentaton"),
+        ("track", {"tracker": 64}, "tracker"),
+        ("track", [1, 2], "cfg.json"),
+        ("simulate", {"width": 64, "n_cells": 3}, "n_cells"),
+        ("simulate", [64], "cfg.json"),
+    ],
+)
+def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "track":
+        argv += ["--in", sim_dir]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lineage: error: ") and key in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_loaders_name_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tracker": {"search_sise": 64}}))
+    with pytest.raises(ValueError, match="tracker: unknown key 'search_sise'"):
+        PipelineConfig.from_json(str(path))
+    path.write_text(json.dumps({"frames": 5, "fps": 3, "colour": 1}))
+    with pytest.raises(ValueError, match="unknown key 'colour', 'fps'"):
+        SimConfig.from_json(str(path))
+
+
+def test_readers_close_their_files(sim_dir, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tracker": {"search_size": 64}}))
+    sim_path = tmp_path / "sim.json"
+    sim_path.write_text(json.dumps({"frames": 3}))
+    pred_path = tmp_path / "fwd.txt"
+    pred_path.write_text("1 1 10 12 20 22 0.9\n")
+    ppm_path = tmp_path / "rgb.ppm"
+    pgm.write_ppm(str(ppm_path), np.zeros((4, 5, 3), dtype=np.uint8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        masks = [pgm.read_pgm16(os.path.join(sim_dir, "mask%03d.pgm" % t)) for t in range(1, 9)]
+        pgm.read_pgm8(os.path.join(sim_dir, "t001.pgm"))
+        pgm.read_ppm(str(ppm_path))
+        trackfile.read_track_file(os.path.join(sim_dir, "res_track.txt"))
+        PipelineConfig.from_json(str(cfg_path))
+        SimConfig.from_json(str(sim_path))
+        ExternalTracker(forward_path=str(pred_path))
+        del masks
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_parser_requires_subcommand():

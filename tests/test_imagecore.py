@@ -193,3 +193,15 @@ def test_cell_invariants():
     assert cell.centroid == pytest.approx((7 / 3, 7 / 3))
     with pytest.raises(ValueError):
         make_cell(1, [])
+
+
+def test_normalized_region_matches_slice():
+    rng = np.random.default_rng(14)
+    frame = Frame(1, rng.integers(0, 256, size=(17, 23), dtype=np.uint8))
+    full = frame.normalized()
+    assert full.dtype == np.float64 and full.shape == (17, 23)
+    assert np.array_equal(full, frame.pixels / 255.0)
+    for region in ((0, 0, 16, 22), (3, 4, 3, 4), (2, 5, 11, 22), (16, 0, 16, 22)):
+        top, left, bottom, right = region
+        part = frame.normalized(region)
+        assert np.array_equal(part, full[top : bottom + 1, left : right + 1])

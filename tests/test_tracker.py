@@ -3,7 +3,6 @@ import pytest
 
 from celllineage import kernels
 from celllineage.imagecore import Frame, Sequence, make_cell
-from celllineage.kernels import ncc_numpy
 from celllineage.tracker import (
     BACKWARD,
     FORWARD,
@@ -63,15 +62,114 @@ def test_ncc_symmetry_and_affine_invariance():
         assert ncc_score(scale * a + shift, b) == pytest.approx(ncc_score(a, b), abs=1e-9)
 
 
+def oracle_best(window, template):
+    """Row-major-first maximum of the brute-force map: (row, col, score)."""
+    scores = brute_force_ncc(window, template)
+    r, c = np.unravel_index(np.argmax(scores), scores.shape)
+    return int(r), int(c), float(scores[r, c])
+
+
+def assert_kernel_matches_oracle(window, template, atol=1e-12):
+    expected = brute_force_ncc(window, template)
+    scores = kernels.ncc_map(window, template)
+    assert scores.shape == expected.shape
+    assert np.allclose(scores, expected, rtol=0.0, atol=atol)
+    r, c, score = kernels.ncc_best(window, template)
+    er, ec, escore = oracle_best(window, template)
+    assert (r, c) == (er, ec)
+    assert score == pytest.approx(escore, abs=atol)
+
+
 def test_kernel_backends_agree():
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = rng.random((30, 34))
         t = rng.random((rng.integers(2, 9), rng.integers(2, 9)))
-        a = kernels.ncc_map(w, t)
-        b = ncc_numpy.ncc_map(w, t)
-        assert np.allclose(a, b, atol=1e-12)
-        assert kernels.ncc_best(w, t)[:2] == ncc_numpy.ncc_best(w, t)[:2]
+        assert_kernel_matches_oracle(w, t, atol=1e-12)
+
+
+def test_kernel_constant_window_scores_zero():
+    rng = np.random.default_rng(8)
+    for shape, tshape in (((23, 19), (5, 6)), ((1, 10), (1, 3)), ((10, 1), (3, 1))):
+        t = rng.random(tshape)
+        for value in (0.0, 0.3, 1.0, 1e3):
+            w = np.full(shape, value)
+            scores = kernels.ncc_map(w, t)
+            assert scores.shape == (shape[0] - tshape[0] + 1, shape[1] - tshape[1] + 1)
+            assert np.all(scores == 0.0)
+            assert kernels.ncc_best(w, t) == (0, 0, 0.0)
+
+
+def test_kernel_flat_patches_score_zero():
+    # flat halves of very different level, and a flat block in noise: the
+    # summed-area variance of a flat patch is round-off, not zero
+    rng = np.random.default_rng(9)
+    t = rng.random((9, 9))
+    w = np.zeros((150, 150))
+    w[:, 75:] = 1.0
+    w[60:90, 30:50] = 0.5
+    assert_kernel_matches_oracle(w, t)
+    scores = kernels.ncc_map(w, t)
+    assert np.array_equal(scores == 0.0, brute_force_ncc(w, t) == 0.0)
+    w = rng.random((40, 40))
+    w[10:25, 12:30] = 0.7
+    scores = kernels.ncc_map(w, t)
+    assert np.all(scores[10:17, 12:22] == 0.0)
+    assert_kernel_matches_oracle(w, t)
+
+
+def test_kernel_exact_ties_row_major_first():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        tile = rng.random((6, 7))
+        w = np.tile(tile, (6, 5))  # 36 x 35
+        r0, c0 = int(rng.integers(0, 20)), int(rng.integers(0, 20))
+        th, tw = int(rng.integers(8, 15)), int(rng.integers(8, 15))
+        t = w[r0 : r0 + th, c0 : c0 + tw].copy()
+        r, c, score = kernels.ncc_best(w, t)
+        assert (r, c) == (r0 % 6, c0 % 7)
+        assert score == pytest.approx(1.0, abs=1e-12)
+        assert_kernel_matches_oracle(w, t)
+
+
+def test_kernel_template_fills_window():
+    rng = np.random.default_rng(11)
+    w = rng.random((9, 13))
+    t = rng.random((9, 13))
+    scores = kernels.ncc_map(w, t)
+    assert scores.shape == (1, 1)
+    assert_kernel_matches_oracle(w, t)
+    assert kernels.ncc_best(w, w) == (0, 0, pytest.approx(1.0, abs=1e-12))
+    assert kernels.ncc_best(np.full((9, 13), 0.2), t) == (0, 0, 0.0)
+    with pytest.raises(ValueError):
+        kernels.ncc_map(w, rng.random((10, 13)))
+    with pytest.raises(ValueError):
+        kernels.ncc_map(w, rng.random((9, 14)))
+
+
+def test_kernel_bright_window_no_cancellation():
+    # a large offset on small variations: s2 - s1^2/n of the raw values
+    # would lose every digit of the variance
+    rng = np.random.default_rng(12)
+    for shape, tshape in (((31, 37), (7, 5)), ((40, 40), (12, 12))):
+        w = 1e3 + 1e-3 * rng.random(shape)
+        t = rng.random(tshape)
+        assert_kernel_matches_oracle(w, t)
+        r0, c0 = 5, 9
+        r, c, score = kernels.ncc_best(w, w[r0 : r0 + tshape[0], c0 : c0 + tshape[1]])
+        assert (r, c) == (r0, c0) and score == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kernel_odd_and_prime_sizes():
+    rng = np.random.default_rng(13)
+    for shape, tshape in (
+        ((29, 29), (1, 3)),
+        ((31, 37), (7, 5)),
+        ((97, 53), (13, 11)),
+        ((61, 17), (17, 1)),
+        ((1, 41), (1, 7)),
+    ):
+        assert_kernel_matches_oracle(rng.random(shape), rng.random(tshape))
 
 
 def test_kernel_matches_brute_force():
