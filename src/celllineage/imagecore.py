@@ -106,17 +106,21 @@ def centroid(pixels):
 
 
 def make_cell(cell_id, pixels):
-    pixels = frozenset((int(r), int(c)) for r, c in pixels)
-    if not pixels:
+    """Cell over (row, col) pixels, given as pairs or as an (n, 2) integer array."""
+    rc = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.int64)
+    if rc.size == 0:
         raise ValueError("cell pixel set may not be empty")
-    rows = [p[0] for p in pixels]
-    cols = [p[1] for p in pixels]
-    bbox = (min(rows), min(cols), max(rows), max(cols))
-    return Cell(id=cell_id, pixels=pixels, centroid=centroid(pixels), bbox=bbox)
-
-
-_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCT8 = np.ones((3, 3), dtype=bool)
+    rows, cols = rc.reshape(-1, 2).T
+    cell_pixels = frozenset(zip(rows.tolist(), cols.tolist()))
+    if len(cell_pixels) < len(rows):  # a repeated pixel counts once
+        rows, cols = np.array(sorted(cell_pixels)).T
+    n = len(rows)
+    return Cell(
+        id=cell_id,
+        pixels=cell_pixels,
+        centroid=(int(rows.sum()) / n, int(cols.sum()) / n),
+        bbox=(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())),
+    )
 
 
 def _relabel_scan_order(raw):
@@ -124,14 +128,21 @@ def _relabel_scan_order(raw):
     flat = raw.ravel()
     nz = np.flatnonzero(flat)
     if nz.size == 0:
-        return np.zeros_like(raw, dtype=np.int32), 0
+        return np.zeros_like(raw, dtype=np.int32)
     first = flat[nz]
     # order of first occurrence of each raw label
     _, idx = np.unique(first, return_index=True)
     order = first[np.sort(idx)]
     remap = np.zeros(raw.max() + 1, dtype=np.int32)
     remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return remap[raw], len(order)
+    return remap[raw]
+
+
+def _structure(connectivity):
+    """ndimage structuring element: the cross for 4, the full 3x3 for 8."""
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    return ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
 
 
 def connected_components(mask, connectivity=4):
@@ -143,16 +154,9 @@ def connected_components(mask, connectivity=4):
     mask = np.asarray(mask, dtype=bool)
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    struct = _STRUCT4 if connectivity == 4 else _STRUCT8
-    raw, _ = ndimage.label(mask, structure=struct)
-    labels, k = _relabel_scan_order(raw)
-    cells = []
-    for lab in range(1, k + 1):
-        rows, cols = np.nonzero(labels == lab)
-        cells.append(make_cell(lab, zip(rows.tolist(), cols.tolist())))
-    return LabelMask(labels=labels), cells
+    struct = _structure(connectivity)
+    labels = _relabel_scan_order(ndimage.label(mask, structure=struct)[0])
+    return LabelMask(labels=labels), _cells(labels, struct)
 
 
 def cells_from_labelmask(mask, connectivity=4):
@@ -161,21 +165,25 @@ def cells_from_labelmask(mask, connectivity=4):
     A label occupying several disconnected regions yields several cells.
     Cell ids are reassigned 1..K in row-major first-pixel order.
     """
-    labels = mask.labels
-    struct = _STRUCT4 if connectivity == 4 else _STRUCT8
-    pieces = []
-    for lab in np.unique(labels):
-        if lab == 0:
+    return _cells(mask.labels, _structure(connectivity))
+
+
+def _cells(labels, struct):
+    """Cells of `cells_from_labelmask`: each label's pieces, found in its own box."""
+    width = labels.shape[1]
+    pieces = []  # (first pixel's row-major index, (n, 2) pixels)
+    for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+        if box is None:
             continue
-        raw, n = ndimage.label(labels == lab, structure=struct)
-        for comp in range(1, n + 1):
-            rows, cols = np.nonzero(raw == comp)
-            pieces.append((rows[0] * labels.shape[1] + cols[0], rows, cols))
+        comp, n = ndimage.label(labels[box] == lab, structure=struct)
+        rows, cols = np.nonzero(comp)  # row-major within the box, as in the frame
+        which = comp[rows, cols]
+        order = np.argsort(which, kind="stable")
+        rc = np.column_stack((rows + box[0].start, cols + box[1].start))[order]
+        for piece in np.split(rc, np.cumsum(np.bincount(which)[1:n])):
+            pieces.append((piece[0, 0] * width + piece[0, 1], piece))
     pieces.sort(key=lambda p: p[0])
-    return [
-        make_cell(i, zip(rows.tolist(), cols.tolist()))
-        for i, (_, rows, cols) in enumerate(pieces, start=1)
-    ]
+    return [make_cell(i, piece) for i, (_, piece) in enumerate(pieces, start=1)]
 
 
 def resize_nearest(mask, target_width, target_height):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tracker as trk
-from .imagecore import cells_from_labelmask, mask_from_cells, make_cell
+from .imagecore import cells_from_labelmask, mask_from_cells
 from .rwalker import ResegFailure, RWConfig, reseg_cell
 
 
@@ -195,7 +195,7 @@ def resolve_collisions(
 
     # renumber densely in row-major first-pixel order
     ordered = sorted(cells.values(), key=lambda c: min(c.pixels))
-    out = [make_cell(i, c.pixels) for i, c in enumerate(ordered, start=1)]
+    out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
     return out, report
 
 

@@ -6,13 +6,15 @@ Laplacian with boundary value 1 on that label's seeds and 0 on the others.
 Used to split under-segmented cell lumps into a required number of parts.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import ndimage, sparse
 
 from .imagecore import make_cell
+
+CG_TOL = 1e-8  # absolute residual tolerance of each label's solve
+CG_ITERS_PER_NODE = 10  # iteration cap: this many per lattice node
 
 
 class SolverError(RuntimeError):
@@ -31,12 +33,9 @@ class ResegFailure(Exception):
 class RWConfig:
     beta: float = 130.0  # edge-weight sharpness on [0,1] intensities
     epsilon: float = 1e-6  # weight floor, keeps the Laplacian block SPD
-    cg_tol: float = 1e-8  # absolute residual tolerance
-    cg_max_iter: int = 0  # 0 = 10 * node count
-    jacobi_precondition: bool = False
 
     def __post_init__(self):
-        if self.beta < 0 or self.epsilon <= 0 or self.cg_tol <= 0:
+        if self.beta < 0 or self.epsilon <= 0:
             raise ValueError("invalid random-walker config")
 
 
@@ -78,19 +77,20 @@ def build_lattice(patch, region, config=RWConfig()):
         raise ValueError("empty region")
     patch = np.asarray(patch, dtype=np.float64)
     pixels = tuple(sorted(region))
-    index = {p: i for i, p in enumerate(pixels)}
-    edges = []
-    weights = []
-    for (r, c), i in index.items():
-        for nb in ((r + 1, c), (r, c + 1)):
-            j = index.get(nb)
-            if j is not None:
-                g1 = patch[r, c]
-                g2 = patch[nb[0], nb[1]]
-                edges.append((min(i, j), max(i, j)))
-                weights.append(np.exp(-config.beta * (g1 - g2) ** 2) + config.epsilon)
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return LatticeGraph(pixels, index, edges, np.array(weights, dtype=np.float64))
+    rows, cols = np.array(pixels, dtype=np.int64).T
+    # node index over the region's box, with a spare row and column of -1
+    # so that every node has a down and a right neighbour entry
+    top, left = rows[0], cols.min()
+    node = np.full((rows[-1] - top + 2, cols.max() - left + 2), -1, dtype=np.int64)
+    node[rows - top, cols - left] = np.arange(len(pixels))
+    # per node, its down edge and then its right edge, as in row-major order
+    nbr = np.column_stack((node[rows - top + 1, cols - left], node[rows - top, cols - left + 1])).ravel()
+    src = np.repeat(np.arange(len(pixels)), 2)
+    keep = nbr >= 0
+    edges = np.column_stack((src[keep], nbr[keep]))
+    g = patch[rows, cols]
+    weights = np.exp(-config.beta * (g[edges[:, 0]] - g[edges[:, 1]]) ** 2) + config.epsilon
+    return LatticeGraph(pixels, dict(zip(pixels, range(len(pixels)))), edges, weights)
 
 
 def _laplacian(graph):
@@ -105,54 +105,37 @@ def _laplacian(graph):
     return lap.tocsr()
 
 
-def conjugate_gradient(mat, b, tol, max_iter, jacobi=False):
+def conjugate_gradient(mat, b, tol, max_iter):
     """CG on an SPD sparse matrix; raises when the residual stays above tol."""
     x = np.zeros_like(b)
     r = b - mat @ x
-    minv = 1.0 / mat.diagonal() if jacobi else None
-    z = r * minv if jacobi else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     if np.linalg.norm(r) <= tol:
         return x
     for _ in range(max_iter):
         ap = mat @ p
-        alpha = rz / float(p @ ap)
+        alpha = rr / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
         if np.linalg.norm(r) <= tol:
             return x
-        z = r * minv if jacobi else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     raise SolverError(
         "conjugate gradient did not reach residual %g within %d iterations "
         "(achieved %g)" % (tol, max_iter, np.linalg.norm(r))
     )
 
 
-def _components(graph):
-    n = len(graph.pixels)
-    adj = [[] for _ in range(n)]
-    for i, j in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    comp = np.full(n, -1, dtype=np.int64)
-    ncomp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        queue = deque([start])
-        comp[start] = ncomp
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = ncomp
-                    queue.append(v)
-        ncomp += 1
-    return comp, ncomp
+def _components(rc):
+    """4-connected component (0-based) of each (row, col) node, and their count."""
+    rows, cols = (rc - rc.min(axis=0)).T
+    inside = np.zeros((rows.max() + 1, cols.max() + 1), dtype=bool)
+    inside[rows, cols] = True
+    comp, ncomp = ndimage.label(inside)  # the default structure is the 4-connected cross
+    return comp[rows, cols] - 1, ncomp
 
 
 @dataclass(frozen=True)
@@ -161,7 +144,7 @@ class RWResult:
     orphan_components: int  # components without a seed, assigned by distance
 
 
-def solve_probabilities(graph, seeds, config=RWConfig()):
+def solve_probabilities(graph, seeds):
     """Per-pixel label probabilities of the seeded random walker.
 
     Labels 1..n-1 are solved by conjugate gradient on the unseeded Laplacian
@@ -170,63 +153,49 @@ def solve_probabilities(graph, seeds, config=RWConfig()):
     seed's label (lattice distance, ties to the lower label) and are counted
     in the result.
     """
-    region = set(graph.pixels)
-    seeds.validate(region)
+    seeds.validate(graph.index)
     n = len(graph.pixels)
     n_labels = seeds.n_labels
-    max_iter = config.cg_max_iter or 10 * n
 
-    seed_label = {}
-    for p, lab in seeds.seeds:
-        seed_label[graph.index[p]] = lab
+    seed_node = np.array([graph.index[p] for p, _ in seeds.seeds], dtype=np.int64)
+    seed_lab = np.array([lab for _, lab in seeds.seeds], dtype=np.int64)
 
-    comp, ncomp = _components(graph)
-    seeded_comps = {comp[i] for i in seed_label}
-    orphan = [k for k in range(ncomp) if k not in seeded_comps]
+    rc = np.array(graph.pixels, dtype=np.int64)
+    comp, ncomp = _components(rc)
+    seeded = np.zeros(ncomp, dtype=bool)
+    seeded[comp[seed_node]] = True
 
     prob = np.zeros((n, n_labels))
-    for i, lab in seed_label.items():
-        prob[i, lab - 1] = 1.0
+    prob[seed_node, seed_lab - 1] = 1.0
 
     # orphan components: nearest seed by unrestricted-lattice (Manhattan) distance
-    for k in orphan:
-        members = np.nonzero(comp == k)[0]
-        best = None
-        for i in seed_label:
-            sr, sc = graph.pixels[i]
-            d = min(abs(graph.pixels[m][0] - sr) + abs(graph.pixels[m][1] - sc) for m in members)
-            key = (d, seed_label[i])
-            if best is None or key < best:
-                best = key
-        prob[members, best[1] - 1] = 1.0
+    for k in np.flatnonzero(~seeded):
+        members = np.flatnonzero(comp == k)
+        dist = np.abs(rc[members, None, :] - rc[None, seed_node, :]).sum(axis=2).min(axis=0)
+        _, lab = min(zip(dist.tolist(), seed_lab.tolist()))
+        prob[members, lab - 1] = 1.0
 
-    solve_idx = np.array(
-        [i for i in range(n) if i not in seed_label and comp[i] in seeded_comps], dtype=np.int64
-    )
+    solve_idx = np.setdiff1d(np.flatnonzero(seeded[comp]), seed_node)
     if solve_idx.size:
         lap = _laplacian(graph)
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[solve_idx] = np.arange(solve_idx.size)
+        seeded_idx = np.sort(seed_node)
         lap_uu = lap[solve_idx][:, solve_idx].tocsr()
-        seeded_idx = np.array(sorted(seed_label), dtype=np.int64)
         lap_us = lap[solve_idx][:, seeded_idx].tocsr()
+        labels_s = seed_lab[np.argsort(seed_node)]
         for lab in range(1, n_labels):
-            m_s = np.array([1.0 if seed_label[i] == lab else 0.0 for i in sorted(seed_label)])
-            rhs = -lap_us @ m_s
-            x = conjugate_gradient(
-                lap_uu, rhs, config.cg_tol, max_iter, jacobi=config.jacobi_precondition
-            )
+            rhs = -lap_us @ (labels_s == lab).astype(np.float64)
+            x = conjugate_gradient(lap_uu, rhs, CG_TOL, CG_ITERS_PER_NODE * n)
             prob[solve_idx, lab - 1] = x
         prob[solve_idx, n_labels - 1] = 1.0 - prob[solve_idx, : n_labels - 1].sum(axis=1)
-    return RWResult(probabilities=prob, orphan_components=len(orphan))
+    return RWResult(probabilities=prob, orphan_components=int(ncomp - seeded.sum()))
 
 
-def segment(graph, seeds, config=RWConfig()):
+def segment(graph, seeds):
     """Argmax-probability label per pixel; ties and seeds resolve as specified.
 
     Returns an int array aligned with graph.pixels.
     """
-    result = solve_probabilities(graph, seeds, config)
+    result = solve_probabilities(graph, seeds)
     # lowest label wins ties; 1e-12 slack absorbs solver round-off
     prob = result.probabilities
     best = prob.max(axis=1, keepdims=True)
@@ -236,10 +205,10 @@ def segment(graph, seeds, config=RWConfig()):
     return labels
 
 
-def _snap_to_region(point, region_pixels):
+def _snap_to_region(point, region):
     """Nearest region pixel by Euclidean distance, ties row-major."""
     r0, c0 = point
-    return min(region_pixels, key=lambda p: ((p[0] - r0) ** 2 + (p[1] - c0) ** 2, p))
+    return min(region, key=lambda p: ((p[0] - r0) ** 2 + (p[1] - c0) ** 2, p))
 
 
 def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
@@ -251,35 +220,33 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
     """
     if len(prev_centroids) < 2:
         raise ValueError("re-segmentation needs at least 2 previous centroids")
-    region_pixels = sorted(lump.pixels)
-    region = set(region_pixels)
     dr, dc = displacement
     seeds = []
     for k, (r, c) in enumerate(prev_centroids, start=1):
         p = (int(round(r + dr)), int(round(c + dc)))
-        if p not in region:
-            p = _snap_to_region(p, region_pixels)
+        if p not in lump.pixels:
+            p = _snap_to_region(p, lump.pixels)
         seeds.append((p, k))
     if len({p for p, _ in seeds}) != len(seeds):
         raise ResegFailure("two seeds snapped to the same lump pixel")
 
-    graph = build_lattice(frame.normalized(), region, config)
-    labels = segment(graph, SeedSet(tuple(seeds)), config)
+    graph = build_lattice(frame.normalized(), lump.pixels, config)
+    labels = segment(graph, SeedSet(tuple(seeds)))
+    rc = np.array(graph.pixels)
     cells = []
     for lab in range(1, len(seeds) + 1):
-        pix = [graph.pixels[i] for i in np.nonzero(labels == lab)[0]]
-        if not pix:
+        if not np.any(labels == lab):
             raise ResegFailure("segment %d is empty" % lab)
-        cells.append(make_cell(lab, pix))
+        cells.append(make_cell(lab, rc[labels == lab]))
     return cells
 
 
 def probability_heatmaps(graph, result, height, width):
     """8-bit heatmap per label (round(255 p)) for debug dumps."""
+    rows, cols = np.array(graph.pixels).T
     maps = []
-    for lab in range(result.probabilities.shape[1]):
+    for prob in result.probabilities.T:
         img = np.zeros((height, width), dtype=np.uint8)
-        for i, (r, c) in enumerate(graph.pixels):
-            img[r, c] = int(round(255.0 * result.probabilities[i, lab]))
+        img[rows, cols] = np.rint(255.0 * prob)  # half to even, as round()
         maps.append(img)
     return maps

@@ -9,10 +9,11 @@ log. Everything is a pure function of the config and seed.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import jsonconfig
 from .imagecore import Frame, LabelMask, Sequence
 from .linker import LineageGraph, Track
 
@@ -59,17 +60,7 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ValueError("%s: expected a JSON object" % path)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError("%s: unknown key %s" % (path, ", ".join(repr(k) for k in unknown)))
-        for key in ("collision_script", "mitosis_script", "apoptosis_script", "radius_range"):
-            if key in doc:
-                doc[key] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[key])
-        return cls(**doc)
+        return jsonconfig.load(cls, path)
 
     def to_json(self, path):
         doc = asdict(self)

@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -87,7 +88,8 @@ def test_track_and_evaluate(sim_dir, tmp_path, capsys):
     scores = {ln.split()[0]: float(ln.split()[1]) for ln in lines}
     assert 0.0 <= scores["SEG"] <= 1.0 and 0.0 <= scores["TRA"] <= 1.0
     assert scores["SEG"] > 0.5 and scores["TRA"] > 0.5
-    report = json.load(open(pred / "report.json"))
+    with open(pred / "report.json") as f:
+        report = json.load(f)
     assert report["seg"] == pytest.approx(scores["SEG"], abs=1e-6)
     assert report["tra"] == pytest.approx(scores["TRA"], abs=1e-6)
     assert set(report["counts"]) == {"NS", "FN", "FP", "ED", "EA", "EC"}
@@ -167,6 +169,11 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", [1, 2], "cfg.json"),
         ("simulate", {"width": 64, "n_cells": 3}, "n_cells"),
         ("simulate", [64], "cfg.json"),
+        ("track", {"tracker": {"search_size": "big"}}, "search_size: expected an integer"),
+        ("track", {"tracker": {"search_size": True}}, "search_size: expected an integer"),
+        ("track", {"rwalker": {"cg_tol": 1e-6}}, "rwalker: unknown key 'cg_tol'"),
+        ("simulate", {"frames": "3"}, "frames: expected an integer"),
+        ("simulate", {"radius_range": 5}, "radius_range: expected a list"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):
@@ -180,6 +187,27 @@ def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, ca
     assert err.startswith("lineage: error: ") and key in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_config_value_types(tmp_path):
+    path = tmp_path / "cfg.json"
+    doc = {"threshold_level": 1, "enable_mitosis_detection": False, "rwalker": {"beta": 90}}
+    path.write_text(json.dumps(doc))
+    cfg = PipelineConfig.from_json(str(path))  # an integer is a number
+    assert (cfg.threshold_level, cfg.enable_mitosis_detection, cfg.rwalker.beta) == (1, False, 90)
+    for bad, expected in (
+        ({"threshold_level": False}, "threshold_level: expected a number, got false"),
+        ({"connectivity": 4.0}, "connectivity: expected an integer, got 4.0"),
+        ({"enable_mitosis_detection": 0}, "enable_mitosis_detection: expected true or false, got 0"),
+        ({"segmentation": ["masks"]}, 'segmentation: expected a string, got ["masks"]'),
+        ({"rwalker": {"epsilon": "1e-6"}}, 'rwalker: epsilon: expected a number, got "1e-6"'),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            PipelineConfig.from_json(str(path))
+    path.write_text(json.dumps({"radius_range": [4, 6], "collision_script": [[3, 1, 2]]}))
+    sim = SimConfig.from_json(str(path))
+    assert sim.radius_range == (4, 6) and sim.collision_script == ((3, 1, 2),)
 
 
 def test_config_loaders_name_unknown_keys(tmp_path):

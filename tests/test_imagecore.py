@@ -4,6 +4,7 @@ import pytest
 from celllineage.imagecore import (
     Frame,
     LabelMask,
+    cells_from_labelmask,
     centroid,
     connected_components,
     make_cell,
@@ -84,6 +85,59 @@ def test_components_match_flood_fill_oracle(conn):
             top, left, bottom, right = cell.bbox
             assert top <= cell.centroid[0] <= bottom
             assert left <= cell.centroid[1] <= right
+            assert cell == make_cell(cell.id, cell.pixels)
+
+
+def expected_label_cells(labels, connectivity):
+    """Oracle cells of a label mask: flood-fill each label's own mask, then
+    number all pieces 1..K by their row-major first pixel."""
+    pieces = []
+    for lab in np.unique(labels[labels > 0]):
+        comp = flood_fill_labels(labels == lab, connectivity)
+        for k in range(1, comp.max() + 1):
+            pixels = {(int(r), int(c)) for r, c in zip(*np.nonzero(comp == k))}
+            pieces.append((min(pixels), pixels))
+    pieces.sort(key=lambda p: p[0])
+    return [pixels for _, pixels in pieces]
+
+
+def label_masks(rng):
+    yield "all zero", np.zeros((6, 9), dtype=np.int32)
+    yield "diagonal pieces", np.array(
+        [[7, 0, 0, 7], [0, 7, 7, 0], [0, 7, 0, 65535], [7, 0, 65535, 0]], dtype=np.int32
+    )
+    for k in range(25):
+        h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        values = rng.choice(np.arange(1, 65536), size=int(rng.integers(1, 6)), replace=False)
+        labels = rng.choice(values, size=(h, w)).astype(np.int32)
+        labels[rng.random((h, w)) < rng.uniform(0.2, 0.8)] = 0
+        yield "random %d" % k, labels
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+def test_cells_from_labelmask_match_flood_fill_oracle(conn):
+    rng = np.random.default_rng(7)
+    for name, labels in label_masks(rng):
+        cells = cells_from_labelmask(LabelMask(labels=labels), connectivity=conn)
+        want = expected_label_cells(labels, conn)
+        assert [c.id for c in cells] == list(range(1, len(want) + 1)), name
+        assert [set(c.pixels) for c in cells] == want, name
+        for cell, pixels in zip(cells, want):
+            rows = [r for r, _ in pixels]
+            cols = [c for _, c in pixels]
+            assert cell.bbox == (min(rows), min(cols), max(rows), max(cols)), name
+            assert cell.centroid == centroid(pixels), name
+
+
+def test_cells_from_labelmask_split_label():
+    labels = np.array([[0, 3, 0, 0], [3, 3, 0, 3], [0, 0, 3, 3]], dtype=np.int32)
+    cells4 = cells_from_labelmask(LabelMask(labels=labels), connectivity=4)
+    assert [sorted(c.pixels) for c in cells4] == [
+        [(0, 1), (1, 0), (1, 1)],
+        [(1, 3), (2, 2), (2, 3)],
+    ]
+    assert cells4[1].centroid == (5 / 3, 8 / 3) and cells4[1].bbox == (1, 2, 2, 3)
+    assert len(cells_from_labelmask(LabelMask(labels=labels), connectivity=8)) == 1
 
 
 def test_centroid_examples():

@@ -19,7 +19,8 @@ def test_pgm16_roundtrip_and_big_endian(tmp_path):
     path = str(tmp_path / "m.pgm")
     pgm.write_pgm16(path, labels)
     assert np.array_equal(pgm.read_pgm16(path), labels)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     # sample 256 must be stored big-endian: 0x01 0x00
     body = raw.split(b"65535\n", 1)[1]
     assert body[4:6] == b"\x01\x00"
@@ -32,7 +33,8 @@ def test_pgm_write_read_write_identical(tmp_path):
         p1, p2 = str(tmp_path / ("a%d.pgm" % k)), str(tmp_path / ("b%d.pgm" % k))
         pgm.write_pgm16(p1, labels)
         pgm.write_pgm16(p2, pgm.read_pgm16(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 def test_header_comments(tmp_path):
@@ -48,7 +50,8 @@ def test_header_comments(tmp_path):
 )
 def test_bad_pgm8(tmp_path, payload):
     path = str(tmp_path / "bad.pgm")
-    open(path, "wb").write(payload)
+    with open(path, "wb") as f:
+        f.write(payload)
     with pytest.raises(pgm.PnmError):
         pgm.read_pgm8(path)
 
