@@ -15,7 +15,6 @@ from .imagecore import (
     LabelMask,
     Sequence,
     connected_components,
-    mask_from_cells,
     threshold_segment,
 )
 from .linker import LinkerConfig, run_linker
@@ -123,20 +122,9 @@ def cmd_simulate(args):
 
 
 def _segment_sequence(sequence, cfg):
-    masks = []
-    for t in range(1, len(sequence) + 1):
-        result = threshold_segment(
-            sequence[t],
-            cfg.threshold_method,
-            cfg.threshold_level if cfg.threshold_method == "fixed" else None,
-        )
-        mask, cells = connected_components(result.mask, cfg.connectivity)
-        if cfg.min_cell_size > 1:
-            kept = [c for c in cells if c.size >= cfg.min_cell_size]
-            relabeled = [replace(c, id=i) for i, c in enumerate(kept, start=1)]
-            mask = mask_from_cells(relabeled, *mask.labels.shape)
-        masks.append(mask)
-    return masks
+    level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
+    foreground = (threshold_segment(frame, cfg.threshold_method, level).mask for frame in sequence.frames)
+    return [connected_components(mask, cfg.connectivity, cfg.min_cell_size) for mask in foreground]
 
 
 def cmd_track(args):

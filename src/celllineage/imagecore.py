@@ -1,6 +1,6 @@
 """Raster, mask and cell-region data model plus detection and geometry utilities."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -82,45 +82,65 @@ class LabelMask:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
-    """A connected pixel region with identity, centroid and tight bounding box."""
+    """A connected pixel region: identity, centroid, tight bounding box, and
+    the region inside the box as a read-only boolean mask of the box's shape."""
 
     id: int
-    pixels: frozenset = field(repr=False)  # of (row, col)
     centroid: tuple  # (row, col), real-valued
     bbox: tuple  # inclusive (top, left, bottom, right)
+    mask: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.mask.setflags(write=False)
 
     @property
-    def size(self):
-        return len(self.pixels)
+    def key(self):
+        """Hashable signature of the region: equal exactly for equal pixel sets."""
+        return self.bbox, self.mask.tobytes()
+
+    @property
+    def first(self):
+        """Row-major first pixel of the region."""
+        return self.bbox[0], self.bbox[1] + int(np.argmax(self.mask[0]))
+
+    def contains(self, point):
+        r, c = point[0] - self.bbox[0], point[1] - self.bbox[1]
+        return 0 <= r < self.mask.shape[0] and 0 <= c < self.mask.shape[1] and bool(self.mask[r, c])
+
+    @property
+    def pixels(self):
+        """The region as a frozenset of (row, col), built on each call."""
+        rows, cols = np.nonzero(self.mask)
+        return frozenset(zip((rows + self.bbox[0]).tolist(), (cols + self.bbox[1]).tolist()))
+
+    def __eq__(self, other):
+        same = isinstance(other, Cell) and (self.id, self.centroid) == (other.id, other.centroid)
+        return same and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.id, self.centroid, self.key))
 
 
-def centroid(pixels):
-    """Arithmetic mean (row, col) of a non-empty pixel collection."""
-    if len(pixels) == 0:
-        raise ValueError("centroid of empty pixel set")
-    rows = [p[0] for p in pixels]
-    cols = [p[1] for p in pixels]
-    return (sum(rows) / len(rows), sum(cols) / len(cols))
+def _cell(cell_id, mask, top, left):
+    """Cell of a boolean mask whose tight box starts at (top, left)."""
+    rows, cols = np.nonzero(mask)
+    n = len(rows)
+    centroid = ((int(rows.sum()) + n * top) / n, (int(cols.sum()) + n * left) / n)
+    bbox = (top, left, top + mask.shape[0] - 1, left + mask.shape[1] - 1)
+    return Cell(id=cell_id, centroid=centroid, bbox=bbox, mask=mask)
 
 
 def make_cell(cell_id, pixels):
     """Cell over (row, col) pixels, given as pairs or as an (n, 2) integer array."""
-    rc = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=np.int64)
+    rc = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=int).reshape(-1, 2)
     if rc.size == 0:
         raise ValueError("cell pixel set may not be empty")
-    rows, cols = rc.reshape(-1, 2).T
-    cell_pixels = frozenset(zip(rows.tolist(), cols.tolist()))
-    if len(cell_pixels) < len(rows):  # a repeated pixel counts once
-        rows, cols = np.array(sorted(cell_pixels)).T
-    n = len(rows)
-    return Cell(
-        id=cell_id,
-        pixels=cell_pixels,
-        centroid=(int(rows.sum()) / n, int(cols.sum()) / n),
-        bbox=(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())),
-    )
+    top, left = rc.min(axis=0).tolist()
+    mask = np.zeros(tuple(rc.max(axis=0) - (top, left) + 1), dtype=bool)
+    mask[rc[:, 0] - top, rc[:, 1] - left] = True  # a repeated pixel counts once
+    return _cell(cell_id, mask, top, left)
 
 
 def _relabel_scan_order(raw):
@@ -145,18 +165,18 @@ def _structure(connectivity):
     return ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
 
 
-def connected_components(mask, connectivity=4):
+def connected_components(mask, connectivity=4, min_size=1):
     """Label maximal connected foreground regions of a binary raster.
 
-    Returns (LabelMask, [Cell]); labels are 1..K in row-major first-pixel
-    order and each Cell carries its centroid and tight bbox.
+    Regions of fewer than `min_size` pixels become background. Labels run
+    1..K in row-major first-pixel order.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
-    struct = _structure(connectivity)
-    labels = _relabel_scan_order(ndimage.label(mask, structure=struct)[0])
-    return LabelMask(labels=labels), _cells(labels, struct)
+    labels = ndimage.label(mask, structure=_structure(connectivity))[0]
+    labels[(np.bincount(labels.ravel()) < min_size)[labels]] = 0
+    return LabelMask(labels=_relabel_scan_order(labels))
 
 
 def cells_from_labelmask(mask, connectivity=4):
@@ -170,20 +190,16 @@ def cells_from_labelmask(mask, connectivity=4):
 
 def _cells(labels, struct):
     """Cells of `cells_from_labelmask`: each label's pieces, found in its own box."""
-    width = labels.shape[1]
-    pieces = []  # (first pixel's row-major index, (n, 2) pixels)
+    cells = []
     for lab, box in enumerate(ndimage.find_objects(labels), start=1):
         if box is None:
             continue
-        comp, n = ndimage.label(labels[box] == lab, structure=struct)
-        rows, cols = np.nonzero(comp)  # row-major within the box, as in the frame
-        which = comp[rows, cols]
-        order = np.argsort(which, kind="stable")
-        rc = np.column_stack((rows + box[0].start, cols + box[1].start))[order]
-        for piece in np.split(rc, np.cumsum(np.bincount(which)[1:n])):
-            pieces.append((piece[0, 0] * width + piece[0, 1], piece))
-    pieces.sort(key=lambda p: p[0])
-    return [make_cell(i, piece) for i, (_, piece) in enumerate(pieces, start=1)]
+        comp = ndimage.label(labels[box] == lab, structure=struct)[0]
+        top, left = box[0].start, box[1].start
+        for k, (rows, cols) in enumerate(ndimage.find_objects(comp), start=1):
+            cells.append(_cell(0, comp[rows, cols] == k, top + rows.start, left + cols.start))
+    cells.sort(key=lambda c: c.first)
+    return [replace(c, id=i) for i, c in enumerate(cells, start=1)]
 
 
 def resize_nearest(mask, target_width, target_height):
@@ -243,6 +259,6 @@ def mask_from_cells(cells, height, width):
     """Render cells into a LabelMask using each cell's id as its label."""
     labels = np.zeros((height, width), dtype=np.int32)
     for cell in cells:
-        for r, c in cell.pixels:
-            labels[r, c] = cell.id
+        top, left, bottom, right = cell.bbox
+        labels[top : bottom + 1, left : right + 1][cell.mask] = cell.id
     return LabelMask(labels=labels)

@@ -132,17 +132,17 @@ def resolve_collisions(
     preds = dict(backward_preds)
     prev_centroid = {c.id: c.centroid for c in cells_prev}
     next_id = max(cells, default=0) + 1
-    dead = set()  # pixel-set signatures of lumps given up on
-    seen = set()  # (pixel-set, parent-set) signatures from earlier iterations
+    dead = set()  # region keys of lumps given up on
+    seen = set()  # (region key, parent set) pairs from earlier iterations
     origin = {}  # cell id -> parent set whose split produced it
     max_iters = max(1, len(cells_prev))
 
     for _ in range(max_iters):
-        ordered = sorted(cells.values(), key=lambda c: min(c.pixels))
+        ordered = sorted(cells.values(), key=lambda c: c.first)
         flagged = detect_collisions(cells_prev, ordered, preds)
         actionable = []
         for lump_id, parents in flagged:
-            sig = cells[lump_id].pixels
+            sig = cells[lump_id].key
             if sig in dead:
                 continue
             parent_set = frozenset(parents)
@@ -177,7 +177,7 @@ def resolve_collisions(
                     rw_config,
                 )
             except ResegFailure as exc:
-                dead.add(lump.pixels)
+                dead.add(lump.key)
                 report.unresolved.append((lump_id, parents, str(exc)))
                 continue
             del cells[lump_id]
@@ -194,7 +194,7 @@ def resolve_collisions(
             report.splits.append((lump_id, parents, new_ids))
 
     # renumber densely in row-major first-pixel order
-    ordered = sorted(cells.values(), key=lambda c: min(c.pixels))
+    ordered = sorted(cells.values(), key=lambda c: c.first)
     out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
     return out, report
 
@@ -203,8 +203,8 @@ def match_forward(cells_prev, cells_cur, forward_preds):
     """Candidate continuations per previous cell via its forward region.
 
     A current cell matches when its centroid falls in the predicted region
-    bbox (inclusive), or the region's center pixel belongs to the cell's
-    pixel set. Invalid predictions yield empty match sets.
+    bbox (inclusive), or the region's center pixel lies in the cell. Invalid
+    predictions yield empty match sets.
     """
     out = []
     for prev in cells_prev:
@@ -214,7 +214,7 @@ def match_forward(cells_prev, cells_cur, forward_preds):
             fr, fc = _bbox_center(pred.region)
             center_px = (int(round(fr)), int(round(fc)))
             for cur in cells_cur:
-                if _bbox_contains(pred.region, cur.centroid) or center_px in cur.pixels:
+                if _bbox_contains(pred.region, cur.centroid) or cur.contains(center_px):
                     matches.append(cur.id)
         out.append(MatchSet(source=prev.id, matches=tuple(matches)))
     return out

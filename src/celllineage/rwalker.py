@@ -41,8 +41,8 @@ class RWConfig:
 
 @dataclass(frozen=True)
 class LatticeGraph:
-    pixels: tuple  # region pixels (row, col), row-major order
-    index: dict  # pixel -> node index
+    pixels: np.ndarray  # (n, 2) region pixels (row, col) in the patch, row-major order
+    node: np.ndarray  # patch-shaped node index of each pixel, -1 outside the region
     edges: np.ndarray  # (m, 2) node index pairs, i < j
     weights: np.ndarray  # (m,) positive edge weights
 
@@ -55,42 +55,44 @@ class SeedSet:
     def n_labels(self):
         return max(lab for _, lab in self.seeds)
 
-    def validate(self, region):
+    def validate(self, node):  # a lattice's node raster
         pixels = [p for p, _ in self.seeds]
         if len(set(pixels)) != len(pixels):
             raise ValueError("seed pixels must be distinct")
         labels = sorted({lab for _, lab in self.seeds})
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("seed labels must be 1..n")
-        for p in pixels:
-            if p not in region:
-                raise ValueError("seed %r outside the region" % (p,))
+        h, w = node.shape
+        for r, c in pixels:
+            if not (0 <= r < h and 0 <= c < w) or node[r, c] < 0:
+                raise ValueError("seed %r outside the region" % ((r, c),))
 
 
-def build_lattice(patch, region, config=RWConfig()):
-    """4-neighbor graph over `region` with Gaussian intensity edge weights.
+def build_lattice(patch, inside, config=RWConfig()):
+    """4-neighbor graph over the `inside` pixels with Gaussian intensity edge weights.
 
-    `patch` holds normalized intensities in [0, 1]; w = exp(-beta (gi-gj)^2)
-    + epsilon per edge.
+    `patch` holds normalized intensities in [0, 1], in the shape of `inside`;
+    w = exp(-beta (gi-gj)^2) + epsilon per edge.
     """
-    if not region:
-        raise ValueError("empty region")
     patch = np.asarray(patch, dtype=np.float64)
-    pixels = tuple(sorted(region))
-    rows, cols = np.array(pixels, dtype=np.int64).T
-    # node index over the region's box, with a spare row and column of -1
-    # so that every node has a down and a right neighbour entry
-    top, left = rows[0], cols.min()
-    node = np.full((rows[-1] - top + 2, cols.max() - left + 2), -1, dtype=np.int64)
-    node[rows - top, cols - left] = np.arange(len(pixels))
+    inside = np.asarray(inside, dtype=bool)
+    if inside.shape != patch.shape:
+        raise ValueError("region shape %s differs from patch shape %s" % (inside.shape, patch.shape))
+    if not inside.any():
+        raise ValueError("empty region")
+    rows, cols = np.nonzero(inside)
+    # node index with a spare row and column of -1, so that every node has
+    # a down and a right neighbour entry
+    node = np.full((inside.shape[0] + 1, inside.shape[1] + 1), -1, dtype=np.int64)
+    node[rows, cols] = np.arange(len(rows))
     # per node, its down edge and then its right edge, as in row-major order
-    nbr = np.column_stack((node[rows - top + 1, cols - left], node[rows - top, cols - left + 1])).ravel()
-    src = np.repeat(np.arange(len(pixels)), 2)
+    nbr = np.column_stack((node[rows + 1, cols], node[rows, cols + 1])).ravel()
+    src = np.repeat(np.arange(len(rows)), 2)
     keep = nbr >= 0
     edges = np.column_stack((src[keep], nbr[keep]))
     g = patch[rows, cols]
     weights = np.exp(-config.beta * (g[edges[:, 0]] - g[edges[:, 1]]) ** 2) + config.epsilon
-    return LatticeGraph(pixels, dict(zip(pixels, range(len(pixels)))), edges, weights)
+    return LatticeGraph(np.column_stack((rows, cols)), node[:-1, :-1], edges, weights)
 
 
 def _laplacian(graph):
@@ -129,13 +131,11 @@ def conjugate_gradient(mat, b, tol, max_iter):
     )
 
 
-def _components(rc):
-    """4-connected component (0-based) of each (row, col) node, and their count."""
-    rows, cols = (rc - rc.min(axis=0)).T
-    inside = np.zeros((rows.max() + 1, cols.max() + 1), dtype=bool)
-    inside[rows, cols] = True
+def _components(node):
+    """4-connected component (0-based) of each lattice node, and their count."""
+    inside = node >= 0
     comp, ncomp = ndimage.label(inside)  # the default structure is the 4-connected cross
-    return comp[rows, cols] - 1, ncomp
+    return comp[inside] - 1, ncomp  # row-major, as the nodes
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,15 @@ def solve_probabilities(graph, seeds):
     seed's label (lattice distance, ties to the lower label) and are counted
     in the result.
     """
-    seeds.validate(graph.index)
-    n = len(graph.pixels)
+    seeds.validate(graph.node)
+    rc = graph.pixels
+    n = len(rc)
     n_labels = seeds.n_labels
 
-    seed_node = np.array([graph.index[p] for p, _ in seeds.seeds], dtype=np.int64)
+    seed_node = graph.node[tuple(np.array([p for p, _ in seeds.seeds]).T)]
     seed_lab = np.array([lab for _, lab in seeds.seeds], dtype=np.int64)
 
-    rc = np.array(graph.pixels, dtype=np.int64)
-    comp, ncomp = _components(rc)
+    comp, ncomp = _components(graph.node)
     seeded = np.zeros(ncomp, dtype=bool)
     seeded[comp[seed_node]] = True
 
@@ -201,14 +201,13 @@ def segment(graph, seeds):
     best = prob.max(axis=1, keepdims=True)
     labels = np.argmax(prob >= best - 1e-12, axis=1).astype(np.int64) + 1
     for p, lab in seeds.seeds:
-        labels[graph.index[p]] = lab
+        labels[graph.node[p]] = lab
     return labels
 
 
-def _snap_to_region(point, region):
-    """Nearest region pixel by Euclidean distance, ties row-major."""
-    r0, c0 = point
-    return min(region, key=lambda p: ((p[0] - r0) ** 2 + (p[1] - c0) ** 2, p))
+def _snap_to_region(point, pixels):
+    """Nearest of the (n, 2) row-major `pixels` by Euclidean distance, ties to the first."""
+    return tuple(pixels[np.argmin(((pixels - point) ** 2).sum(axis=1))].tolist())
 
 
 def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
@@ -220,19 +219,20 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
     """
     if len(prev_centroids) < 2:
         raise ValueError("re-segmentation needs at least 2 previous centroids")
+    top, left = lump.bbox[:2]
     dr, dc = displacement
     seeds = []
     for k, (r, c) in enumerate(prev_centroids, start=1):
         p = (int(round(r + dr)), int(round(c + dc)))
-        if p not in lump.pixels:
-            p = _snap_to_region(p, lump.pixels)
-        seeds.append((p, k))
+        if not lump.contains(p):
+            p = _snap_to_region(p, np.argwhere(lump.mask) + (top, left))
+        seeds.append(((p[0] - top, p[1] - left), k))
     if len({p for p, _ in seeds}) != len(seeds):
         raise ResegFailure("two seeds snapped to the same lump pixel")
 
-    graph = build_lattice(frame.normalized(), lump.pixels, config)
+    graph = build_lattice(frame.normalized(lump.bbox), lump.mask, config)
     labels = segment(graph, SeedSet(tuple(seeds)))
-    rc = np.array(graph.pixels)
+    rc = graph.pixels + (top, left)
     cells = []
     for lab in range(1, len(seeds) + 1):
         if not np.any(labels == lab):
@@ -243,7 +243,7 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
 
 def probability_heatmaps(graph, result, height, width):
     """8-bit heatmap per label (round(255 p)) for debug dumps."""
-    rows, cols = np.array(graph.pixels).T
+    rows, cols = graph.pixels.T
     maps = []
     for prob in result.probabilities.T:
         img = np.zeros((height, width), dtype=np.uint8)

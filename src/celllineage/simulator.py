@@ -10,6 +10,7 @@ log. Everything is a pure function of the config and seed.
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,6 +31,10 @@ _CONTACT = 3
 _SEPARATE = 4
 _CONTACT_GAP = 0.75  # center distance at contact, in units of (ra + rb)
 _START_GAP = 2.8  # partner pre-positioning distance, same units
+
+
+def _is_number(value, kind=Real):
+    return isinstance(value, kind) and not isinstance(value, bool)  # true/false is not a number
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,13 @@ class SimConfig:
             raise ValueError("frames must be >= 1")
         if not 0 <= self.mitosis_prob <= 1 or not 0 <= self.apoptosis_prob <= 1:
             raise ValueError("event probabilities must lie in [0, 1]")
+        if len(self.radius_range) != 2 or not all(map(_is_number, self.radius_range)):
+            raise ValueError("radius_range must be two numbers, got %r" % (self.radius_range,))
+        for key, size in (("collision_script", 3), ("mitosis_script", 2), ("apoptosis_script", 2)):
+            for entry in getattr(self, key):
+                ints = isinstance(entry, (tuple, list)) and all(_is_number(v, Integral) for v in entry)
+                if not ints or len(entry) != size:
+                    raise ValueError("%s: entries must be lists of %d integers, got %r" % (key, size, entry))
         rmin, rmax = self.radius_range
         if rmin <= 0 or rmax < rmin or 2 * rmax >= min(self.width, self.height):
             raise ValueError("radius_range must be positive and fit the image")

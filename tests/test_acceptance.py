@@ -88,7 +88,7 @@ def test_criterion_03_random_walker_numerics():
     for case in range(50):
         h = int(rng.integers(2, 21))
         w = int(rng.integers(2, 400 // h + 1))
-        region = {(r, c) for r in range(h) for c in range(w)}
+        region = np.ones((h, w), dtype=bool)
         graph = build_lattice(np.zeros((h, w)), region)
         graph = dataclasses.replace(
             graph, weights=rng.uniform(0.05, 1.0, size=len(graph.weights))
@@ -96,7 +96,7 @@ def test_criterion_03_random_walker_numerics():
         n = len(graph.pixels)
         n_seeds = int(rng.integers(2, 5))
         picks = rng.choice(n, size=min(n_seeds, n), replace=False)
-        seeds = SeedSet(tuple((graph.pixels[p], k + 1) for k, p in enumerate(sorted(picks))))
+        seeds = SeedSet(tuple((tuple(graph.pixels[p].tolist()), k + 1) for k, p in enumerate(sorted(picks))))
         prob = solve_probabilities(graph, seeds).probabilities
 
         assert np.all(np.abs(prob.sum(axis=1) - 1.0) < 1e-6)
@@ -107,7 +107,7 @@ def test_criterion_03_random_walker_numerics():
         for (i, j), wt in zip(graph.edges, graph.weights):
             adj.setdefault(i, []).append((j, wt))
             adj.setdefault(j, []).append((i, wt))
-        seeded = {graph.index[p] for p, _ in seeds.seeds}
+        seeded = {graph.node[p] for p, _ in seeds.seeds}
         for i in range(n):
             if i in seeded:
                 continue
@@ -123,7 +123,7 @@ def test_criterion_03_random_walker_numerics():
             lap[j, i] -= wt
             lap[i, i] += wt
             lap[j, j] += wt
-        seed_label = {graph.index[p]: lab for p, lab in seeds.seeds}
+        seed_label = {graph.node[p]: lab for p, lab in seeds.seeds}
         free = [i for i in range(n) if i not in seed_label]
         want = np.zeros_like(prob)
         for i, lab in seed_label.items():
@@ -141,11 +141,11 @@ def test_criterion_03_random_walker_numerics():
 
     # uniform path graphs: linear interpolation to 1e-8
     for length in (2, 3, 5, 10, 30):
-        region = {(0, c) for c in range(length)}
+        region = np.ones((1, length), dtype=bool)
         graph = build_lattice(np.zeros((1, length)), region)
         seeds = SeedSet((((0, 0), 1), ((0, length - 1), 2)))
         prob = solve_probabilities(graph, seeds).probabilities
-        order = [graph.index[(0, c)] for c in range(length)]
+        order = [graph.node[(0, c)] for c in range(length)]
         want = 1.0 - np.arange(length) / (length - 1.0)
         assert np.abs(prob[order, 0] - want).max() < 1e-8
     print("PASS criterion 3: random-walker numerics on 50 lattices and path graphs")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from celllineage import pgm, trackfile
-from celllineage.cli import PipelineConfig, build_parser, main
+from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, build_parser, main
+from celllineage.imagecore import Cell, LabelMask
 from celllineage.simulator import SimConfig
 from celllineage.tracker import ExternalTracker
 
@@ -124,6 +125,72 @@ def test_track_masks_ingestion(sim_dir, tmp_path, capsys):
     assert scores["SEG"] == pytest.approx(1.0)
 
 
+def edge_case_inputs(sim_dir):
+    """(name, frames, masks or None): degenerate sequences built from sim_dir."""
+    frames = [pgm.read_pgm8(os.path.join(sim_dir, FRAME_FMT % t)) for t in range(1, 9)]
+    masks = [pgm.read_pgm16(os.path.join(sim_dir, MASK_FMT % t)) for t in range(1, 9)]
+    blank = np.full_like(frames[0], 25)
+    yield "blank first frame", [blank] + frames[1:], None
+    yield "blank middle frame", frames[:4] + [blank] + frames[5:], None
+    yield "single frame", frames[:1], None
+    yield "all blank", [blank] * 4, None
+    # ground-truth masks with labels spread over the 16-bit range, gaps between them
+    remap = np.zeros(int(max(m.max() for m in masks)) + 1, dtype=np.uint16)
+    remap[1:] = np.linspace(3, 65535, len(remap) - 1).astype(np.uint16)
+    yield "non-contiguous labels", frames, [remap[m] for m in masks]
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["full", "baseline"])
+def test_track_edge_cases(sim_dir, tmp_path, baseline, capsys):
+    cases = list(edge_case_inputs(sim_dir))
+    labels = np.unique(cases[-1][2][0])
+    assert len(labels) > 2 and 1 not in labels
+    for k, (name, frames, masks) in enumerate(cases):
+        src, out = tmp_path / ("in%d" % k), tmp_path / ("out%d" % k)
+        src.mkdir()
+        for t, img in enumerate(frames, start=1):
+            pgm.write_pgm8(str(src / (FRAME_FMT % t)), img)
+        argv = ["track", "--in", str(src), "--out", str(out)] + (["--baseline"] if baseline else [])
+        if masks is not None:
+            for t, m in enumerate(masks, start=1):
+                pgm.write_pgm16(str(src / (MASK_FMT % t)), m)
+            (tmp_path / "masks.json").write_text(json.dumps({"segmentation": "masks"}))
+            argv += ["--config", str(tmp_path / "masks.json")]
+        assert run(argv) == 0, name
+        out_masks = [pgm.read_pgm16(str(out / (MASK_FMT % t))) for t in range(1, len(frames) + 1)]
+        assert not (out / (MASK_FMT % (len(frames) + 1))).exists(), name
+        lineage = trackfile.read_track_file(
+            str(out / TRACK_FILE), [LabelMask(labels=m.astype(np.int32)) for m in out_masks]
+        )
+        for t, (img, m) in enumerate(zip(frames, out_masks), start=1):
+            if np.all(img == 25):
+                assert not m.any(), (name, t)
+            else:
+                assert m.any(), (name, t)
+        assert all(tr.birth >= 1 and tr.end <= len(frames) for tr in lineage.tracks.values()), name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["full", "baseline"])
+def test_track_builds_no_pixel_set(tmp_path, monkeypatch, baseline, capsys):
+    """The pipeline keeps cells as boxes and masks: reading Cell.pixels fails."""
+    sim = str(tmp_path / "sim")
+    assert run(["simulate", "--seed", "1", "--out", sim]) == 0
+    with open(os.path.join(sim, "events.txt")) as f:
+        assert "COLLISION" in f.read()
+
+    def no_pixel_set(cell):
+        raise AssertionError("Cell.pixels read inside the pipeline")
+
+    monkeypatch.setattr(Cell, "pixels", property(no_pixel_set))
+    argv = ["track", "--in", sim, "--out", str(tmp_path / "out")] + (["--baseline"] if baseline else [])
+    assert run(argv) == 0
+    if not baseline:
+        with open(str(tmp_path / "out" / "events.txt")) as f:
+            assert "COLLISION" in f.read()  # the collision repair ran
+    capsys.readouterr()
+
+
 def test_overlay(sim_dir, tmp_path, capsys):
     out = tmp_path / "ov"
     assert run(["overlay", "--in", sim_dir, "--out", str(out)]) == 0
@@ -174,6 +241,13 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"rwalker": {"cg_tol": 1e-6}}, "rwalker: unknown key 'cg_tol'"),
         ("simulate", {"frames": "3"}, "frames: expected an integer"),
         ("simulate", {"radius_range": 5}, "radius_range: expected a list"),
+        ("simulate", {"radius_range": ["a", 3]}, "radius_range must be two numbers"),
+        ("simulate", {"radius_range": [1.0, 2.0, 3.0]}, "radius_range must be two numbers"),
+        ("simulate", {"radius_range": [True, 3]}, "radius_range must be two numbers"),
+        ("simulate", {"collision_script": [["a", 1, 2]]}, "collision_script: entries must be"),
+        ("simulate", {"collision_script": [8, 1, 2]}, "collision_script: entries must be"),
+        ("simulate", {"mitosis_script": [[3.5, 1]]}, "mitosis_script: entries must be"),
+        ("simulate", {"apoptosis_script": [[4, 1, 2]]}, "apoptosis_script: entries must be"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

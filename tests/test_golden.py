@@ -1,13 +1,18 @@
-"""Golden outputs: sha256 of the canonical scenario's files, seeds 1-3.
+"""Golden outputs: sha256 of `lineage simulate` and `lineage track` files.
 
-`lineage simulate --seed N` writes the frames; `lineage track` on them
-writes the mask stack, `res_track.txt` and `events.txt`. Every digest
-below was recorded from the program before the FFT NCC kernel replaced
-the sliding-window one; a change that alters any output byte fails here.
-To see the digests of the current code, run this file as a script.
+`lineage simulate` writes the frames; `lineage track` on them writes the
+mask stack, `res_track.txt` and `events.txt`. `GOLDEN` pins the canonical
+scenario, seeds 1-3, full pipeline; its digests were recorded from the
+program before the FFT NCC kernel replaced the sliding-window one.
+`BASELINE_GOLDEN` pins the same seeds tracked with `--baseline`, and
+`COLLISIONS_GOLDEN` a collision-heavy sequence tracked both ways; these
+were recorded before cells stopped carrying a pixel set. A change that
+alters any output byte fails here. To see the digests of the current code
+for every pinned case, run this file as a script.
 """
 
 import hashlib
+import json
 import os
 import sys
 
@@ -37,6 +42,54 @@ GOLDEN = {
 }
 
 
+BASELINE_GOLDEN = {
+    1: {
+        "masks": "6d8d5d0f208f8019419c505b2580a2f6ea353810028dfec7d3ebc073da879d6c",
+        "res_track": "999c8ceb362527eac5e2dbd53dd3fb7df21a0ee4361026fb37776b997d9ae23d",
+        "events": "c3bb5a22f63a5d1f56af283bdc7d44912a5d08921aed478a444a6d94e2753084",
+    },
+    2: {
+        "masks": "1b6becb121cffb4f37bbb9fc0f0770b1ce1b1fb8c5deb29cf2cf14be3552c161",
+        "res_track": "69681b4e79479087495661af4e92bf295d447055d564aca3a9251330eff22225",
+        "events": "fffb33a3b3f2c3f1205ed672f62406e22e46a4114b75e165ebd3d8c65c1f68b5",
+    },
+    3: {
+        "masks": "087018e1375ee4722aa74aca5acfe8a567ec7c2cee6b189473b4af88b8b75fdf",
+        "res_track": "83fe8cdb3dfba07b68ee4744d31c4f6d2f03b9e869181ec5fa24dfd80e062955",
+        "events": "d16411c7aab00231f68777550dd19e086798a424703cc844e10cc8d6bf2a0e73",
+    },
+}
+
+# Five scripted collisions on disjoint pairs in a 384x384 field, tracked
+# with a 64 px search window: many lumps to split by random walker.
+COLLISIONS_SIM = {
+    "width": 384,
+    "height": 384,
+    "frames": 20,
+    "n_init": 12,
+    "radius_range": [9.0, 12.0],
+    "drift_sigma": 1.0,
+    "collision_script": [[8, 1, 2], [9, 3, 4], [10, 5, 6], [11, 7, 8], [12, 9, 10]],
+    "noise_sigma": 0.02,
+    "rng_seed": 111,
+}
+COLLISIONS_TRACK = {"tracker": {"search_size": 64}}
+COLLISIONS_GOLDEN = {
+    "full": {
+        "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
+        "masks": "3771ffa75964fdfcb38e02eb49db15f4d12e7cdfeca5e00c5e63e4ce104b851b",
+        "res_track": "f4514073cb3b75691d4f184311505e6244571061b68b92eb8dc4673cf0aa17dd",
+        "events": "50838b5fffaf0cbbe44d1c6f0b7834d3696034fb6fa39e008569a5b48d965063",
+    },
+    "baseline": {
+        "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
+        "masks": "25fc91d557f3f59789d08d9a04ad087b845e8c420ee665573a88ce37bb2ae5d0",
+        "res_track": "2f538cfa4e6e2d048c50f706338b2c4ba61dc7eb612ab91f9fd2e2e8f2a13a16",
+        "events": "eee52da49de110dc1763b506fe6c5e3d31298d1eed068a85352bdf04ad00971e",
+    },
+}
+
+
 def _stack_digest(directory, fmt):
     h = hashlib.sha256()
     t = 1
@@ -53,17 +106,34 @@ def _file_digest(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def canonical_digests(seed, workdir):
-    sim = os.path.join(workdir, "sim%d" % seed)
-    out = os.path.join(workdir, "track%d" % seed)
-    assert main(["simulate", "--seed", str(seed), "--out", sim]) == 0
-    assert main(["track", "--in", sim, "--out", out]) == 0
+def _track_digests(sim, out, track_args):
+    assert main(["track", "--in", sim, "--out", out] + track_args) == 0
     return {
-        "frames": _stack_digest(sim, FRAME_FMT),
         "masks": _stack_digest(out, MASK_FMT),
         "res_track": _file_digest(os.path.join(out, TRACK_FILE)),
         "events": _file_digest(os.path.join(out, EVENT_FILE)),
     }
+
+
+def canonical_digests(seed, workdir, track_args=()):
+    sim = os.path.join(workdir, "sim%d" % seed)
+    if not os.path.isdir(sim):
+        assert main(["simulate", "--seed", str(seed), "--out", sim]) == 0
+    out = os.path.join(workdir, "track%d%s" % (seed, "".join(track_args)))
+    return {"frames": _stack_digest(sim, FRAME_FMT), **_track_digests(sim, out, list(track_args))}
+
+
+def collisions_digests(workdir, baseline):
+    sim = os.path.join(workdir, "collisions")
+    sim_cfg, track_cfg = os.path.join(workdir, "sim.json"), os.path.join(workdir, "track.json")
+    for path, doc in ((sim_cfg, COLLISIONS_SIM), (track_cfg, COLLISIONS_TRACK)):
+        with open(path, "w") as f:
+            json.dump(doc, f)
+    if not os.path.isdir(sim):
+        assert main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    out = os.path.join(workdir, "collisions_track%s" % ("_baseline" if baseline else ""))
+    track_args = ["--config", track_cfg] + (["--baseline"] if baseline else [])
+    return {"frames": _stack_digest(sim, FRAME_FMT), **_track_digests(sim, out, track_args)}
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
@@ -73,9 +143,26 @@ def test_canonical_outputs_match_golden(seed, tmp_path, capsys):
     assert digests == GOLDEN[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(BASELINE_GOLDEN))
+def test_canonical_baseline_outputs_match_golden(seed, tmp_path, capsys):
+    digests = canonical_digests(seed, str(tmp_path), ["--baseline"])
+    capsys.readouterr()
+    assert digests == dict(BASELINE_GOLDEN[seed], frames=GOLDEN[seed]["frames"])
+
+
+@pytest.mark.parametrize("mode", sorted(COLLISIONS_GOLDEN))
+def test_collisions_outputs_match_golden(mode, tmp_path, capsys):
+    digests = collisions_digests(str(tmp_path), mode == "baseline")
+    capsys.readouterr()
+    assert digests == COLLISIONS_GOLDEN[mode]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for seed in sorted(GOLDEN):
-            print(seed, canonical_digests(seed, tmp), file=sys.stderr)
+            print("canonical", seed, canonical_digests(seed, tmp), file=sys.stderr)
+            print("canonical --baseline", seed, canonical_digests(seed, tmp, ["--baseline"]), file=sys.stderr)
+        for mode in sorted(COLLISIONS_GOLDEN):
+            print("collisions", mode, collisions_digests(tmp, mode == "baseline"), file=sys.stderr)

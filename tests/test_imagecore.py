@@ -5,9 +5,9 @@ from celllineage.imagecore import (
     Frame,
     LabelMask,
     cells_from_labelmask,
-    centroid,
     connected_components,
     make_cell,
+    mask_from_cells,
     resize_nearest,
     threshold_segment,
 )
@@ -40,15 +40,15 @@ def flood_fill_labels(mask, connectivity):
 
 
 def test_empty_mask():
-    mask, cells = connected_components(np.zeros((5, 5), dtype=bool))
-    assert cells == []
+    mask = connected_components(np.zeros((5, 5), dtype=bool))
+    assert cells_from_labelmask(mask) == []
     assert mask.labels.max() == 0
 
 
 def test_single_block():
     m = np.zeros((7, 7), dtype=bool)
     m[2:5, 2:5] = True
-    _, cells = connected_components(m)
+    cells = cells_from_labelmask(connected_components(m))
     assert len(cells) == 1
     assert cells[0].centroid == (3.0, 3.0)
     assert cells[0].bbox == (2, 2, 4, 4)
@@ -57,12 +57,12 @@ def test_single_block():
 def test_diagonal_connectivity():
     m = np.zeros((4, 4), dtype=bool)
     m[1, 1] = m[2, 2] = True
-    _, cells4 = connected_components(m, connectivity=4)
-    _, cells8 = connected_components(m, connectivity=8)
+    cells4 = cells_from_labelmask(connected_components(m, connectivity=4), connectivity=4)
+    cells8 = cells_from_labelmask(connected_components(m, connectivity=8), connectivity=8)
     assert len(cells4) == 2 and len(cells8) == 1
     # both connectivities agree with the flood-fill oracle
     for conn in (4, 8):
-        got, _ = connected_components(m, connectivity=conn)
+        got = connected_components(m, connectivity=conn)
         assert np.array_equal(got.labels, flood_fill_labels(m, conn))
 
 
@@ -71,7 +71,8 @@ def test_components_match_flood_fill_oracle(conn):
     rng = np.random.default_rng(42)
     for _ in range(25):
         m = rng.random((rng.integers(1, 25), rng.integers(1, 25))) < 0.45
-        mask, cells = connected_components(m, connectivity=conn)
+        mask = connected_components(m, connectivity=conn)
+        cells = cells_from_labelmask(mask, connectivity=conn)
         assert np.array_equal(mask.labels, flood_fill_labels(m, conn))
         # partition invariants: disjoint pixel sets exactly covering foreground
         all_pixels = [p for c in cells for p in c.pixels]
@@ -86,6 +87,22 @@ def test_components_match_flood_fill_oracle(conn):
             assert top <= cell.centroid[0] <= bottom
             assert left <= cell.centroid[1] <= right
             assert cell == make_cell(cell.id, cell.pixels)
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+def test_components_min_size_matches_oracle(conn):
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        m = rng.random((rng.integers(1, 25), rng.integers(1, 25))) < 0.45
+        min_size = int(rng.integers(1, 6))
+        # oracle: drop the flood-fill components below min_size, renumber the rest
+        kept = np.zeros(m.shape, dtype=bool)
+        comp = flood_fill_labels(m, conn)
+        for k in range(1, comp.max() + 1):
+            if (comp == k).sum() >= min_size:
+                kept |= comp == k
+        got = connected_components(m, connectivity=conn, min_size=min_size)
+        assert np.array_equal(got.labels, flood_fill_labels(kept, conn))
 
 
 def expected_label_cells(labels, connectivity):
@@ -126,7 +143,7 @@ def test_cells_from_labelmask_match_flood_fill_oracle(conn):
             rows = [r for r, _ in pixels]
             cols = [c for _, c in pixels]
             assert cell.bbox == (min(rows), min(cols), max(rows), max(cols)), name
-            assert cell.centroid == centroid(pixels), name
+            assert cell.centroid == (sum(rows) / len(rows), sum(cols) / len(cols)), name
 
 
 def test_cells_from_labelmask_split_label():
@@ -141,16 +158,16 @@ def test_cells_from_labelmask_split_label():
 
 
 def test_centroid_examples():
-    assert centroid([(5, 7)]) == (5.0, 7.0)
-    assert centroid([(0, 0), (0, 2)]) == (0.0, 1.0)
+    assert make_cell(1, [(5, 7)]).centroid == (5.0, 7.0)
+    assert make_cell(1, [(0, 0), (0, 2)]).centroid == (0.0, 1.0)
     with pytest.raises(ValueError):
-        centroid([])
+        make_cell(1, [])
 
 
 def test_centroid_random_blob_oracle():
     rng = np.random.default_rng(0)
     pts = {(int(r), int(c)) for r, c in rng.integers(0, 50, size=(100, 2))}
-    got = centroid(pts)
+    got = make_cell(1, pts).centroid
     rows = sum(p[0] for p in pts) / len(pts)
     cols = sum(p[1] for p in pts) / len(pts)
     assert got == pytest.approx((rows, cols), abs=1e-12)
@@ -247,6 +264,60 @@ def test_cell_invariants():
     assert cell.centroid == pytest.approx((7 / 3, 7 / 3))
     with pytest.raises(ValueError):
         make_cell(1, [])
+
+
+def random_pixel_sets(rng):
+    yield "single pixel", [(4, 9)]
+    yield "lone pixel on a row", [(0, 3), (0, 4), (1, 0), (2, 1), (2, 2)]
+    yield "repeats", [(3, 3), (3, 4), (3, 3), (5, 4), (3, 4)]
+    yield "negative coordinates", [(-2, -1), (-2, 0), (0, -3)]
+    for k in range(30):
+        n = int(rng.integers(1, 40))
+        pts = rng.integers(-3, int(rng.integers(1, 12)), size=(n, 2))
+        yield "random %d" % k, [tuple(p) for p in pts.tolist()]
+
+
+def test_cell_matches_pixel_set_oracle():
+    rng = np.random.default_rng(21)
+    cases = list(random_pixel_sets(rng))
+    for name, pts in cases:
+        pixels = set(pts)
+        cell = make_cell(5, pts)
+        assert cell.pixels == frozenset(pixels), name
+        assert cell.first == min(pixels), name
+        rows = [r for r, _ in pixels]
+        cols = [c for _, c in pixels]
+        assert cell.bbox == (min(rows), min(cols), max(rows), max(cols)), name
+        assert cell.mask.shape == (max(rows) - min(rows) + 1, max(cols) - min(cols) + 1), name
+        assert cell.mask.sum() == len(pixels), name
+        for r in range(min(rows) - 2, max(rows) + 3):
+            for c in range(min(cols) - 2, max(cols) + 3):
+                assert cell.contains((r, c)) == ((r, c) in pixels), (name, r, c)
+        for point in ((-1, 0), (0, -1), (-5, -5), (-(max(rows) + 9), 0)):
+            assert cell.contains(point) == (point in pixels), (name, point)
+        with pytest.raises(ValueError):
+            cell.mask[0, 0] = False
+        assert cell == make_cell(5, sorted(pixels)) and hash(cell) == hash(make_cell(5, sorted(pixels)))
+        assert cell != make_cell(6, pts)
+    # key is equal exactly when the pixel sets are equal
+    for name_a, a in cases:
+        for name_b, b in cases:
+            same = set(a) == set(b)
+            assert (make_cell(1, a).key == make_cell(2, b).key) == same, (name_a, name_b)
+            assert (make_cell(1, a) == make_cell(1, b)) == same, (name_a, name_b)
+
+
+def test_mask_from_cells_matches_per_pixel_writes():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        h, w = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+        cells, expect = [], np.zeros((h, w), dtype=np.int32)
+        for cell_id in rng.integers(1, 70000, size=int(rng.integers(0, 6))).tolist():
+            pts = [tuple(p) for p in rng.integers(0, (h, w), size=(int(rng.integers(1, 12)), 2)).tolist()]
+            cells.append(make_cell(cell_id, pts))
+            for r, c in pts:  # a later cell overwrites an earlier one
+                expect[r, c] = cell_id
+        assert np.array_equal(mask_from_cells(cells, h, w).labels, expect)
 
 
 def test_normalized_region_matches_slice():

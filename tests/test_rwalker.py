@@ -10,6 +10,7 @@ from celllineage.rwalker import (
     RWConfig,
     SeedSet,
     SolverError,
+    _snap_to_region,
     build_lattice,
     conjugate_gradient,
     probability_heatmaps,
@@ -29,7 +30,7 @@ def dense_dirichlet(graph, seeds):
         lap[j, i] -= w
         lap[i, i] += w
         lap[j, j] += w
-    seed_label = {graph.index[p]: lab for p, lab in seeds.seeds}
+    seed_label = {graph.node[p]: lab for p, lab in seeds.seeds}
     free = [i for i in range(n) if i not in seed_label]
     prob = np.zeros((n, n_labels))
     for i, lab in seed_label.items():
@@ -46,20 +47,32 @@ def dense_dirichlet(graph, seeds):
     return prob
 
 
+def as_mask(region, shape):
+    """Bool raster of `shape`, set at the (row, col) pixels of `region`."""
+    inside = np.zeros(shape, dtype=bool)
+    for p in region:
+        inside[p] = True
+    return inside
+
+
+def pixel_list(graph):
+    return [tuple(p) for p in graph.pixels.tolist()]
+
+
 def random_lattice(rng, max_side=8):
     h = int(rng.integers(2, max_side))
     w = int(rng.integers(2, max_side))
     patch = rng.random((h, w))
-    region = {(r, c) for r in range(h) for c in range(w)}
+    region = np.ones((h, w), dtype=bool)
     return patch, region
 
 
 def test_build_lattice_structure():
     patch = np.zeros((2, 3))
     region = {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
-    graph = build_lattice(patch, region)
+    graph = build_lattice(patch, as_mask(region, patch.shape))
     assert len(graph.pixels) == 6
-    assert graph.pixels == tuple(sorted(region))
+    assert pixel_list(graph) == sorted(region)
     assert graph.edges.shape == (7, 2)  # 3 vertical + 4 horizontal
     # uniform intensity: every weight is exp(0) + epsilon
     assert np.allclose(graph.weights, 1.0 + 1e-6)
@@ -67,7 +80,7 @@ def test_build_lattice_structure():
 
 def test_build_lattice_weight_formula():
     patch = np.array([[0.2, 0.7]])
-    graph = build_lattice(patch, {(0, 0), (0, 1)})
+    graph = build_lattice(patch, np.ones((1, 2), dtype=bool))
     expected = np.exp(-130.0 * 0.25) + 1e-6
     assert graph.weights[0] == pytest.approx(expected, rel=1e-12)
 
@@ -113,9 +126,12 @@ def test_build_lattice_matches_per_pixel_reference():
         patch[rng.random((20, 20)) < 0.3] = 0.5  # some equal neighbours: weight 1 + epsilon
         for config in configs:
             pixels, index, edges, weights = per_pixel_lattice(patch, region, config)
-            graph = build_lattice(patch, region, config)
-            assert graph.pixels == pixels, name
-            assert graph.index == index, name
+            graph = build_lattice(patch, as_mask(region, patch.shape), config)
+            assert pixel_list(graph) == list(pixels), name
+            node = np.full(patch.shape, -1)
+            for p, i in index.items():
+                node[p] = i
+            assert np.array_equal(graph.node, node), name
             assert graph.edges.dtype == np.int64 and np.array_equal(graph.edges, edges), name
             assert graph.weights.dtype == np.float64, name
             assert np.array_equal(graph.weights, weights), name  # bit for bit
@@ -124,28 +140,36 @@ def test_build_lattice_matches_per_pixel_reference():
 def test_diagonal_orphans_are_separate_components():
     # a seeded 1x3 strip and two unseeded pixels that touch only at a corner
     region = {(0, 0), (0, 1), (0, 2), (3, 3), (4, 4)}
-    graph = build_lattice(np.zeros((5, 5)), region)
+    graph = build_lattice(np.zeros((5, 5)), as_mask(region, (5, 5)))
     seeds = SeedSet((((0, 0), 1), ((0, 2), 2)))
     result = solve_probabilities(graph, seeds)
     assert result.orphan_components == 2
     # both orphans are nearest to seed (0, 2): Manhattan 4 and 6 against 6 and 8
     for p in ((3, 3), (4, 4)):
-        assert result.probabilities[graph.index[p]].tolist() == [0.0, 1.0]
+        assert result.probabilities[graph.node[p]].tolist() == [0.0, 1.0]
 
 
 def test_build_lattice_empty_region():
     with pytest.raises(ValueError):
-        build_lattice(np.zeros((2, 2)), set())
+        build_lattice(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError):
+        build_lattice(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
 
 
 def test_seedset_validation():
-    region = {(0, 0), (0, 1)}
+    # the region is the bottom row of a 2x2 patch
+    node = build_lattice(np.zeros((2, 2)), as_mask({(1, 0), (1, 1)}, (2, 2))).node
+    SeedSet((((1, 0), 1), ((1, 1), 2))).validate(node)
     with pytest.raises(ValueError):
-        SeedSet((((0, 0), 1), ((0, 0), 2))).validate(region)
+        SeedSet((((1, 0), 1), ((1, 0), 2))).validate(node)
     with pytest.raises(ValueError):
-        SeedSet((((0, 0), 1), ((0, 1), 3))).validate(region)
+        SeedSet((((1, 0), 1), ((1, 1), 3))).validate(node)
     with pytest.raises(ValueError):
-        SeedSet((((5, 5), 1),)).validate(region)
+        SeedSet((((5, 5), 1),)).validate(node)
+    with pytest.raises(ValueError):
+        SeedSet((((0, 0), 1),)).validate(node)  # in the patch, outside the region
+    with pytest.raises(ValueError):
+        SeedSet((((-1, 0), 1),)).validate(node)  # must not wrap around to (1, 0)
 
 
 def test_conjugate_gradient_against_numpy():
@@ -172,29 +196,27 @@ def test_conjugate_gradient_reports_failure():
 def test_path_graph_probabilities():
     # 1x4 uniform path, seeds at the ends: interpolation is linear
     patch = np.zeros((1, 4))
-    region = {(0, c) for c in range(4)}
-    graph = build_lattice(patch, region)
+    graph = build_lattice(patch, np.ones((1, 4), dtype=bool))
     seeds = SeedSet((((0, 0), 1), ((0, 3), 2)))
     result = solve_probabilities(graph, seeds)
     p1 = result.probabilities[:, 0]
-    order = [graph.index[(0, c)] for c in range(4)]
+    order = [graph.node[(0, c)] for c in range(4)]
     assert np.allclose(p1[order], [1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-8)
     assert result.orphan_components == 0
 
 
 def test_segment_tie_breaks_to_lower_label():
     patch = np.zeros((1, 3))
-    region = {(0, 0), (0, 1), (0, 2)}
-    graph = build_lattice(patch, region)
+    graph = build_lattice(patch, np.ones((1, 3), dtype=bool))
     labels = segment(graph, SeedSet((((0, 0), 1), ((0, 2), 2))))
-    assert labels[graph.index[(0, 1)]] == 1
+    assert labels[graph.node[(0, 1)]] == 1
 
 
 def test_seed_probabilities_pinned():
     rng = np.random.default_rng(1)
     patch, region = random_lattice(rng)
     graph = build_lattice(patch, region)
-    pixels = graph.pixels
+    pixels = pixel_list(graph)
     seeds = SeedSet(((pixels[0], 1), (pixels[-1], 2)))
     result = solve_probabilities(graph, seeds)
     assert result.probabilities[0].tolist() == [1.0, 0.0]
@@ -207,7 +229,7 @@ def test_probabilities_match_dense_oracle():
         patch, region = random_lattice(rng)
         graph = build_lattice(patch, region)
         graph = dataclasses.replace(graph, weights=rng.uniform(0.1, 1.0, size=len(graph.weights)))
-        pixels = list(graph.pixels)
+        pixels = pixel_list(graph)
         n_labels = int(rng.integers(2, 4))
         picks = rng.choice(len(pixels), size=n_labels, replace=False)
         seeds = SeedSet(tuple((pixels[p], k + 1) for k, p in enumerate(picks)))
@@ -222,7 +244,7 @@ def test_harmonicity_at_interior_nodes():
     rng = np.random.default_rng(3)
     patch, region = random_lattice(rng, max_side=7)
     graph = build_lattice(patch, region)
-    pixels = list(graph.pixels)
+    pixels = pixel_list(graph)
     seeds = SeedSet(((pixels[0], 1), (pixels[-1], 2)))
     prob = solve_probabilities(graph, seeds).probabilities
     adj = {i: [] for i in range(len(pixels))}
@@ -242,13 +264,13 @@ def test_harmonicity_at_interior_nodes():
 def test_orphan_component_assignment():
     # two disconnected 1x2 strips; only the left one is seeded
     region = {(0, 0), (0, 1), (0, 4), (0, 5)}
-    graph = build_lattice(np.zeros((1, 6)), region)
+    graph = build_lattice(np.zeros((1, 6)), as_mask(region, (1, 6)))
     seeds = SeedSet((((0, 0), 1), ((0, 1), 2)))
     result = solve_probabilities(graph, seeds)
     assert result.orphan_components == 1
     # the orphan strip is nearer seed (0,1): Manhattan 3 vs 4
     for p in ((0, 4), (0, 5)):
-        assert result.probabilities[graph.index[p], 1] == 1.0
+        assert result.probabilities[graph.node[p], 1] == 1.0
 
 
 def test_reseg_cell_splits_two_blobs():
@@ -264,6 +286,15 @@ def test_reseg_cell_splits_two_blobs():
     assert cells[0].pixels | cells[1].pixels == lump.pixels
     assert not cells[0].pixels & cells[1].pixels
     assert cells[0].centroid[1] < cells[1].centroid[1]
+
+
+def test_snap_to_region_matches_min_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        region = {(int(r), int(c)) for r, c in rng.integers(0, 6, size=(int(rng.integers(1, 12)), 2))}
+        point = tuple(int(v) for v in rng.integers(-3, 9, size=2))
+        want = min(region, key=lambda p: ((p[0] - point[0]) ** 2 + (p[1] - point[1]) ** 2, p))
+        assert _snap_to_region(point, np.array(sorted(region))) == want
 
 
 def test_reseg_cell_seed_clash():
@@ -296,7 +327,7 @@ def test_reseg_pixel_conservation_random():
 
 
 def test_probability_heatmaps():
-    graph = build_lattice(np.zeros((1, 3)), {(0, 0), (0, 1), (0, 2)})
+    graph = build_lattice(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
     seeds = SeedSet((((0, 0), 1), ((0, 2), 2)))
     result = solve_probabilities(graph, seeds)
     maps = probability_heatmaps(graph, result, 1, 3)
