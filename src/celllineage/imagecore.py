@@ -202,17 +202,6 @@ def _cells(labels, struct):
     return [replace(c, id=i) for i, c in enumerate(cells, start=1)]
 
 
-def resize_nearest(mask, target_width, target_height):
-    """Nearest-neighbour resize of a label mask via src = floor((dst + 0.5) * scale)."""
-    if target_width <= 0 or target_height <= 0:
-        raise ValueError("target dimensions must be positive")
-    labels = mask.labels
-    h, w = labels.shape
-    rows = np.minimum((np.arange(target_height) + 0.5) * (h / target_height), h - 1).astype(int)
-    cols = np.minimum((np.arange(target_width) + 0.5) * (w / target_width), w - 1).astype(int)
-    return LabelMask(labels=labels[np.ix_(rows, cols)].copy())
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     mask: np.ndarray  # bool foreground raster

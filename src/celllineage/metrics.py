@@ -187,8 +187,3 @@ def compare_runs(report_a, report_b):
             % (report_a.gt_fingerprint, report_b.gt_fingerprint)
         )
     return {"score": report_b.score - report_a.score}
-
-
-def format_comparison(name, report_a, report_b):
-    delta = compare_runs(report_a, report_b)["score"]
-    return "%-4s %8.3f %8.3f %+8.3f" % (name, report_a.score, report_b.score, delta)

@@ -9,16 +9,9 @@ Used to split under-segmented cell lumps into a required number of parts.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import linalg, ndimage
 
 from .imagecore import make_cell
-
-CG_TOL = 1e-8  # absolute residual tolerance of each label's solve
-CG_ITERS_PER_NODE = 10  # iteration cap: this many per lattice node
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 class ResegFailure(Exception):
@@ -95,42 +88,6 @@ def build_lattice(patch, inside, config=RWConfig()):
     return LatticeGraph(np.column_stack((rows, cols)), node[:-1, :-1], edges, weights)
 
 
-def _laplacian(graph):
-    n = len(graph.pixels)
-    i, j = graph.edges[:, 0], graph.edges[:, 1]
-    w = graph.weights
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    data = np.concatenate([-w, -w])
-    lap = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    lap = lap + sparse.diags(np.asarray(-lap.sum(axis=1)).ravel())
-    return lap.tocsr()
-
-
-def conjugate_gradient(mat, b, tol, max_iter):
-    """CG on an SPD sparse matrix; raises when the residual stays above tol."""
-    x = np.zeros_like(b)
-    r = b - mat @ x
-    p = r.copy()
-    rr = float(r @ r)
-    if np.linalg.norm(r) <= tol:
-        return x
-    for _ in range(max_iter):
-        ap = mat @ p
-        alpha = rr / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol:
-            return x
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise SolverError(
-        "conjugate gradient did not reach residual %g within %d iterations "
-        "(achieved %g)" % (tol, max_iter, np.linalg.norm(r))
-    )
-
-
 def _components(node):
     """4-connected component (0-based) of each lattice node, and their count."""
     inside = node >= 0
@@ -147,11 +104,11 @@ class RWResult:
 def solve_probabilities(graph, seeds):
     """Per-pixel label probabilities of the seeded random walker.
 
-    Labels 1..n-1 are solved by conjugate gradient on the unseeded Laplacian
-    block; the last label is the complement, which enforces exact
-    normalization. Seedless connected components get the graph-nearest
-    seed's label (lattice distance, ties to the lower label) and are counted
-    in the result.
+    Labels 1..n-1 are solved together, exactly to round-off, by one banded
+    Cholesky factorisation of the unseeded Laplacian block; the last label
+    is the complement, which enforces exact normalization. Seedless
+    connected components get the graph-nearest seed's label (lattice
+    distance, ties to the lower label) and are counted in the result.
     """
     seeds.validate(graph.node)
     rc = graph.pixels
@@ -177,15 +134,26 @@ def solve_probabilities(graph, seeds):
 
     solve_idx = np.setdiff1d(np.flatnonzero(seeded[comp]), seed_node)
     if solve_idx.size:
-        lap = _laplacian(graph)
-        seeded_idx = np.sort(seed_node)
-        lap_uu = lap[solve_idx][:, solve_idx].tocsr()
-        lap_us = lap[solve_idx][:, seeded_idx].tocsr()
-        labels_s = seed_lab[np.argsort(seed_node)]
-        for lab in range(1, n_labels):
-            rhs = -lap_us @ (labels_s == lab).astype(np.float64)
-            x = conjugate_gradient(lap_uu, rhs, CG_TOL, CG_ITERS_PER_NODE * n)
-            prob[solve_idx, lab - 1] = x
+        # L_uu in symmetric upper band storage; the unknowns keep the
+        # row-major node order, so no edge spans more than one box row
+        pos = np.full(n, -1)
+        pos[solve_idx] = np.arange(solve_idx.size)
+        i, j = graph.edges.T
+        w = graph.weights
+        pi, pj = pos[i], pos[j]
+        inner = (pi >= 0) & (pj >= 0)
+        half = int((pj - pi)[inner].max(initial=0))
+        band = np.zeros((half + 1, solve_idx.size))
+        band[half] = (np.bincount(i, w, n) + np.bincount(j, w, n))[solve_idx]
+        band[half + pi[inner] - pj[inner], pj[inner]] = -w[inner]
+        # -L_us s per label: the weights of the edges from each unknown to that label's seeds
+        node_lab = np.zeros(n, dtype=np.int64)
+        node_lab[seed_node] = seed_lab
+        rhs = np.zeros((solve_idx.size, n_labels))
+        for u, s in ((pi, j), (pj, i)):
+            hit = (u >= 0) & (node_lab[s] > 0)
+            np.add.at(rhs, (u[hit], node_lab[s[hit]] - 1), w[hit])
+        prob[solve_idx, : n_labels - 1] = linalg.solveh_banded(band, rhs[:, : n_labels - 1])
         prob[solve_idx, n_labels - 1] = 1.0 - prob[solve_idx, : n_labels - 1].sum(axis=1)
     return RWResult(probabilities=prob, orphan_components=int(ncomp - seeded.sum()))
 
@@ -239,14 +207,3 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
             raise ResegFailure("segment %d is empty" % lab)
         cells.append(make_cell(lab, rc[labels == lab]))
     return cells
-
-
-def probability_heatmaps(graph, result, height, width):
-    """8-bit heatmap per label (round(255 p)) for debug dumps."""
-    rows, cols = graph.pixels.T
-    maps = []
-    for prob in result.probabilities.T:
-        img = np.zeros((height, width), dtype=np.uint8)
-        img[rows, cols] = np.rint(255.0 * prob)  # half to even, as round()
-        maps.append(img)
-    return maps

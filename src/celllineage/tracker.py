@@ -151,19 +151,3 @@ class ExternalTracker:
             return TrackerPrediction(cell.id, direction, cell.bbox, -1.0, False)
         top, left, bottom, right, score = rec
         return TrackerPrediction(cell.id, direction, (top, left, bottom, right), score, True)
-
-
-def predict_all(sequence, cells_by_frame, direction, config=TrackerConfig()):
-    """One prediction per (frame, cell) pair that has an adjacent frame.
-
-    `cells_by_frame` maps 1-based frame index to that frame's cells.
-    Returns {(frame_index, cell_id): TrackerPrediction}.
-    """
-    step = 1 if direction == FORWARD else -1
-    out = {}
-    for t in range(1, len(sequence) + 1):
-        if not 1 <= t + step <= len(sequence):
-            continue
-        for cell in cells_by_frame.get(t, []):
-            out[(t, cell.id)] = predict(sequence[t], sequence[t + step], cell, direction, config)
-    return out

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import celllineage
 from celllineage import pgm, trackfile
 from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, build_parser, main
 from celllineage.imagecore import Cell, LabelMask
@@ -189,6 +190,30 @@ def test_track_builds_no_pixel_set(tmp_path, monkeypatch, baseline, capsys):
         with open(str(tmp_path / "out" / "events.txt")) as f:
             assert "COLLISION" in f.read()  # the collision repair ran
     capsys.readouterr()
+
+
+def test_track_imports_no_scipy_sparse(tmp_path, capsys):
+    """A tracking run, collision repair included, loads no scipy.sparse.
+
+    The random walker's banded solve needs none; a sparse direct solve would
+    bring in scipy.sparse.linalg, about 10 MB of resident memory.
+    """
+    sim, out = str(tmp_path / "sim"), str(tmp_path / "out")
+    assert run(["simulate", "--seed", "1", "--out", sim]) == 0
+    capsys.readouterr()
+    code = (
+        "import sys\n"
+        "from celllineage.cli import main\n"
+        "assert main(['track', '--in', %r, '--out', %r]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n" % (sim, out)
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    with open(os.path.join(out, "events.txt")) as f:
+        assert "COLLISION" in f.read()  # the random walker ran
 
 
 def test_overlay(sim_dir, tmp_path, capsys):

@@ -8,7 +8,6 @@ from celllineage.imagecore import (
     connected_components,
     make_cell,
     mask_from_cells,
-    resize_nearest,
     threshold_segment,
 )
 
@@ -171,47 +170,6 @@ def test_centroid_random_blob_oracle():
     rows = sum(p[0] for p in pts) / len(pts)
     cols = sum(p[1] for p in pts) / len(pts)
     assert got == pytest.approx((rows, cols), abs=1e-12)
-
-
-def test_resize_identity():
-    rng = np.random.default_rng(2)
-    mask = LabelMask(labels=rng.integers(0, 4, size=(6, 8)).astype(np.int32))
-    out = resize_nearest(mask, 8, 6)
-    assert np.array_equal(out.labels, mask.labels)
-
-
-def test_resize_constant_upscale():
-    mask = LabelMask(labels=np.array([[3]], dtype=np.int32))
-    out = resize_nearest(mask, 2, 2)
-    assert np.array_equal(out.labels, np.full((2, 2), 3))
-
-
-def test_resize_checkerboard_matches_mapping_oracle():
-    board = np.indices((4, 4)).sum(axis=0) % 2 + 1
-    mask = LabelMask(labels=board.astype(np.int32))
-    out = resize_nearest(mask, 2, 2)
-    # oracle: evaluate src = floor((dst + 0.5) * scale) per pixel
-    expect = np.zeros((2, 2), dtype=np.int32)
-    for r in range(2):
-        for c in range(2):
-            expect[r, c] = board[int((r + 0.5) * 2), int((c + 0.5) * 2)]
-    assert np.array_equal(out.labels, expect)
-
-
-def test_resize_commutes_with_label_permutation():
-    rng = np.random.default_rng(5)
-    labels = rng.integers(0, 5, size=(9, 7)).astype(np.int32)
-    perm = np.array([0, 3, 1, 4, 2], dtype=np.int32)
-    a = resize_nearest(LabelMask(labels=perm[labels]), 4, 5).labels
-    b = perm[resize_nearest(LabelMask(labels=labels), 4, 5).labels]
-    assert np.array_equal(a, b)
-
-
-def test_resize_never_grows_label_set():
-    rng = np.random.default_rng(9)
-    labels = rng.integers(0, 6, size=(12, 12)).astype(np.int32)
-    out = resize_nearest(LabelMask(labels=labels), 5, 3)
-    assert set(np.unique(out.labels)) <= set(np.unique(labels))
 
 
 def otsu_oracle(pixels):

@@ -8,7 +8,6 @@ from celllineage.metrics import (
     MetricsError,
     SegReport,
     compare_runs,
-    format_comparison,
     masks_fingerprint,
     seg_score,
     tra_score,
@@ -258,12 +257,6 @@ def test_compare_runs_paper_table_values():
     )
     assert seg["score"] == pytest.approx(0.038)
     assert tra["score"] == pytest.approx(0.034)
-
-
-def test_format_comparison():
-    fp = "same"
-    line = format_comparison("SEG", SegReport(0.800, [], fp), SegReport(0.838, [], fp))
-    assert "0.800" in line and "0.838" in line and "+0.038" in line
 
 
 def test_masks_fingerprint_sensitivity():

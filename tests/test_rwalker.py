@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from celllineage.imagecore import Frame, make_cell
 from celllineage.rwalker import (
@@ -9,11 +10,8 @@ from celllineage.rwalker import (
     ResegFailure,
     RWConfig,
     SeedSet,
-    SolverError,
     _snap_to_region,
     build_lattice,
-    conjugate_gradient,
-    probability_heatmaps,
     reseg_cell,
     segment,
     solve_probabilities,
@@ -172,27 +170,6 @@ def test_seedset_validation():
         SeedSet((((-1, 0), 1),)).validate(node)  # must not wrap around to (1, 0)
 
 
-def test_conjugate_gradient_against_numpy():
-    from scipy import sparse
-
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(2, 40))
-        a = rng.random((n, n))
-        spd = a @ a.T + n * np.eye(n)
-        b = rng.random(n)
-        x = conjugate_gradient(sparse.csr_matrix(spd), b, 1e-10, 10 * n)
-        assert np.allclose(x, np.linalg.solve(spd, b), atol=1e-7)
-
-
-def test_conjugate_gradient_reports_failure():
-    from scipy import sparse
-
-    mat = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    with pytest.raises(SolverError):
-        conjugate_gradient(mat, np.array([1.0, 2.0]), 1e-15, 1)
-
-
 def test_path_graph_probabilities():
     # 1x4 uniform path, seeds at the ends: interpolation is linear
     patch = np.zeros((1, 4))
@@ -223,7 +200,39 @@ def test_seed_probabilities_pinned():
     assert result.probabilities[-1].tolist() == [0.0, 1.0]
 
 
+def ragged_lattice(rng, max_side=30):
+    """A region with holes, several 4-connected pieces and rows of different widths."""
+    h, w = int(rng.integers(2, max_side)), int(rng.integers(2, max_side))
+    cols = np.arange(w)
+    start = rng.integers(0, w // 2 + 1, size=(h, 1))
+    stop = w - rng.integers(0, w // 2 + 1, size=(h, 1))
+    region = (rng.random((h, w)) < rng.uniform(0.55, 0.95)) & (cols >= start) & (cols < stop)
+    return rng.random((h, w)), region
+
+
+def seeds_on_every_piece(rng, graph, n_labels):
+    """Labels 1..n_labels (fewer on tiny regions) and a seed in every 4-connected piece."""
+    inside = graph.node >= 0
+    piece, count = ndimage.label(inside)
+    piece = piece[inside]  # per node, row-major
+    picks = [int(rng.choice(np.flatnonzero(piece == k))) for k in range(1, count + 1)]
+    rest = np.setdiff1d(np.arange(len(graph.pixels)), picks)
+    picks += rng.choice(rest, size=min(n_labels, rest.size), replace=False).tolist()
+    n_labels = min(n_labels, len(picks))
+    labels = np.concatenate([np.arange(1, n_labels + 1), rng.integers(1, n_labels + 1, size=len(picks) - n_labels)])
+    rng.shuffle(labels)
+    pixels = pixel_list(graph)
+    return SeedSet(tuple((pixels[p], int(lab)) for p, lab in zip(picks, labels)))
+
+
 def test_probabilities_match_dense_oracle():
+    def check(graph, seeds, atol):
+        got = solve_probabilities(graph, seeds).probabilities
+        want = dense_dirichlet(graph, seeds)
+        assert np.allclose(got, want, atol=atol)
+        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
+        assert got.min() >= -1e-6 and got.max() <= 1.0 + 1e-6
+
     rng = np.random.default_rng(2)
     for _ in range(25):
         patch, region = random_lattice(rng)
@@ -233,11 +242,18 @@ def test_probabilities_match_dense_oracle():
         n_labels = int(rng.integers(2, 4))
         picks = rng.choice(len(pixels), size=n_labels, replace=False)
         seeds = SeedSet(tuple((pixels[p], k + 1) for k, p in enumerate(picks)))
-        got = solve_probabilities(graph, seeds).probabilities
-        want = dense_dirichlet(graph, seeds)
-        assert np.allclose(got, want, atol=1e-6)
-        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
-        assert got.min() >= -1e-6 and got.max() <= 1.0 + 1e-6
+        check(graph, seeds, 1e-6)
+
+    # ragged regions: the unknowns skip row-major indices, so the band's
+    # offsets differ from the lattice's; the solve is exact to round-off
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        patch, region = ragged_lattice(rng)
+        if region.sum() < 2:
+            continue
+        graph = build_lattice(patch, region)
+        graph = dataclasses.replace(graph, weights=rng.uniform(0.1, 1.0, size=len(graph.weights)))
+        check(graph, seeds_on_every_piece(rng, graph, int(rng.integers(2, 5))), 1e-10)
 
 
 def test_harmonicity_at_interior_nodes():
@@ -324,16 +340,6 @@ def test_reseg_pixel_conservation_random():
             assert not union & cell.pixels
             union |= cell.pixels
         assert union == lump.pixels
-
-
-def test_probability_heatmaps():
-    graph = build_lattice(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
-    seeds = SeedSet((((0, 0), 1), ((0, 2), 2)))
-    result = solve_probabilities(graph, seeds)
-    maps = probability_heatmaps(graph, result, 1, 3)
-    assert len(maps) == 2
-    assert maps[0][0, 0] == 255 and maps[0][0, 2] == 0
-    assert maps[0][0, 1] == 128  # round(255 * 0.5)
 
 
 def test_rwconfig_validation():

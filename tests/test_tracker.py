@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from celllineage import kernels
-from celllineage.imagecore import Frame, Sequence, make_cell
+from celllineage.imagecore import Frame, make_cell
 from celllineage.tracker import (
     BACKWARD,
     FORWARD,
@@ -10,7 +10,6 @@ from celllineage.tracker import (
     TrackerConfig,
     ncc_score,
     predict,
-    predict_all,
 )
 
 
@@ -269,23 +268,6 @@ def test_predict_deterministic():
     a = predict(Frame(1, img1), Frame(2, img2), cell, FORWARD)
     b = predict(Frame(1, img1), Frame(2, img2), cell, FORWARD)
     assert a == b
-
-
-def test_predict_all_single_frame():
-    f1 = blob_frame(1, (40, 40))
-    seq = Sequence(frames=(f1,))
-    assert predict_all(seq, {1: [blob_cell(f1)]}, FORWARD) == {}
-
-
-def test_predict_all_two_frames():
-    f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
-    seq = Sequence(frames=(f1, f2))
-    cells = {1: [blob_cell(f1)], 2: [blob_cell(f2)]}
-    fwd = predict_all(seq, cells, FORWARD)
-    bwd = predict_all(seq, cells, BACKWARD)
-    assert set(fwd) == {(1, 1)} and set(bwd) == {(2, 1)}
-    assert fwd[(1, 1)].score == pytest.approx(1.0, abs=1e-9)
-    assert bwd[(2, 1)].score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_external_tracker(tmp_path):
