@@ -20,14 +20,6 @@ class Frame:
             raise ValueError("frame pixels must be a 2-D uint8 array")
         self.pixels.setflags(write=False)
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
     def normalized(self, region=None):
         """Intensities rescaled to [0, 1] as float64.
 
@@ -72,14 +64,6 @@ class LabelMask:
         if self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
         self.labels.setflags(write=False)
-
-    @property
-    def height(self):
-        return self.labels.shape[0]
-
-    @property
-    def width(self):
-        return self.labels.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

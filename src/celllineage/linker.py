@@ -2,10 +2,11 @@
 
 Per frame step: backward predictions flag under-segmented lumps (two or more
 previous centroids inside one backward-tracked region), which are split by
-seeded random-walker re-segmentation until no lump remains or splitting
-stops improving. Forward predictions then match previous cells to current
-ones and each previous cell is classified as apoptosis, continuation or
-mitosis by its match count.
+seeded random-walker re-segmentation. The pieces of each split are checked
+again, round by round, until no piece is flagged with a previous centroid
+that its earlier splits did not use. Forward predictions then match
+previous cells to current ones and each previous cell is classified as
+apoptosis, continuation or mitosis by its match count.
 """
 
 from dataclasses import dataclass, field, replace
@@ -120,48 +121,37 @@ def resolve_collisions(
     predict_backward,
     rw_config=RWConfig(),
 ):
-    """Iteratively split flagged lumps until detection comes up empty.
+    """Split flagged lumps in rounds until a round has nothing left to split.
 
+    Round 1 checks every current cell. Each later round checks only the
+    cells that the previous round's splits made, in row-major first-pixel
+    order: an unsplit cell keeps its backward prediction, so detection would
+    give it the same parents again. A piece whose parents all lie in the
+    parent sets it was split against is kept, so every re-split adds a
+    parent and the rounds end within len(cells_prev). A lump whose
+    re-segmentation fails is kept whole and reported unresolved.
     `predict_backward` recomputes a backward prediction for a freshly split
-    cell. A lump whose re-segmentation fails, or that reappears unchanged
-    with the same parent set, is kept whole and reported unresolved. Cell
-    ids are renumbered densely (row-major) before returning.
+    cell. Cell ids are renumbered densely (row-major) before returning.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
     preds = dict(backward_preds)
     prev_centroid = {c.id: c.centroid for c in cells_prev}
     next_id = max(cells, default=0) + 1
-    dead = set()  # region keys of lumps given up on
-    seen = set()  # (region key, parent set) pairs from earlier iterations
     origin = {}  # cell id -> parent set whose split produced it
-    max_iters = max(1, len(cells_prev))
+    fresh = cells_cur
 
-    for _ in range(max_iters):
-        ordered = sorted(cells.values(), key=lambda c: c.first)
-        flagged = detect_collisions(cells_prev, ordered, preds)
-        actionable = []
-        for lump_id, parents in flagged:
-            sig = cells[lump_id].key
-            if sig in dead:
-                continue
-            parent_set = frozenset(parents)
-            if parent_set <= origin.get(lump_id, frozenset()):
-                # this cell already came out of a split against these
-                # parents; splitting again cannot improve the matching
-                dead.add(sig)
-                continue
-            key = (sig, parent_set)
-            if key in seen:
-                # same lump, same parents as a previous round: no improvement
-                dead.add(sig)
-                report.unresolved.append((lump_id, parents, "no improvement"))
-                continue
-            seen.add(key)
-            actionable.append((lump_id, parents))
+    while True:
+        fresh = sorted(fresh, key=lambda c: c.first)
+        actionable = [
+            (lump_id, parents)
+            for lump_id, parents in detect_collisions(cells_prev, fresh, preds)
+            if not frozenset(parents) <= origin.get(lump_id, frozenset())
+        ]
         if not actionable:
             break
         report.iterations += 1
+        fresh = []
         for lump_id, parents in actionable:
             lump = cells[lump_id]
             pred = preds[lump_id]
@@ -177,7 +167,6 @@ def resolve_collisions(
                     rw_config,
                 )
             except ResegFailure as exc:
-                dead.add(lump.key)
                 report.unresolved.append((lump_id, parents, str(exc)))
                 continue
             del cells[lump_id]
@@ -190,6 +179,7 @@ def resolve_collisions(
                 preds[next_id] = predict_backward(cell)
                 origin[next_id] = inherited
                 new_ids.append(next_id)
+                fresh.append(cell)
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 

@@ -46,45 +46,46 @@ class TraReport:
     gt_fingerprint: str = ""
 
 
-def _frame_matching(gt_labels, pred_labels):
+def _frame_matchings(gt_masks, pred_masks):
     """Per-frame GT -> pred matching by the majority-overlap rule.
 
-    Returns (gt_sizes, pred_sizes, overlaps, match) where overlaps maps
-    (gt, pred) label pairs to intersection size and match maps each gt label
-    to the unique pred label covering > half of it (if any).
+    Returns, for each frame t = 1..T, (gt_sizes, pred_sizes, overlaps, match)
+    where overlaps maps (gt, pred) label pairs to intersection size and match
+    maps each gt label to the unique pred label covering > half of it (if
+    any). All four come from one count of the (gt, pred) label pairs of the
+    frame's foreground pixels: a label's size is the sum of its pairs' counts.
     """
-    gt = np.asarray(gt_labels).ravel()
-    pred = np.asarray(pred_labels).ravel()
-    gt_ids, gt_counts = np.unique(gt[gt > 0], return_counts=True)
-    pred_ids, pred_counts = np.unique(pred[pred > 0], return_counts=True)
-    gt_sizes = dict(zip(gt_ids.tolist(), gt_counts.tolist()))
-    pred_sizes = dict(zip(pred_ids.tolist(), pred_counts.tolist()))
-    both = (gt > 0) & (pred > 0)
-    overlaps = {}
-    if both.any():
-        stride = int(pred.max()) + 1
-        pairs = gt[both].astype(np.int64) * stride + pred[both]
-        ids, counts = np.unique(pairs, return_counts=True)
-        for pid, cnt in zip(ids.tolist(), counts.tolist()):
-            overlaps[(pid // stride, pid % stride)] = cnt
-    match = {}
-    for (g, p), cnt in overlaps.items():
-        if 2 * cnt > gt_sizes[g]:
-            match[g] = p
-    return gt_sizes, pred_sizes, overlaps, match
+    if len(gt_masks) != len(pred_masks):
+        raise MetricsError("frame count mismatch: %d vs %d" % (len(gt_masks), len(pred_masks)))
+    out = []
+    for t, (gt, pred) in enumerate(zip(gt_masks, pred_masks), start=1):
+        if gt.labels.shape != pred.labels.shape:
+            raise MetricsError("frame %d: mask dimensions differ" % t)
+        fg = (gt.labels | pred.labels) != 0  # labels are non-negative
+        stride = int(pred.labels.max()) + 1
+        pairs = gt.labels[fg].astype(np.int64) * stride + pred.labels[fg]
+        pairs, counts = np.unique(pairs, return_counts=True)
+        gt_sizes, pred_sizes, overlaps = {}, {}, {}
+        for pair, cnt in zip(pairs.tolist(), counts.tolist()):
+            g, p = divmod(pair, stride)
+            if g:
+                gt_sizes[g] = gt_sizes.get(g, 0) + cnt
+            if p:
+                pred_sizes[p] = pred_sizes.get(p, 0) + cnt
+            if g and p:
+                overlaps[(g, p)] = cnt
+        match = {g: p for (g, p), cnt in overlaps.items() if 2 * cnt > gt_sizes[g]}
+        out.append((gt_sizes, pred_sizes, overlaps, match))
+    return out
 
 
 def seg_score(gt_masks, pred_masks):
     """Mean Jaccard of matched GT cells over all frames; unmatched count 0."""
-    if len(gt_masks) != len(pred_masks):
-        raise MetricsError("frame count mismatch: %d vs %d" % (len(gt_masks), len(pred_masks)))
+    frames = _frame_matchings(gt_masks, pred_masks)
     rows = []
     total = 0.0
     n = 0
-    for t, (gt, pred) in enumerate(zip(gt_masks, pred_masks), start=1):
-        if gt.labels.shape != pred.labels.shape:
-            raise MetricsError("frame %d: mask dimensions differ" % t)
-        gt_sizes, pred_sizes, overlaps, match = _frame_matching(gt.labels, pred.labels)
+    for t, (gt_sizes, pred_sizes, overlaps, match) in enumerate(frames, start=1):
         for g in sorted(gt_sizes):
             p = match.get(g)
             if p is None:
@@ -100,13 +101,8 @@ def seg_score(gt_masks, pred_masks):
     return SegReport(score=total / n, rows=rows, gt_fingerprint=masks_fingerprint(gt_masks))
 
 
-def _lineage_nodes_edges(lineage, masks):
-    """Nodes (t, label) present in the masks; edges with 'track'/'parent' kind."""
-    nodes = set()
-    for t, mask in enumerate(masks, start=1):
-        for lab in np.unique(mask.labels):
-            if lab > 0:
-                nodes.add((t, int(lab)))
+def _lineage_edges(lineage, nodes):
+    """Edges between `nodes` (t, label), each of kind 'track' or 'parent'."""
     edges = {}
     for tr in lineage.tracks.values():
         for t in range(tr.birth, tr.end):
@@ -117,29 +113,27 @@ def _lineage_nodes_edges(lineage, masks):
             a, b = (parent.end, tr.parent), (tr.birth, tr.id)
             if a in nodes and b in nodes:
                 edges[(a, b)] = "parent"
-    return nodes, edges
+    return edges
 
 
 def tra_score(gt_lineage, gt_masks, pred_lineage, pred_masks, weights=None):
     """AOGM-based tracking accuracy of a predicted track forest."""
-    if len(gt_masks) != len(pred_masks):
-        raise MetricsError("frame count mismatch: %d vs %d" % (len(gt_masks), len(pred_masks)))
+    frames = _frame_matchings(gt_masks, pred_masks)
     gt_lineage.validate()
     pred_lineage.validate()
     w = dict(DEFAULT_WEIGHTS)
     if weights:
         w.update(weights)
 
-    gt_nodes, gt_edges = _lineage_nodes_edges(gt_lineage, gt_masks)
-    pred_nodes, pred_edges = _lineage_nodes_edges(pred_lineage, pred_masks)
-
+    gt_nodes, pred_nodes = set(), set()
     node_match = {}  # gt node -> pred node
-    for t, (gt, pred) in enumerate(zip(gt_masks, pred_masks), start=1):
-        if gt.labels.shape != pred.labels.shape:
-            raise MetricsError("frame %d: mask dimensions differ" % t)
-        _, _, _, match = _frame_matching(gt.labels, pred.labels)
+    for t, (gt_sizes, pred_sizes, _, match) in enumerate(frames, start=1):
+        gt_nodes.update((t, g) for g in gt_sizes)
+        pred_nodes.update((t, p) for p in pred_sizes)
         for g, p in match.items():
             node_match[(t, g)] = (t, p)
+    gt_edges = _lineage_edges(gt_lineage, gt_nodes)
+    pred_edges = _lineage_edges(pred_lineage, pred_nodes)
 
     matched_per_pred = {}
     for g, p in node_match.items():

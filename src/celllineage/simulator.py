@@ -66,6 +66,8 @@ class SimConfig:
                 ints = isinstance(entry, (tuple, list)) and all(_is_number(v, Integral) for v in entry)
                 if not ints or len(entry) != size:
                     raise ValueError("%s: entries must be lists of %d integers, got %r" % (key, size, entry))
+        if self.fade_frames < 1:
+            raise ValueError("fade_frames must be >= 1, got %r" % (self.fade_frames,))
         rmin, rmax = self.radius_range
         if rmin <= 0 or rmax < rmin or 2 * rmax >= min(self.width, self.height):
             raise ValueError("radius_range must be positive and fit the image")
@@ -294,11 +296,7 @@ def simulate(cfg):
         pixels, mask = _render(list(cells.values()), cfg, rng)
         frames.append(Frame(index=t, pixels=pixels))
         gt_masks.append(mask)
-        assign = {}
-        for tid in sorted(cells):
-            if np.any(mask.labels == tid):
-                assign[tid] = tid
-        graph.assignments[t] = assign
+        graph.assignments[t] = {tid: tid for tid in np.unique(mask.labels).tolist() if tid}
 
         # motion update for the next frame
         for tid in sorted(cells):
@@ -317,14 +315,6 @@ def simulate(cfg):
                 )
 
     graph.validate()
-    for t, mask in enumerate(gt_masks, start=1):
-        for lab in np.unique(mask.labels):
-            if lab == 0:
-                continue
-            tr = graph.tracks.get(int(lab))
-            assert tr is not None and tr.birth <= t <= tr.end, (
-                "mask label %d at frame %d outside its track span" % (lab, t)
-            )
     sequence = Sequence(frames=tuple(frames))
     return sequence, GroundTruth(masks=gt_masks, lineage=graph, events=events)
 

@@ -273,6 +273,8 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"collision_script": [8, 1, 2]}, "collision_script: entries must be"),
         ("simulate", {"mitosis_script": [[3.5, 1]]}, "mitosis_script: entries must be"),
         ("simulate", {"apoptosis_script": [[4, 1, 2]]}, "apoptosis_script: entries must be"),
+        ("simulate", {"fade_frames": 0, "apoptosis_script": [[3, 1]], "frames": 5}, "fade_frames"),
+        ("simulate", {"fade_frames": -2, "apoptosis_script": [[3, 1]], "frames": 8}, "fade_frames"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

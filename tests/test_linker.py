@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from celllineage.imagecore import Frame, LabelMask, Sequence, make_cell
 from celllineage.linker import (
     Apoptosis,
+    CollisionReport,
     Continuation,
     LineageGraph,
     LinkerConfig,
     MatchSet,
     Mitosis,
     Track,
+    _bbox_center,
     classify_state,
     detect_collisions,
     match_forward,
@@ -17,6 +21,7 @@ from celllineage.linker import (
     run_linker,
     update_lineage,
 )
+from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
 from celllineage.tracker import BACKWARD, FORWARD, TrackerPrediction
 
 
@@ -26,6 +31,12 @@ def pred(cell_id, region, direction=BACKWARD, score=0.9, valid=True):
 
 def square_cell(cid, top, left, size=4):
     return make_cell(cid, [(top + r, left + c) for r in range(size) for c in range(size)])
+
+
+def grown(bbox, by, h, w):
+    """`bbox` widened by `by` pixels on each side, clipped to an h x w frame."""
+    top, left, bottom, right = bbox
+    return (max(0, top - by), max(0, left - by), min(h - 1, bottom + by), min(w - 1, right + by))
 
 
 class StationaryTracker:
@@ -246,6 +257,134 @@ def test_resolve_collisions_conserves_pixels_fuzz():
         for c in out:
             assert not union & c.pixels
             union |= c.pixels
+
+
+def reference_resolve_collisions(
+    frame_cur,
+    cells_cur,
+    cells_prev,
+    backward_preds,
+    predict_backward,
+    rw_config=RWConfig(),
+):
+    """Reference for `resolve_collisions`: a loop that re-detects every cell
+    on each pass, guarded by `dead` and `seen` sets and an iteration cap.
+
+    Iteratively split flagged lumps until detection comes up empty.
+
+    `predict_backward` recomputes a backward prediction for a freshly split
+    cell. A lump whose re-segmentation fails, or that reappears unchanged
+    with the same parent set, is kept whole and reported unresolved. Cell
+    ids are renumbered densely (row-major) before returning.
+    """
+    report = CollisionReport()
+    cells = {c.id: c for c in cells_cur}
+    preds = dict(backward_preds)
+    prev_centroid = {c.id: c.centroid for c in cells_prev}
+    next_id = max(cells, default=0) + 1
+    dead = set()  # region keys of lumps given up on
+    seen = set()  # (region key, parent set) pairs from earlier iterations
+    origin = {}  # cell id -> parent set whose split produced it
+    max_iters = max(1, len(cells_prev))
+
+    for _ in range(max_iters):
+        ordered = sorted(cells.values(), key=lambda c: c.first)
+        flagged = detect_collisions(cells_prev, ordered, preds)
+        actionable = []
+        for lump_id, parents in flagged:
+            sig = cells[lump_id].key
+            if sig in dead:
+                continue
+            parent_set = frozenset(parents)
+            if parent_set <= origin.get(lump_id, frozenset()):
+                # this cell already came out of a split against these
+                # parents; splitting again cannot improve the matching
+                dead.add(sig)
+                continue
+            key = (sig, parent_set)
+            if key in seen:
+                # same lump, same parents as a previous round: no improvement
+                dead.add(sig)
+                report.unresolved.append((lump_id, parents, "no improvement"))
+                continue
+            seen.add(key)
+            actionable.append((lump_id, parents))
+        if not actionable:
+            break
+        report.iterations += 1
+        for lump_id, parents in actionable:
+            lump = cells[lump_id]
+            pred = preds[lump_id]
+            lr, lc = _bbox_center(lump.bbox)
+            br, bc = _bbox_center(pred.region)
+            displacement = (lr - br, lc - bc)
+            try:
+                segments = reseg_cell(
+                    frame_cur,
+                    lump,
+                    [prev_centroid[p] for p in parents],
+                    displacement,
+                    rw_config,
+                )
+            except ResegFailure as exc:
+                dead.add(lump.key)
+                report.unresolved.append((lump_id, parents, str(exc)))
+                continue
+            del cells[lump_id]
+            del preds[lump_id]
+            inherited = origin.pop(lump_id, frozenset()) | frozenset(parents)
+            new_ids = []
+            for seg in segments:
+                cell = replace(seg, id=next_id)
+                cells[next_id] = cell
+                preds[next_id] = predict_backward(cell)
+                origin[next_id] = inherited
+                new_ids.append(next_id)
+                next_id += 1
+            report.splits.append((lump_id, parents, new_ids))
+
+    # renumber densely in row-major first-pixel order
+    ordered = sorted(cells.values(), key=lambda c: c.first)
+    out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
+    return out, report
+
+
+def test_resolve_collisions_matches_reference_loop():
+    rng = np.random.default_rng(7)
+    h, w = 24, 24
+    rounds2 = splits = unresolved = 0
+    for case in range(1000):
+        frame = Frame(2, (128 + rng.integers(-40, 41, size=(h, w))).astype(np.uint8))
+        used = np.zeros((h, w), dtype=bool)
+        cur = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(2, 9))
+            top, left = int(rng.integers(0, h - size)), int(rng.integers(0, w - size))
+            if not used[top : top + size, left : left + size].any():
+                used[top : top + size, left : left + size] = True
+                cur.append(square_cell(0, top, left, size))
+        cur = [replace(c, id=i) for i, c in enumerate(sorted(cur, key=lambda c: c.first), 1)]
+        prev = [
+            square_cell(pid, int(rng.integers(0, h - 2)), int(rng.integers(0, w - 2)), 2)
+            for pid in range(1, int(rng.integers(1, 10)) + 1)
+        ]
+        preds = {}
+        for c in cur:
+            region = grown(c.bbox, int(rng.integers(0, 8)), h, w)
+            preds[c.id] = pred(c.id, region, valid=bool(rng.random() < 0.8))
+        grow = int(rng.integers(0, 6))
+
+        def predict_backward(cell):
+            return pred(cell.id, grown(cell.bbox, grow, h, w))
+
+        got = resolve_collisions(frame, cur, prev, preds, predict_backward)
+        want = reference_resolve_collisions(frame, cur, prev, preds, predict_backward)
+        assert got == want, case
+        assert got[1].iterations <= max(1, len(prev))
+        rounds2 += got[1].iterations >= 2
+        splits += bool(got[1].splits)
+        unresolved += bool(got[1].unresolved)
+    assert rounds2 and splits and unresolved
 
 
 def make_sequence(images):
