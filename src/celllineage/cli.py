@@ -8,6 +8,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import ndimage
 
 from . import jsonconfig, metrics, pgm, simulator, trackfile
 from .imagecore import (
@@ -172,11 +173,13 @@ def cmd_track(args):
 
 def cmd_evaluate(args):
     gt_masks = _load_masks(args.gt)
-    pred_masks = _load_masks(args.pred, count=len(gt_masks))
-    gt_lineage = trackfile.read_track_file(os.path.join(args.gt, TRACK_FILE), gt_masks)
-    pred_lineage = trackfile.read_track_file(os.path.join(args.pred, TRACK_FILE), pred_masks)
-    seg = metrics.seg_score(gt_masks, pred_masks)
-    tra = metrics.tra_score(gt_lineage, gt_masks, pred_lineage, pred_masks)
+    census = metrics.census(gt_masks, _load_masks(args.pred, count=len(gt_masks)))
+    gt_labels = [gt_sizes for gt_sizes, _, _, _ in census.frames]
+    pred_labels = [pred_sizes for _, pred_sizes, _, _ in census.frames]
+    gt_lineage = trackfile.read_track_file(os.path.join(args.gt, TRACK_FILE), gt_labels)
+    pred_lineage = trackfile.read_track_file(os.path.join(args.pred, TRACK_FILE), pred_labels)
+    seg = metrics.seg_score(census)
+    tra = metrics.tra_score(gt_lineage, pred_lineage, census)
     print("SEG %.6f" % seg.score)
     print("TRA %.6f" % tra.score)
     report = {
@@ -222,12 +225,13 @@ def cmd_overlay(args):
     frames = _load_frames(args.input)
     masks = _load_masks(args.masks or args.input, count=len(frames))
     track_path = args.tracks or os.path.join(args.masks or args.input, TRACK_FILE)
-    lineage = trackfile.read_track_file(track_path, masks)
-    mitosis_frames = {}  # (t, track id) -> children present
+    boxes = [ndimage.find_objects(mask.labels) for mask in masks]  # label - 1 -> box or None
+    present = [[lab for lab, box in enumerate(frame_boxes, start=1) if box] for frame_boxes in boxes]
+    lineage = trackfile.read_track_file(track_path, present)
+    mitosis_marks = set()  # (t, track id): a dividing cell's last frame, its children's first
     for tr in lineage.tracks.values():
         if tr.parent:
-            mitosis_frames.setdefault((tr.birth, tr.id), True)
-            mitosis_frames.setdefault((tr.birth - 1, tr.parent), True)
+            mitosis_marks.update({(tr.birth, tr.id), (tr.birth - 1, tr.parent)})
 
     os.makedirs(args.out, exist_ok=True)
     for t in range(1, len(frames) + 1):
@@ -235,15 +239,13 @@ def cmd_overlay(args):
         rgb = np.repeat(gray[:, :, None], 3, axis=2).astype(np.uint8)
         labels = masks[t - 1].labels
         boundary = _boundary(labels)
-        for lab in np.unique(labels):
-            if lab == 0:
+        for lab, box in enumerate(boxes[t - 1], start=1):
+            if box is None:
                 continue
-            color = _palette_color(int(lab))
-            sel = boundary & (labels == lab)
-            rgb[sel] = color
-            if (t, int(lab)) in mitosis_frames:
-                rows, cols = np.nonzero(labels == lab)
-                r0, c0 = rows.min(), cols.min()
+            color = _palette_color(lab)
+            rgb[box][boundary[box] & (labels[box] == lab)] = color
+            if (t, lab) in mitosis_marks:
+                r0, c0 = box[0].start, box[1].start  # the label's first row and column
                 rgb[r0 : r0 + 3, c0 : c0 + 3] = color
         pgm.write_ppm(os.path.join(args.out, "overlay%03d.ppm" % t), rgb)
     print("wrote %d overlays to %s" % (len(frames), args.out))

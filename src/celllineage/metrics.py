@@ -46,18 +46,25 @@ class TraReport:
     gt_fingerprint: str = ""
 
 
-def _frame_matchings(gt_masks, pred_masks):
+@dataclass
+class Census:
+    frames: list  # per frame t = 1..T: (gt_sizes, pred_sizes, overlaps, match)
+    gt_fingerprint: str
+
+
+def census(gt_masks, pred_masks):
     """Per-frame GT -> pred matching by the majority-overlap rule.
 
-    Returns, for each frame t = 1..T, (gt_sizes, pred_sizes, overlaps, match)
-    where overlaps maps (gt, pred) label pairs to intersection size and match
-    maps each gt label to the unique pred label covering > half of it (if
-    any). All four come from one count of the (gt, pred) label pairs of the
-    frame's foreground pixels: a label's size is the sum of its pairs' counts.
+    For each frame t = 1..T, gt_sizes and pred_sizes map the labels present
+    to their pixel counts, overlaps maps (gt, pred) label pairs to
+    intersection size and match maps each gt label to the unique pred label
+    covering > half of it (if any). All four come from one count of the
+    (gt, pred) label pairs of the frame's foreground pixels: a label's size
+    is the sum of its pairs' counts.
     """
     if len(gt_masks) != len(pred_masks):
         raise MetricsError("frame count mismatch: %d vs %d" % (len(gt_masks), len(pred_masks)))
-    out = []
+    frames = []
     for t, (gt, pred) in enumerate(zip(gt_masks, pred_masks), start=1):
         if gt.labels.shape != pred.labels.shape:
             raise MetricsError("frame %d: mask dimensions differ" % t)
@@ -75,17 +82,16 @@ def _frame_matchings(gt_masks, pred_masks):
             if g and p:
                 overlaps[(g, p)] = cnt
         match = {g: p for (g, p), cnt in overlaps.items() if 2 * cnt > gt_sizes[g]}
-        out.append((gt_sizes, pred_sizes, overlaps, match))
-    return out
+        frames.append((gt_sizes, pred_sizes, overlaps, match))
+    return Census(frames=frames, gt_fingerprint=masks_fingerprint(gt_masks))
 
 
-def seg_score(gt_masks, pred_masks):
+def seg_score(census):
     """Mean Jaccard of matched GT cells over all frames; unmatched count 0."""
-    frames = _frame_matchings(gt_masks, pred_masks)
     rows = []
     total = 0.0
     n = 0
-    for t, (gt_sizes, pred_sizes, overlaps, match) in enumerate(frames, start=1):
+    for t, (gt_sizes, pred_sizes, overlaps, match) in enumerate(census.frames, start=1):
         for g in sorted(gt_sizes):
             p = match.get(g)
             if p is None:
@@ -98,7 +104,7 @@ def seg_score(gt_masks, pred_masks):
             n += 1
     if n == 0:
         raise MetricsError("ground truth contains no cells")
-    return SegReport(score=total / n, rows=rows, gt_fingerprint=masks_fingerprint(gt_masks))
+    return SegReport(score=total / n, rows=rows, gt_fingerprint=census.gt_fingerprint)
 
 
 def _lineage_edges(lineage, nodes):
@@ -116,9 +122,8 @@ def _lineage_edges(lineage, nodes):
     return edges
 
 
-def tra_score(gt_lineage, gt_masks, pred_lineage, pred_masks, weights=None):
+def tra_score(gt_lineage, pred_lineage, census, weights=None):
     """AOGM-based tracking accuracy of a predicted track forest."""
-    frames = _frame_matchings(gt_masks, pred_masks)
     gt_lineage.validate()
     pred_lineage.validate()
     w = dict(DEFAULT_WEIGHTS)
@@ -127,7 +132,7 @@ def tra_score(gt_lineage, gt_masks, pred_lineage, pred_masks, weights=None):
 
     gt_nodes, pred_nodes = set(), set()
     node_match = {}  # gt node -> pred node
-    for t, (gt_sizes, pred_sizes, _, match) in enumerate(frames, start=1):
+    for t, (gt_sizes, pred_sizes, _, match) in enumerate(census.frames, start=1):
         gt_nodes.update((t, g) for g in gt_sizes)
         pred_nodes.update((t, p) for p in pred_sizes)
         for g, p in match.items():
@@ -164,13 +169,7 @@ def tra_score(gt_lineage, gt_masks, pred_lineage, pred_masks, weights=None):
     aogm = sum(w[k] * counts[k] for k in counts)
     aogm0 = w["FN"] * len(gt_nodes) + w["EA"] * len(gt_edges)
     score = 1.0 - min(aogm, aogm0) / aogm0
-    return TraReport(
-        score=score,
-        aogm=aogm,
-        aogm0=aogm0,
-        counts=counts,
-        gt_fingerprint=masks_fingerprint(gt_masks),
-    )
+    return TraReport(score=score, aogm=aogm, aogm0=aogm0, counts=counts, gt_fingerprint=census.gt_fingerprint)
 
 
 def compare_runs(report_a, report_b):

@@ -61,11 +61,18 @@ class SimConfig:
             raise ValueError("event probabilities must lie in [0, 1]")
         if len(self.radius_range) != 2 or not all(map(_is_number, self.radius_range)):
             raise ValueError("radius_range must be two numbers, got %r" % (self.radius_range,))
-        for key, size in (("collision_script", 3), ("mitosis_script", 2), ("apoptosis_script", 2)):
+        for key in ("n_init", "drift_sigma", "noise_sigma"):
+            if getattr(self, key) < 0:
+                raise ValueError("%s must be >= 0, got %r" % (key, getattr(self, key)))
+        # (key, entry length, earliest time): a mitosis at t ends the parent's track at t - 1
+        scripts = (("collision_script", 3, 1), ("mitosis_script", 2, 2), ("apoptosis_script", 2, 1))
+        for key, size, first in scripts:
             for entry in getattr(self, key):
                 ints = isinstance(entry, (tuple, list)) and all(_is_number(v, Integral) for v in entry)
                 if not ints or len(entry) != size:
                     raise ValueError("%s: entries must be lists of %d integers, got %r" % (key, size, entry))
+                if not first <= entry[0] <= self.frames:
+                    raise ValueError("%s: time %d outside %d..%d" % (key, entry[0], first, self.frames))
         if self.fade_frames < 1:
             raise ValueError("fade_frames must be >= 1, got %r" % (self.fade_frames,))
         rmin, rmax = self.radius_range

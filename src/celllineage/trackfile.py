@@ -1,16 +1,6 @@
 """res_track.txt lineage interchange: one `L B E P` line per track."""
 
-from dataclasses import dataclass
-
 from .linker import LineageGraph, Track
-
-
-@dataclass(frozen=True)
-class TrackFileRecord:
-    label: int  # track id (L)
-    birth: int  # first frame (B)
-    end: int  # last frame (E)
-    parent: int  # parent track id, 0 = none (P)
 
 
 class TrackFileError(ValueError):
@@ -18,9 +8,9 @@ class TrackFileError(ValueError):
 
 
 def parse_track_file(text):
-    """Strict parse; rejects duplicate ids, dangling parents and B > E."""
-    records = []
-    by_id = {}
+    """Strict parse into a LineageGraph's tracks; rejects duplicate ids,
+    dangling parents and B > E."""
+    graph = LineageGraph()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -34,65 +24,43 @@ def parse_track_file(text):
             raise TrackFileError("line %d: non-integer field" % lineno)
         if label <= 0:
             raise TrackFileError("line %d: track id must be positive" % lineno)
-        if label in by_id:
+        if label in graph.tracks:
             raise TrackFileError("line %d: duplicate track id %d" % (lineno, label))
         if birth > end:
             raise TrackFileError("line %d: B > E for track %d" % (lineno, label))
         if parent < 0:
             raise TrackFileError("line %d: negative parent id" % lineno)
-        rec = TrackFileRecord(label, birth, end, parent)
-        by_id[label] = rec
-        records.append(rec)
-    for rec in records:
-        if rec.parent:
-            parent = by_id.get(rec.parent)
+        graph.tracks[label] = Track(label, birth, end, parent)
+    for tr in graph.tracks.values():
+        if tr.parent:
+            parent = graph.tracks.get(tr.parent)
             if parent is None:
-                raise TrackFileError("track %d: dangling parent %d" % (rec.label, rec.parent))
-            if parent.end != rec.birth - 1:
+                raise TrackFileError("track %d: dangling parent %d" % (tr.id, tr.parent))
+            if parent.end != tr.birth - 1:
                 raise TrackFileError(
                     "track %d born at %d but parent %d ends at %d"
-                    % (rec.label, rec.birth, rec.parent, parent.end)
+                    % (tr.id, tr.birth, tr.parent, parent.end)
                 )
-    return records
-
-
-def format_track_file(records):
-    lines = ["%d %d %d %d" % (r.label, r.birth, r.end, r.parent) for r in records]
-    return "".join(line + "\n" for line in lines)
-
-
-def records_from_lineage(graph):
-    return [
-        TrackFileRecord(tr.id, tr.birth, tr.end, tr.parent)
-        for tr in sorted(graph.tracks.values(), key=lambda tr: tr.id)
-    ]
-
-
-def lineage_from_records(records, masks=None):
-    """Rebuild a LineageGraph; assignments come from masks when given
-    (mask labels are track ids)."""
-    import numpy as np
-
-    graph = LineageGraph()
-    for rec in records:
-        graph.tracks[rec.label] = Track(rec.label, rec.birth, rec.end, rec.parent)
-    if masks is not None:
-        for t, mask in enumerate(masks, start=1):
-            assign = {}
-            for lab in np.unique(mask.labels):
-                if lab > 0:
-                    assign[int(lab)] = int(lab)
-            graph.assignments[t] = assign
-    graph.validate()
     return graph
+
+
+def format_track_file(graph):
+    """One `L B E P` line per track, in ascending track id."""
+    tracks = (graph.tracks[tid] for tid in sorted(graph.tracks))
+    return "".join("%d %d %d %d\n" % (tr.id, tr.birth, tr.end, tr.parent) for tr in tracks)
 
 
 def write_track_file(path, graph):
     with open(path, "w", newline="\n") as f:
-        f.write(format_track_file(records_from_lineage(graph)))
+        f.write(format_track_file(graph))
 
 
-def read_track_file(path, masks=None):
+def read_track_file(path, labels=()):
+    """Read a track file; `labels[t - 1]` holds the mask labels present in
+    frame t (0 is ignored). A mask label is its track's id, so each must lie
+    inside that track's span."""
     with open(path) as f:
-        text = f.read()
-    return lineage_from_records(parse_track_file(text), masks)
+        graph = parse_track_file(f.read())
+    graph.assignments = {t: {lab: lab for lab in present if lab} for t, present in enumerate(labels, start=1)}
+    graph.validate()
+    return graph

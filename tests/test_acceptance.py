@@ -17,18 +17,20 @@ from celllineage.kernels import ncc_numpy
 from celllineage.linker import (
     Apoptosis,
     Continuation,
+    LineageGraph,
     LinkerConfig,
     MatchSet,
     Mitosis,
+    Track,
     classify_state,
     resolve_collisions,
     run_linker,
 )
-from celllineage.metrics import SegReport, compare_runs, seg_score, tra_score
+from celllineage.metrics import SegReport, census, compare_runs, seg_score, tra_score
 from celllineage.rwalker import SeedSet, build_lattice, reseg_cell, solve_probabilities
 from celllineage.simulator import script_collision_scenario, simulate
 from celllineage.tracker import FORWARD, NCCTracker, TrackerConfig, TrackerPrediction, predict
-from celllineage.trackfile import TrackFileRecord, format_track_file, parse_track_file
+from celllineage.trackfile import format_track_file, parse_track_file
 
 
 def _run_pipeline(sequence, collision, mitosis):
@@ -53,8 +55,9 @@ def test_criterion_01_directional_improvement():
             (False, seg_base, tra_base),
         ):
             out_masks, graph, _ = _run_pipeline(sequence, collision, collision)
-            seg_acc.append(seg_score(gt.masks, out_masks).score)
-            tra_acc.append(tra_score(gt.lineage, gt.masks, graph, out_masks).score)
+            frame_census = census(gt.masks, out_masks)
+            seg_acc.append(seg_score(frame_census).score)
+            tra_acc.append(tra_score(gt.lineage, graph, frame_census).score)
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, "scenario seed=%d took %.1f s" % (seed, elapsed)
     seg_delta = np.mean(seg_full) - np.mean(seg_base)
@@ -285,18 +288,18 @@ def test_criterion_06_metric_oracles():
     datasets.append((g3, gt3, p3, pr3))
 
     for gt_lg, gt_masks, pr_lg, pr_masks in datasets:
-        assert seg_score(gt_masks, pr_masks).score == pytest.approx(brute_seg(gt_masks, pr_masks))
-        got = tra_score(gt_lg, gt_masks, pr_lg, pr_masks).score
+        frame_census = census(gt_masks, pr_masks)
+        assert seg_score(frame_census).score == pytest.approx(brute_seg(gt_masks, pr_masks))
+        got = tra_score(gt_lg, pr_lg, frame_census).score
         assert got == pytest.approx(brute_tra(gt_lg, gt_masks, pr_lg, pr_masks))
 
     lg, masks = micro_dataset()
-    assert seg_score(masks, masks).score == 1.0
-    assert tra_score(lg, masks, lg, masks).score == 1.0
-    from celllineage.linker import LineageGraph
+    assert seg_score(census(masks, masks)).score == 1.0
+    assert tra_score(lg, lg, census(masks, masks)).score == 1.0
 
     empty = [mask(np.zeros((8, 8))) for _ in masks]
-    assert seg_score(masks, empty).score == 0.0
-    assert tra_score(lg, masks, LineageGraph(), empty).score == 0.0
+    assert seg_score(census(masks, empty)).score == 0.0
+    assert tra_score(lg, LineageGraph(), census(masks, empty)).score == 0.0
 
     fp = "shared"
     seg_delta = compare_runs(SegReport(0.800, [], fp), SegReport(0.838, [], fp))["score"]
@@ -401,15 +404,15 @@ def test_criterion_09_format_round_trips(tmp_path):
 
     for k in range(100):
         n = int(rng.integers(1, 12))
-        recs = []
+        graph = LineageGraph()
         for label in range(1, n + 1):
             birth = int(rng.integers(1, 12))
             end = birth + int(rng.integers(0, 12))
             parent = 0
-            candidates = [r.label for r in recs if r.end == birth - 1]
+            candidates = [r.id for r in graph.tracks.values() if r.end == birth - 1]
             if candidates and rng.random() < 0.5:
                 parent = int(rng.choice(candidates))
-            recs.append(TrackFileRecord(label, birth, end, parent))
-        text = format_track_file(recs)
+            graph.tracks[label] = Track(label, birth, end, parent)
+        text = format_track_file(graph)
         assert format_track_file(parse_track_file(text)) == text
     print("PASS criterion 9: 100 PGM and res_track.txt round-trips byte-identical")

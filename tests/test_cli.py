@@ -6,15 +6,16 @@ import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import celllineage
-from celllineage import pgm, trackfile
+from celllineage import metrics, pgm, trackfile
 from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, build_parser, main
-from celllineage.imagecore import Cell, LabelMask
+from celllineage.imagecore import Cell
 from celllineage.simulator import SimConfig
 from celllineage.tracker import ExternalTracker
 
@@ -160,9 +161,7 @@ def test_track_edge_cases(sim_dir, tmp_path, baseline, capsys):
         assert run(argv) == 0, name
         out_masks = [pgm.read_pgm16(str(out / (MASK_FMT % t))) for t in range(1, len(frames) + 1)]
         assert not (out / (MASK_FMT % (len(frames) + 1))).exists(), name
-        lineage = trackfile.read_track_file(
-            str(out / TRACK_FILE), [LabelMask(labels=m.astype(np.int32)) for m in out_masks]
-        )
+        lineage = trackfile.read_track_file(str(out / TRACK_FILE), [np.unique(m).tolist() for m in out_masks])
         for t, (img, m) in enumerate(zip(frames, out_masks), start=1):
             if np.all(img == 25):
                 assert not m.any(), (name, t)
@@ -227,6 +226,60 @@ def test_overlay(sim_dir, tmp_path, capsys):
     assert np.any(rgb[:, :, 0] != rgb[:, :, 1])
 
 
+def _end_track_at_birth(directory):
+    """Cut a childless track of the track file in `directory` back to its
+    first frame; returns (track id, a later frame whose mask holds it)."""
+    path = os.path.join(directory, TRACK_FILE)
+    with open(path) as f:
+        rows = [[int(v) for v in line.split()] for line in f]
+    parents = {row[3] for row in rows}
+    row = next(row for row in rows if row[2] > row[1] and row[0] not in parents)
+    masks = {t: pgm.read_pgm16(os.path.join(directory, MASK_FMT % t)) for t in range(row[1] + 1, row[2] + 1)}
+    later = next(t for t, mask in masks.items() if row[0] in mask)
+    row[2] = row[1]
+    with open(path, "w") as f:
+        f.write("".join("%d %d %d %d\n" % tuple(r) for r in rows))
+    return row[0], later
+
+
+@pytest.mark.parametrize("fault", ["gt track ends early", "pred track ends early", "pred mask shape"])
+def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys):
+    gt, pred = str(tmp_path / "gt"), str(tmp_path / "pred")
+    shutil.copytree(sim_dir, gt)
+    shutil.copytree(sim_dir, pred)
+    if fault == "pred mask shape":
+        pgm.write_pgm16(os.path.join(pred, MASK_FMT % 3), np.zeros((64, 64), dtype=np.uint16))
+        expected = "frame 3: mask dimensions differ"
+    else:
+        tid, later = _end_track_at_birth(gt if fault.startswith("gt") else pred)
+        expected = "frame %d cell %d assigned to track %d outside its span" % (later, tid, tid)
+    assert run(["evaluate", "--gt", gt, "--pred", pred]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lineage: error: ") and expected in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not os.path.exists(os.path.join(pred, "report.json"))
+
+
+def test_evaluate_scans_each_mask_once(sim_dir, tmp_path, monkeypatch, capsys):
+    """One evaluate counts each frame's label pairs once and fingerprints
+    the ground truth once; no other code runs np.unique over the masks."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("census", "masks_fingerprint"):
+        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+    monkeypatch.setattr(np, "unique", counted("np.unique", np.unique))
+    assert run(["evaluate", "--gt", sim_dir, "--pred", sim_dir, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == {"census": 1, "masks_fingerprint": 1, "np.unique": 8}
+
+
 def test_error_paths(tmp_path, capsys):
     missing = tmp_path / "nothing"
     missing.mkdir()
@@ -275,6 +328,12 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"apoptosis_script": [[4, 1, 2]]}, "apoptosis_script: entries must be"),
         ("simulate", {"fade_frames": 0, "apoptosis_script": [[3, 1]], "frames": 5}, "fade_frames"),
         ("simulate", {"fade_frames": -2, "apoptosis_script": [[3, 1]], "frames": 8}, "fade_frames"),
+        ("simulate", {"drift_sigma": -1}, "drift_sigma must be >= 0"),
+        ("simulate", {"noise_sigma": -1}, "noise_sigma must be >= 0"),
+        ("simulate", {"n_init": -2}, "n_init must be >= 0"),
+        ("simulate", {"mitosis_script": [[1, 1]]}, "mitosis_script: time 1 outside 2..20"),
+        ("simulate", {"collision_script": [[40, 1, 2]]}, "collision_script: time 40 outside 1..20"),
+        ("simulate", {"apoptosis_script": [[0, 1]], "frames": 8}, "apoptosis_script: time 0 outside 1..8"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

@@ -1,14 +1,19 @@
-"""Golden outputs: sha256 of `lineage simulate` and `lineage track` files.
+"""Golden outputs: sha256 of `lineage simulate`, `track`, `evaluate` and
+`overlay` files.
 
 `lineage simulate` writes the frames; `lineage track` on them writes the
-mask stack, `res_track.txt` and `events.txt`. `GOLDEN` pins the canonical
-scenario, seeds 1-3, full pipeline; its digests were recorded from the
-program before the FFT NCC kernel replaced the sliding-window one.
-`BASELINE_GOLDEN` pins the same seeds tracked with `--baseline`, and
-`COLLISIONS_GOLDEN` a collision-heavy sequence tracked both ways; these
-were recorded before cells stopped carrying a pixel set. A change that
-alters any output byte fails here. To see the digests of the current code
-for every pinned case, run this file as a script.
+mask stack, `res_track.txt` and `events.txt`; `lineage evaluate` of the
+tracked output against the simulated ground truth writes `report.json`.
+`GOLDEN` pins the canonical scenario, seeds 1-3, full pipeline; its digests
+were recorded from the program before the FFT NCC kernel replaced the
+sliding-window one. `BASELINE_GOLDEN` pins the same seeds tracked with
+`--baseline`, and `COLLISIONS_GOLDEN` a collision-heavy sequence tracked
+both ways; these were recorded before cells stopped carrying a pixel set.
+The `report` digests and `OVERLAY_GOLDEN` (the `lineage overlay` stack of
+seed 1's tracked output) were recorded before `evaluate` built its
+per-frame census once. A change that alters any output byte fails here.
+To see the digests of the current code for every pinned case, run this
+file as a script.
 """
 
 import hashlib
@@ -26,18 +31,21 @@ GOLDEN = {
         "masks": "2d9c49a9121a2a18e25db59b9145731b09abd4ad02d43779ced226c479855c6e",
         "res_track": "48d3681b66f54927d05c852f8f03b62106d043eda8cc9aa550d48e90d29fd649",
         "events": "4292e5c27111a372f9452e60eb4952ede542a68b8dcffdf46a1479d5d0ef7fba",
+        "report": "8a479bc69d2b9eb224a5a245b141ec6252ea28add8840256c676340b5bfd5e0d",
     },
     2: {
         "frames": "c04213d392dce1e102ade5910c63c5cc12910072110e2bb5411f86e6ae918dd9",
         "masks": "00fe8a9d85a8b19c812ed108785a6e4493c0f185635c1cb6290e15c476ce7187",
         "res_track": "4d2b592597d6db76dfee183f4418af4b86ba2e900fce57e3cd79ecb4c9a22669",
         "events": "7080616a1aeb965b5a48fec749d6ecd08498017cc0a52fe8fa3771221514aff2",
+        "report": "8ff221a5d8a6f8bc45069605af9c92d9c1947b3f18ff852bf805fea0743b087e",
     },
     3: {
         "frames": "fccaf6a49f129aa09695b356b35c313f372b14a8c165e832a8f6e5fae4ef53fa",
         "masks": "4a164716398299ab0e8ae9c57c085c449474b7cd74004a8ffe0d195b1e099009",
         "res_track": "11a747886ad09bba4b48ba096c5a368e080bdac2edabcbed106deeeb7f95ef7e",
         "events": "8fe02c720b745de8cb8b43c4885115579cbfdf8a24e415aba24fc59bef6ac1bb",
+        "report": "c4ffe0976e14fb47ce6e0dfb449268f90059226935aa70e5aa978b829aa46c34",
     },
 }
 
@@ -47,16 +55,19 @@ BASELINE_GOLDEN = {
         "masks": "6d8d5d0f208f8019419c505b2580a2f6ea353810028dfec7d3ebc073da879d6c",
         "res_track": "999c8ceb362527eac5e2dbd53dd3fb7df21a0ee4361026fb37776b997d9ae23d",
         "events": "c3bb5a22f63a5d1f56af283bdc7d44912a5d08921aed478a444a6d94e2753084",
+        "report": "0ffd58964d5ec1e3a0095db1ce9b1c8a2adfbee739c86d054829e60af6db0f6b",
     },
     2: {
         "masks": "1b6becb121cffb4f37bbb9fc0f0770b1ce1b1fb8c5deb29cf2cf14be3552c161",
         "res_track": "69681b4e79479087495661af4e92bf295d447055d564aca3a9251330eff22225",
         "events": "fffb33a3b3f2c3f1205ed672f62406e22e46a4114b75e165ebd3d8c65c1f68b5",
+        "report": "a34e4a568e43f2b162097227a81b777b01c052b58bd08a3c30b138bff6b2475f",
     },
     3: {
         "masks": "087018e1375ee4722aa74aca5acfe8a567ec7c2cee6b189473b4af88b8b75fdf",
         "res_track": "83fe8cdb3dfba07b68ee4744d31c4f6d2f03b9e869181ec5fa24dfd80e062955",
         "events": "d16411c7aab00231f68777550dd19e086798a424703cc844e10cc8d6bf2a0e73",
+        "report": "18332562d986064baa908f405c656be229976ce8e8b592af505dd44ad7d6a7f1",
     },
 }
 
@@ -80,14 +91,18 @@ COLLISIONS_GOLDEN = {
         "masks": "3771ffa75964fdfcb38e02eb49db15f4d12e7cdfeca5e00c5e63e4ce104b851b",
         "res_track": "f4514073cb3b75691d4f184311505e6244571061b68b92eb8dc4673cf0aa17dd",
         "events": "50838b5fffaf0cbbe44d1c6f0b7834d3696034fb6fa39e008569a5b48d965063",
+        "report": "0dc7149570af6992950cd622f31bb97c92aae2dc3257f84a3e6c826b376d1c5d",
     },
     "baseline": {
         "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
         "masks": "25fc91d557f3f59789d08d9a04ad087b845e8c420ee665573a88ce37bb2ae5d0",
         "res_track": "2f538cfa4e6e2d048c50f706338b2c4ba61dc7eb612ab91f9fd2e2e8f2a13a16",
         "events": "eee52da49de110dc1763b506fe6c5e3d31298d1eed068a85352bdf04ad00971e",
+        "report": "34248cad36ad51a14f2ff8f0470f00d40ca4c7f58449241c58f3965cc522539e",
     },
 }
+
+OVERLAY_GOLDEN = "1a6d2d373f79b6dfb78ddb3270fbc4b3b98791d3d923fe0c5f37f699f9b88ff7"
 
 
 def _stack_digest(directory, fmt):
@@ -108,11 +123,13 @@ def _file_digest(path):
 
 def _track_digests(sim, out, track_args):
     assert main(["track", "--in", sim, "--out", out] + track_args) == 0
-    return {
+    digests = {
         "masks": _stack_digest(out, MASK_FMT),
         "res_track": _file_digest(os.path.join(out, TRACK_FILE)),
         "events": _file_digest(os.path.join(out, EVENT_FILE)),
     }
+    assert main(["evaluate", "--gt", sim, "--pred", out]) == 0
+    return dict(digests, report=_file_digest(os.path.join(out, "report.json")))
 
 
 def canonical_digests(seed, workdir, track_args=()):
@@ -136,6 +153,15 @@ def collisions_digests(workdir, baseline):
     return {"frames": _stack_digest(sim, FRAME_FMT), **_track_digests(sim, out, track_args)}
 
 
+def overlay_digest(workdir):
+    """Digest of the overlay stack of canonical seed 1's tracked output."""
+    canonical_digests(1, workdir)
+    out = os.path.join(workdir, "overlay1")
+    argv = ["overlay", "--in", os.path.join(workdir, "sim1"), "--masks", os.path.join(workdir, "track1")]
+    assert main(argv + ["--out", out]) == 0
+    return _stack_digest(out, "overlay%03d.ppm")
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_canonical_outputs_match_golden(seed, tmp_path, capsys):
     digests = canonical_digests(seed, str(tmp_path))
@@ -157,6 +183,12 @@ def test_collisions_outputs_match_golden(mode, tmp_path, capsys):
     assert digests == COLLISIONS_GOLDEN[mode]
 
 
+def test_canonical_overlay_matches_golden(tmp_path, capsys):
+    digest = overlay_digest(str(tmp_path))
+    capsys.readouterr()
+    assert digest == OVERLAY_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -166,3 +198,4 @@ if __name__ == "__main__":
             print("canonical --baseline", seed, canonical_digests(seed, tmp, ["--baseline"]), file=sys.stderr)
         for mode in sorted(COLLISIONS_GOLDEN):
             print("collisions", mode, collisions_digests(tmp, mode == "baseline"), file=sys.stderr)
+        print("overlay", 1, overlay_digest(tmp), file=sys.stderr)

@@ -7,6 +7,7 @@ from celllineage.metrics import (
     DEFAULT_WEIGHTS,
     MetricsError,
     SegReport,
+    census,
     compare_runs,
     masks_fingerprint,
     seg_score,
@@ -100,14 +101,14 @@ def brute_tra(gt_lineage, gt_masks, pred_lineage, pred_masks):
 
 def test_seg_perfect_match():
     m = mask([[0, 1, 1], [2, 2, 0]])
-    report = seg_score([m], [mask(m.labels.copy())])
+    report = seg_score(census([m], [mask(m.labels.copy())]))
     assert report.score == 1.0
     assert all(j == 1.0 for (_, _, _, j) in report.rows)
 
 
 def test_seg_empty_prediction_scores_zero():
     gt = mask([[1, 1], [2, 2]])
-    report = seg_score([gt], [mask([[0, 0], [0, 0]])])
+    report = seg_score(census([gt], [mask([[0, 0], [0, 0]])]))
     assert report.score == 0.0
 
 
@@ -115,22 +116,22 @@ def test_seg_half_overlap_not_matched():
     # exactly half is not "more than half": no match
     gt = mask([[1, 1, 1, 1]])
     pred = mask([[5, 5, 0, 0]])
-    assert seg_score([gt], [pred]).score == 0.0
+    assert seg_score(census([gt], [pred])).score == 0.0
 
 
 def test_seg_majority_overlap_jaccard():
     gt = mask([[1, 1, 1, 1]])
     pred = mask([[5, 5, 5, 0]])
-    assert seg_score([gt], [pred]).score == pytest.approx(0.75)
+    assert seg_score(census([gt], [pred])).score == pytest.approx(0.75)
 
 
 def test_seg_requires_cells_and_same_shape():
     with pytest.raises(MetricsError):
-        seg_score([mask([[0]])], [mask([[0]])])
+        seg_score(census([mask([[0]])], [mask([[0]])]))
     with pytest.raises(MetricsError):
-        seg_score([mask([[1]])], [mask([[1, 0]])])
+        seg_score(census([mask([[1]])], [mask([[1, 0]])]))
     with pytest.raises(MetricsError):
-        seg_score([mask([[1]])], [])
+        seg_score(census([mask([[1]])], []))
 
 
 def test_seg_matches_brute_force_random():
@@ -140,7 +141,7 @@ def test_seg_matches_brute_force_random():
         if not np.any(gt.labels > 0):
             continue
         pred = mask(rng.integers(0, 4, size=(12, 12)))
-        assert seg_score([gt], [pred]).score == pytest.approx(brute_seg([gt], [pred]))
+        assert seg_score(census([gt], [pred])).score == pytest.approx(brute_seg([gt], [pred]))
 
 
 def micro_dataset():
@@ -158,7 +159,7 @@ def micro_dataset():
 
 def test_tra_perfect_prediction():
     lg, masks = micro_dataset()
-    report = tra_score(lg, masks, lg, masks)
+    report = tra_score(lg, lg, census(masks, masks))
     assert report.score == 1.0
     assert report.aogm == 0.0
     assert all(v == 0 for v in report.counts.values())
@@ -167,7 +168,7 @@ def test_tra_perfect_prediction():
 def test_tra_empty_prediction():
     lg, masks = micro_dataset()
     empty = [mask(np.zeros((8, 8))), mask(np.zeros((8, 8)))]
-    report = tra_score(lg, masks, LineageGraph(), empty)
+    report = tra_score(lg, LineageGraph(), census(masks, empty))
     assert report.score == 0.0
     assert report.aogm == report.aogm0
     # 5 nodes, 1 track edge + 2 parent edges
@@ -181,7 +182,7 @@ def test_tra_missing_node_costs_fn_and_ea():
     arr[arr == 4] = 0  # drop one daughter in frame 2
     pred[1] = mask(arr)
     plg = lineage([(1, 1, 2, 0), (2, 1, 1, 0), (3, 2, 2, 2)])
-    report = tra_score(lg, masks, plg, pred)
+    report = tra_score(lg, plg, census(masks, pred))
     assert report.counts["FN"] == 1
     assert report.counts["EA"] == 1  # the parent edge to the lost daughter
     assert report.aogm == 10.0 + 1.5
@@ -193,7 +194,7 @@ def test_tra_split_error_costs_ns():
     arr = masks[1].labels.copy()
     arr[arr == 4] = 3
     plg = lineage([(1, 1, 2, 0), (2, 1, 1, 0), (3, 2, 2, 2)])
-    report = tra_score(lg, masks, plg, [masks[0], mask(arr)])
+    report = tra_score(lg, plg, census(masks, [masks[0], mask(arr)]))
     assert report.counts["NS"] == 1
 
 
@@ -207,7 +208,7 @@ def test_tra_edge_semantics_change():
     pm2 = m1.copy()
     pm2[pm2 == 1] = 2
     pred_lg = lineage([(1, 1, 1, 0), (2, 2, 2, 1)])
-    report = tra_score(gt_lg, gt_masks, pred_lg, [mask(m1), mask(pm2)])
+    report = tra_score(gt_lg, pred_lg, census(gt_masks, [mask(m1), mask(pm2)]))
     assert report.counts["EC"] == 1
     assert report.counts["ED"] == 0 and report.counts["EA"] == 0
 
@@ -235,7 +236,7 @@ def test_tra_matches_brute_force_random():
 
         gt_lg, gt_masks = random_world()
         pr_lg, pr_masks = random_world()
-        got = tra_score(gt_lg, gt_masks, pr_lg, pr_masks).score
+        got = tra_score(gt_lg, pr_lg, census(gt_masks, pr_masks)).score
         want = brute_tra(gt_lg, gt_masks, pr_lg, pr_masks)
         assert got == pytest.approx(want)
 

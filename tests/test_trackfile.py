@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from celllineage.imagecore import LabelMask
 from celllineage.linker import LineageGraph, Track
 from celllineage.trackfile import (
     TrackFileError,
-    TrackFileRecord,
     format_track_file,
-    lineage_from_records,
     parse_track_file,
     read_track_file,
-    records_from_lineage,
     write_track_file,
 )
 
@@ -26,16 +22,16 @@ def sample_graph():
 
 
 def test_parse_basic():
-    recs = parse_track_file("1 1 4 0\n2 5 9 1\n3 5 7 1\n")
-    assert recs == [
-        TrackFileRecord(1, 1, 4, 0),
-        TrackFileRecord(2, 5, 9, 1),
-        TrackFileRecord(3, 5, 7, 1),
+    graph = parse_track_file("1 1 4 0\n2 5 9 1\n3 5 7 1\n")
+    assert list(graph.tracks.values()) == [
+        Track(1, 1, 4, 0),
+        Track(2, 5, 9, 1),
+        Track(3, 5, 7, 1),
     ]
 
 
 def test_parse_skips_blank_lines():
-    assert len(parse_track_file("1 1 2 0\n\n  \n2 3 4 1\n")) == 2
+    assert len(parse_track_file("1 1 2 0\n\n  \n2 3 4 1\n").tracks) == 2
 
 
 def test_parse_rejections():
@@ -58,7 +54,7 @@ def test_parse_rejections():
 
 
 def test_format_lf_endings():
-    text = format_track_file([TrackFileRecord(1, 1, 4, 0), TrackFileRecord(2, 5, 6, 1)])
+    text = format_track_file(LineageGraph(tracks={1: Track(1, 1, 4, 0), 2: Track(2, 5, 6, 1)}))
     assert text == "1 1 4 0\n2 5 6 1\n"
     assert "\r" not in text
 
@@ -68,30 +64,28 @@ def test_round_trip_text():
     assert format_track_file(parse_track_file(text)) == text
 
 
-def test_records_from_lineage_sorted():
+def test_format_sorts_tracks_by_id():
     g = sample_graph()
-    recs = records_from_lineage(g)
-    assert [r.label for r in recs] == [1, 2, 3]
-    assert recs[1] == TrackFileRecord(2, 5, 9, 1)
+    g.tracks = {tid: g.tracks[tid] for tid in (3, 1, 2)}
+    lines = format_track_file(g).splitlines()
+    assert [int(line.split()[0]) for line in lines] == [1, 2, 3]
+    assert lines[1] == "2 5 9 1"
 
 
-def test_lineage_from_records_with_masks():
-    recs = [TrackFileRecord(1, 1, 2, 0)]
-    m = np.zeros((4, 4), dtype=np.int32)
-    m[1:3, 1:3] = 1
-    masks = [LabelMask(m), LabelMask(m.copy())]
-    g = lineage_from_records(recs, masks)
+def test_read_track_file_assigns_labels_present(tmp_path):
+    path = tmp_path / "res_track.txt"
+    path.write_text("1 1 2 0\n")
+    g = read_track_file(str(path), [{0, 1}, {1}])
     assert g.assignments == {1: {1: 1}, 2: {1: 1}}
     g.validate()
 
 
-def test_lineage_from_records_validates():
+def test_read_track_file_rejects_label_outside_span(tmp_path):
     # mask label outside the declared track span
-    recs = [TrackFileRecord(1, 1, 1, 0)]
-    m = np.zeros((4, 4), dtype=np.int32)
-    m[1:3, 1:3] = 1
+    path = tmp_path / "res_track.txt"
+    path.write_text("1 1 1 0\n")
     with pytest.raises(ValueError):
-        lineage_from_records(recs, [LabelMask(np.zeros((4, 4), dtype=np.int32)), LabelMask(m)])
+        read_track_file(str(path), [set(), {1}])
 
 
 def test_file_round_trip(tmp_path):
@@ -116,15 +110,15 @@ def test_random_round_trips():
     rng = np.random.default_rng(0)
     for _ in range(30):
         n = int(rng.integers(1, 10))
-        recs = []
+        tracks = []
         for label in range(1, n + 1):
             birth = int(rng.integers(1, 10))
             end = birth + int(rng.integers(0, 10))
             parent = 0
-            candidates = [r for r in recs if r.end == birth - 1]
+            candidates = [r for r in tracks if r.end == birth - 1]
             if candidates and rng.random() < 0.5:
-                parent = int(rng.choice([r.label for r in candidates]))
-            recs.append(TrackFileRecord(label, birth, end, parent))
-        text = format_track_file(recs)
-        assert parse_track_file(text) == recs
+                parent = int(rng.choice([r.id for r in candidates]))
+            tracks.append(Track(label, birth, end, parent))
+        text = format_track_file(LineageGraph(tracks={tr.id: tr for tr in tracks}))
+        assert list(parse_track_file(text).tracks.values()) == tracks
         assert format_track_file(parse_track_file(text)) == text
