@@ -24,6 +24,9 @@ _SIGMA_PER_RADIUS = 1.0 / math.sqrt(2.0 * math.log(2.0))
 
 PEAK = 0.8
 BACKGROUND = 0.1
+# beyond _REACH sigmas a blob adds under 2^-60, below half an ulp of BACKGROUND
+# (2^-57); no pixel sum falls below BACKGROUND, so such a term changes no pixel
+_REACH = math.sqrt(2.0 * math.log((PEAK - BACKGROUND) * 2.0**60))
 
 # scripted collision phases, in frames
 _APPROACH = 6
@@ -76,8 +79,10 @@ class SimConfig:
         if self.fade_frames < 1:
             raise ValueError("fade_frames must be >= 1, got %r" % (self.fade_frames,))
         rmin, rmax = self.radius_range
-        if rmin <= 0 or rmax < rmin or 2 * rmax >= min(self.width, self.height):
-            raise ValueError("radius_range must be positive and fit the image")
+        side = min(self.width, self.height)  # _initial_positions keeps centres rmax + 4 from each border
+        if rmin <= 0 or rmax < rmin or 2 * (rmax + 4) > side:
+            raise ValueError("radius_range must be positive, ascending and leave a 4 px margin:"
+                             " 2 * (rmax + 4) <= min(width, height) = %d, got %r" % (side, self.radius_range))
 
     @classmethod
     def from_json(cls, path):
@@ -205,28 +210,39 @@ def _plan_collision(cells, t, a, b):
         cell.scripted_until = t + _CONTACT - 1 + _SEPARATE
 
 
+def _span(center, half, size):
+    """[lo, hi) of the pixel indices within `half` of `center`, clipped to [0, size)."""
+    return max(0, math.floor(center - half)), min(size, math.ceil(center + half) + 1)
+
+
 def _render(cells, cfg, rng):
-    """Render one frame and its ground-truth mask from live cell states."""
+    """Render one frame, its ground-truth mask and the ascending tracks present.
+
+    A cell's Gaussian is evaluated only in its _REACH window, its ownership test in its disc's box."""
     h, w = cfg.height, cfg.width
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
     img = np.full((h, w), BACKGROUND)
     best_d2 = np.full((h, w), np.inf)
     labels = np.zeros((h, w), dtype=np.int32)
+    discs = []
     for cell in cells:
         sigma = cell.radius * _SIGMA_PER_RADIUS
+        (r0, r1), (c0, c1) = (_span(p, sigma * _REACH + 1.0, n) for p, n in zip(cell.pos, (h, w)))
+        rows, cols = np.ogrid[r0:r1, c0:c1]
         d2 = (rows - cell.pos[0]) ** 2 + (cols - cell.pos[1]) ** 2
-        img += cell.amp * (PEAK - BACKGROUND) * np.exp(-d2 / (2.0 * sigma * sigma))
+        img[r0:r1, c0:c1] += cell.amp * (PEAK - BACKGROUND) * np.exp(-d2 / (2.0 * sigma * sigma))
         # ownership: inside the half-peak disc and nearer than any other owner
-        inside = d2 <= cell.radius * cell.radius
-        take = inside & (d2 < best_d2)
-        labels[take] = cell.track
-        best_d2[take] = d2[take]
+        (a0, a1), (b0, b1) = (_span(p, cell.radius, n) for p, n in zip(cell.pos, (h, w)))
+        d2, disc = d2[a0 - r0 : a1 - r0, b0 - c0 : b1 - c0], np.s_[a0:a1, b0:b1]
+        take = (d2 <= cell.radius * cell.radius) & (d2 < best_d2[disc])
+        labels[disc][take] = cell.track
+        best_d2[disc][take] = d2[take]
+        discs.append((cell.track, labels[disc]))
     img = np.clip(img, 0.0, 1.0)
     if cfg.noise_sigma > 0:
         img = np.clip(img + rng.normal(0.0, cfg.noise_sigma, size=(h, w)), 0.0, 1.0)
     pixels = np.round(img * 255.0).astype(np.uint8)
-    return pixels, LabelMask(labels=labels)
+    present = sorted(track for track, disc in discs if np.any(disc == track))
+    return pixels, LabelMask(labels=labels), present
 
 
 def simulate(cfg):
@@ -300,10 +316,10 @@ def simulate(cfg):
                     continue
             graph.tracks[tid].end = t
 
-        pixels, mask = _render(list(cells.values()), cfg, rng)
+        pixels, mask, present = _render(list(cells.values()), cfg, rng)
         frames.append(Frame(index=t, pixels=pixels))
         gt_masks.append(mask)
-        graph.assignments[t] = {tid: tid for tid in np.unique(mask.labels).tolist() if tid}
+        graph.assignments[t] = {tid: tid for tid in present}
 
         # motion update for the next frame
         for tid in sorted(cells):

@@ -334,6 +334,7 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"mitosis_script": [[1, 1]]}, "mitosis_script: time 1 outside 2..20"),
         ("simulate", {"collision_script": [[40, 1, 2]]}, "collision_script: time 40 outside 1..20"),
         ("simulate", {"apoptosis_script": [[0, 1]], "frames": 8}, "apoptosis_script: time 0 outside 1..8"),
+        ("simulate", {"width": 64, "height": 200, "radius_range": [2.0, 30.0]}, "leave a 4 px margin"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

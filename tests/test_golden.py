@@ -11,9 +11,12 @@ sliding-window one. `BASELINE_GOLDEN` pins the same seeds tracked with
 both ways; these were recorded before cells stopped carrying a pixel set.
 The `report` digests and `OVERLAY_GOLDEN` (the `lineage overlay` stack of
 seed 1's tracked output) were recorded before `evaluate` built its
-per-frame census once. A change that alters any output byte fails here.
-To see the digests of the current code for every pinned case, run this
-file as a script.
+per-frame census once. `CROWDED_GOLDEN` pins `lineage simulate`'s frames,
+ground-truth masks, `res_track.txt` and `events.txt` for a dense 512x512
+field with random mitoses; it was recorded before the simulator rendered
+each cell only in its own window. A change that alters any output byte
+fails here. To see the digests of the current code for every pinned case,
+run this file as a script.
 """
 
 import hashlib
@@ -102,6 +105,29 @@ COLLISIONS_GOLDEN = {
     },
 }
 
+# A larger, denser field with random mitoses (the shape of perfbench's
+# `crowded` workload): half-radius daughters and cells whose render windows
+# are clipped at the frame border. Only `lineage simulate`'s outputs are
+# pinned: the frames, the ground-truth masks, `res_track.txt` and `events.txt`.
+CROWDED_SIM = {
+    "width": 512,
+    "height": 512,
+    "frames": 8,
+    "n_init": 30,
+    "radius_range": [9.0, 12.0],
+    "drift_sigma": 1.0,
+    "mitosis_prob": 0.03,
+    "collision_script": [[7, 1, 2]],
+    "noise_sigma": 0.02,
+    "rng_seed": 1,
+}
+CROWDED_GOLDEN = {
+    "frames": "270b8ccd1625b3175cc87d04578348ae2333aa0ae15d657442cf6b24587ccfc0",
+    "masks": "7fd06b1e4d4698ffa661d26172d0f5bba43c0b1171102dff892c76962f98594e",
+    "res_track": "00de1e5de43bcaba8af43a778212b639bacde724bf2fbedcd029a75c4fbc96c0",
+    "events": "367596fe0ace69c7c03c57e63f521eb3c68a4c17e7628072563c316b55e2f6bb",
+}
+
 OVERLAY_GOLDEN = "1a6d2d373f79b6dfb78ddb3270fbc4b3b98791d3d923fe0c5f37f699f9b88ff7"
 
 
@@ -153,6 +179,20 @@ def collisions_digests(workdir, baseline):
     return {"frames": _stack_digest(sim, FRAME_FMT), **_track_digests(sim, out, track_args)}
 
 
+def crowded_digests(workdir):
+    """Digests of `lineage simulate`'s output tree for CROWDED_SIM."""
+    sim, sim_cfg = os.path.join(workdir, "crowded"), os.path.join(workdir, "crowded.json")
+    with open(sim_cfg, "w") as f:
+        json.dump(CROWDED_SIM, f)
+    assert main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    return {
+        "frames": _stack_digest(sim, FRAME_FMT),
+        "masks": _stack_digest(sim, MASK_FMT),
+        "res_track": _file_digest(os.path.join(sim, TRACK_FILE)),
+        "events": _file_digest(os.path.join(sim, EVENT_FILE)),
+    }
+
+
 def overlay_digest(workdir):
     """Digest of the overlay stack of canonical seed 1's tracked output."""
     canonical_digests(1, workdir)
@@ -183,6 +223,12 @@ def test_collisions_outputs_match_golden(mode, tmp_path, capsys):
     assert digests == COLLISIONS_GOLDEN[mode]
 
 
+def test_crowded_simulation_matches_golden(tmp_path, capsys):
+    digests = crowded_digests(str(tmp_path))
+    capsys.readouterr()
+    assert digests == CROWDED_GOLDEN
+
+
 def test_canonical_overlay_matches_golden(tmp_path, capsys):
     digest = overlay_digest(str(tmp_path))
     capsys.readouterr()
@@ -199,3 +245,4 @@ if __name__ == "__main__":
         for mode in sorted(COLLISIONS_GOLDEN):
             print("collisions", mode, collisions_digests(tmp, mode == "baseline"), file=sys.stderr)
         print("overlay", 1, overlay_digest(tmp), file=sys.stderr)
+        print("crowded simulate", crowded_digests(tmp), file=sys.stderr)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from celllineage.imagecore import LabelMask
 from celllineage.simulator import (
+    _REACH,
+    _SIGMA_PER_RADIUS,
     BACKGROUND,
     PEAK,
     GroundTruth,
     SimConfig,
     SimError,
+    _CellState,
+    _render,
     script_collision_scenario,
     simulate,
 )
@@ -27,6 +32,18 @@ def test_config_validation():
         SimConfig(width=20, height=20, radius_range=(9.0, 12.0))
     with pytest.raises(ValueError):
         SimConfig(radius_range=(5.0, 4.0))
+    # centres are drawn at least rmax + 4 from each border
+    with pytest.raises(ValueError, match=r"radius_range must .* 4 px margin: .* = 64, got \(2.0, 30.0\)"):
+        SimConfig(width=64, height=200, radius_range=(2.0, 30.0))
+
+
+def test_largest_radius_that_fits_simulates():
+    # 2 * (rmax + 4) == min(width, height): every centre starts on the midline
+    cfg = SimConfig(width=64, height=200, frames=5, n_init=3, radius_range=(2.0, 28.0),
+                    mitosis_prob=0.5, rng_seed=4)
+    seq, gt = simulate(cfg)
+    assert len(seq) == 5
+    assert set(np.unique(gt.masks[0].labels)) - {0} == {1, 2, 3}
 
 
 def test_config_json_round_trip(tmp_path):
@@ -167,3 +184,100 @@ def test_ground_truth_type():
     seq, gt = simulate(small_config())
     assert isinstance(gt, GroundTruth)
     assert len(gt.lineage.assignments) == len(seq)
+
+
+def reference_render(cells, cfg, rng):
+    """The full-frame render the windowed one replaced, kept as its oracle."""
+    h, w = cfg.height, cfg.width
+    rows = np.arange(h)[:, None]
+    cols = np.arange(w)[None, :]
+    img = np.full((h, w), BACKGROUND)
+    best_d2 = np.full((h, w), np.inf)
+    labels = np.zeros((h, w), dtype=np.int32)
+    for cell in cells:
+        sigma = cell.radius * _SIGMA_PER_RADIUS
+        d2 = (rows - cell.pos[0]) ** 2 + (cols - cell.pos[1]) ** 2
+        img += cell.amp * (PEAK - BACKGROUND) * np.exp(-d2 / (2.0 * sigma * sigma))
+        # ownership: inside the half-peak disc and nearer than any other owner
+        inside = d2 <= cell.radius * cell.radius
+        take = inside & (d2 < best_d2)
+        labels[take] = cell.track
+        best_d2[take] = d2[take]
+    img = np.clip(img, 0.0, 1.0)
+    if cfg.noise_sigma > 0:
+        img = np.clip(img + rng.normal(0.0, cfg.noise_sigma, size=(h, w)), 0.0, 1.0)
+    pixels = np.round(img * 255.0).astype(np.uint8)
+    return pixels, LabelMask(labels=labels)
+
+
+def _fuzz_coord(rng, size, radius):
+    """A centre near the low border, the high border or anywhere; sometimes on the pixel grid."""
+    kind = rng.integers(4)
+    if kind == 0:
+        x = rng.uniform(0.0, min(radius, size - 1))
+    elif kind == 1:
+        x = rng.uniform(max(0.0, size - 1 - radius), size - 1)
+    else:
+        x = rng.uniform(0.0, size - 1)
+    return float(np.round(2 * x) / 2) if rng.random() < 0.3 else x  # integer or half-integer
+
+
+def _fuzz_frame(rng):
+    """A SimConfig sized frame and a list of cells covering clipping, overlaps, ties and fades."""
+    h, w = (int(v) for v in rng.integers(24, 161, size=2))
+    if rng.random() < 0.3:
+        w = h
+    rfit = min(h, w) / 2.0 - 4.0  # the largest radius SimConfig accepts
+    noise = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.005, 0.3))
+    cfg = SimConfig(width=w, height=h, radius_range=(1.0, rfit), noise_sigma=noise)
+    fade = int(rng.integers(1, 7))
+    cells = []
+    for track in range(1, int(rng.integers(1, 9)) + 1):
+        radius = rfit if rng.random() < 0.15 else rng.uniform(2.0, rfit)
+        radius /= 2.0 ** int(rng.choice(3, p=[0.5, 0.35, 0.15]))  # daughters, grand-daughters
+        amp = int(rng.integers(1, fade + 1)) / fade
+        if cells and rng.random() < 0.3:
+            # mirror an earlier cell across a grid row or column: exact distance ties
+            prev = cells[int(rng.integers(len(cells)))]
+            pos = prev.pos.copy()
+            axis, size = (0, h) if rng.random() < 0.5 else (1, w)
+            pivot = np.clip(np.round(pos[axis]) + rng.integers(-3, 4), 0, size - 1)
+            pos[axis] = np.clip(2 * pivot - pos[axis], 0, size - 1)
+            if rng.random() < 0.2:
+                pos = prev.pos.copy()  # a second cell on the same centre
+        else:
+            pos = np.array([_fuzz_coord(rng, h, radius), _fuzz_coord(rng, w, radius)])
+        cells.append(_CellState(track=track, pos=pos, radius=float(radius), amp=amp))
+    order = rng.permutation(len(cells))
+    return cfg, [cells[k] for k in order]
+
+
+def test_window_reach_is_exact():
+    # a blob's largest term outside its window must leave BACKGROUND, the
+    # smallest pixel sum, unchanged; a PEAK, BACKGROUND or _REACH that breaks
+    # this would let the windowed render change output bytes
+    tail = (PEAK - BACKGROUND) * np.exp(-(_REACH**2) / 2.0)
+    assert tail < np.spacing(BACKGROUND) / 2, "a term skipped outside the window could round a pixel"
+    assert BACKGROUND + tail == BACKGROUND, "a term skipped outside the window would change BACKGROUND"
+
+
+def test_windowed_render_equals_full_frame_render():
+    rng = np.random.default_rng(2024)
+    disc_clipped = np.zeros((2, 2), dtype=bool)  # [axis, low/high border]
+    inner_windows = 0
+    for case in range(600):
+        cfg, cells = _fuzz_frame(rng)
+        seed = int(rng.integers(2**32))
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_pixels, ref_mask = reference_render(cells, cfg, rng_ref)
+        pixels, mask, present = _render(cells, cfg, rng_new)
+        assert np.array_equal(pixels, ref_pixels), case
+        assert np.array_equal(mask.labels, ref_mask.labels), case
+        assert present == [lab for lab in np.unique(ref_mask.labels).tolist() if lab], case
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state, case
+        for cell in cells:
+            half = cell.radius * _SIGMA_PER_RADIUS * _REACH + 1.0
+            for axis, size in ((0, cfg.height), (1, cfg.width)):
+                disc_clipped[axis] |= (cell.pos[axis] < cell.radius, cell.pos[axis] > size - 1 - cell.radius)
+            inner_windows += all(half <= p <= n - 1 - half for p, n in zip(cell.pos, (cfg.height, cfg.width)))
+    assert disc_clipped.all() and inner_windows > 0  # windows clipped on every side, and some not at all
