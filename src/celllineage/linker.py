@@ -1,7 +1,9 @@
 """Frame-to-frame linking: collision repair, state classification, lineage.
 
 Per frame step: backward predictions flag under-segmented lumps (two or more
-previous centroids inside one backward-tracked region), which are split by
+previous centroids inside one backward-tracked region). A cell is predicted
+backward only when the tracker's reach for it, the box every prediction
+lies in, holds two or more previous centroids. Flagged lumps are split by
 seeded random-walker re-segmentation. The pieces of each split are checked
 again, round by round, until no piece is flagged with a previous centroid
 that its earlier splits did not use. Forward predictions then match
@@ -131,7 +133,8 @@ def resolve_collisions(
     parent and the rounds end within len(cells_prev). A lump whose
     re-segmentation fails is kept whole and reported unresolved.
     `predict_backward` recomputes a backward prediction for a freshly split
-    cell. Cell ids are renumbered densely (row-major) before returning.
+    cell, or returns None for a cell that cannot be flagged. Cell ids are
+    renumbered densely (row-major) before returning.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
@@ -289,9 +292,12 @@ def run_linker(sequence, masks, tracker, config=LinkerConfig()):
     """Process a whole sequence: returns (corrected masks, lineage, events).
 
     `masks` is one LabelMask per frame; the returned masks are relabeled to
-    track ids. With collision resolution off, masks pass through unchanged;
-    with mitosis detection off, multi-match cells continue into their first
-    match and parent links are never created.
+    track ids. `tracker` provides `predict(frame_src, frame_dst, cell,
+    direction)` and `reach(cell, shape)`, the inclusive box that every
+    region it predicts for the cell lies in. With collision resolution off,
+    masks pass through unchanged; with mitosis detection off, multi-match
+    cells continue into their first match and parent links are never
+    created.
     """
     if len(masks) != len(sequence):
         raise ValueError("expected %d masks, got %d" % (len(sequence), len(masks)))
@@ -312,9 +318,18 @@ def run_linker(sequence, masks, tracker, config=LinkerConfig()):
         cells_cur = cells_from_labelmask(masks[t - 1], config.connectivity)
 
         if config.enable_collision_resolution:
-            backward_preds = {
-                c.id: tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD) for c in cells_cur
-            }
+            prev_rows, prev_cols = np.array([c.centroid for c in cells_prev]).reshape(-1, 2).T
+
+            def predict_backward(c):
+                # every region lies in the tracker's reach, so a cell whose
+                # reach holds fewer than two previous centroids is never flagged
+                top, left, bottom, right = tracker.reach(c, frame_cur.pixels.shape)
+                rows_in = (top <= prev_rows) & (prev_rows <= bottom)
+                if np.count_nonzero(rows_in & (left <= prev_cols) & (prev_cols <= right)) < 2:
+                    return None
+                return tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD)
+
+            backward_preds = {c.id: predict_backward(c) for c in cells_cur}
             flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
             if flagged:
                 prev_assign = graph.assignments[t - 1]
@@ -325,7 +340,7 @@ def run_linker(sequence, masks, tracker, config=LinkerConfig()):
                     cells_cur,
                     cells_prev,
                     backward_preds,
-                    lambda c: tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD),
+                    predict_backward,
                     config.rw_config,
                 )
 

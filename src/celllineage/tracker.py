@@ -64,13 +64,35 @@ def _template_bbox(cell, pad, height, width):
     )
 
 
+def search_box(tb, shape, search_size):
+    """Inclusive search window for the template box `tb` in a frame of `shape`.
+
+    The window is search_size squared, centered on the template center and
+    clipped to the frame, then grown back inward when the clip leaves no
+    room for the template.
+    """
+
+    def span(lo_t, hi_t, flen):
+        tlen = hi_t - lo_t + 1
+        lo = int(round((lo_t + hi_t) / 2.0)) - search_size // 2
+        hi = min(flen - 1, lo + search_size - 1)
+        lo = max(0, lo)
+        if hi - lo + 1 < tlen:
+            lo = max(0, min(lo, flen - tlen))
+            hi = lo + tlen - 1
+        return lo, hi
+
+    top, bottom = span(tb[0], tb[2], shape[0])
+    left, right = span(tb[1], tb[3], shape[1])
+    return top, left, bottom, right
+
+
 def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     """Best placement of the cell's padded template in the adjacent frame.
 
-    The search window is config.search_size squared, centered on the
-    template center and clipped to the image (grown back inward so the
-    template always fits). NCC ties break to the row-major earliest
-    placement; a zero-variance or frame-exceeding template is invalid.
+    The placement is searched in `search_box`'s window. NCC ties break to
+    the row-major earliest placement; a zero-variance or frame-exceeding
+    template is invalid and its region is the template box.
     """
     h, w = frame_src.pixels.shape
     if frame_dst.pixels.shape != (h, w):
@@ -84,21 +106,7 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     template = frame_src.normalized(tb)
     if np.ptp(template) == 0:
         return invalid(0.0)
-
-    def window_span(center, tlen, flen):
-        # search_size window centered on the template, clipped to the frame,
-        # grown back inward when the clip leaves no room for the template
-        lo = int(round(center)) - config.search_size // 2
-        hi = min(flen - 1, lo + config.search_size - 1)
-        lo = max(0, lo)
-        if hi - lo + 1 < tlen:
-            lo = max(0, min(lo, flen - tlen))
-            hi = lo + tlen - 1
-        return lo, hi
-
-    wtop, wbottom = window_span((tb[0] + tb[2]) / 2.0, th, h)
-    wleft, wright = window_span((tb[1] + tb[3]) / 2.0, tw, w)
-
+    wtop, wleft, wbottom, wright = search_box(tb, (h, w), config.search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, template)
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
@@ -113,6 +121,14 @@ class NCCTracker:
 
     def predict(self, frame_src, frame_dst, cell, direction):
         return predict(frame_src, frame_dst, cell, direction, self.config)
+
+    def reach(self, cell, shape):
+        """Inclusive box that every region `predict` returns for `cell` lies in:
+        the search window, widened to the template box of an invalid return
+        when the window is narrower than the template."""
+        tb = _template_bbox(cell, self.config.template_pad, *shape)
+        top, left, bottom, right = search_box(tb, shape, self.config.search_size)
+        return min(top, tb[0]), min(left, tb[1]), max(bottom, tb[2]), max(right, tb[3])
 
 
 class ExternalTracker:
@@ -151,3 +167,7 @@ class ExternalTracker:
             return TrackerPrediction(cell.id, direction, cell.bbox, -1.0, False)
         top, left, bottom, right, score = rec
         return TrackerPrediction(cell.id, direction, (top, left, bottom, right), score, True)
+
+    def reach(self, cell, shape):
+        """A loaded region may lie anywhere: the whole frame."""
+        return 0, 0, shape[0] - 1, shape[1] - 1

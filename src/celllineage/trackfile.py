@@ -7,9 +7,9 @@ class TrackFileError(ValueError):
     pass
 
 
-def parse_track_file(text):
-    """Strict parse into a LineageGraph's tracks; rejects duplicate ids,
-    dangling parents and B > E."""
+def _parse_tracks(text):
+    """Line-by-line parse into a LineageGraph's tracks; rejects malformed
+    lines, duplicate ids and B > E. Parent links are left to `validate`."""
     graph = LineageGraph()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -31,17 +31,21 @@ def parse_track_file(text):
         if parent < 0:
             raise TrackFileError("line %d: negative parent id" % lineno)
         graph.tracks[label] = Track(label, birth, end, parent)
-    for tr in graph.tracks.values():
-        if tr.parent:
-            parent = graph.tracks.get(tr.parent)
-            if parent is None:
-                raise TrackFileError("track %d: dangling parent %d" % (tr.id, tr.parent))
-            if parent.end != tr.birth - 1:
-                raise TrackFileError(
-                    "track %d born at %d but parent %d ends at %d"
-                    % (tr.id, tr.birth, tr.parent, parent.end)
-                )
     return graph
+
+
+def _validated(graph):
+    try:
+        graph.validate()
+    except ValueError as exc:
+        raise TrackFileError(str(exc)) from None
+    return graph
+
+
+def parse_track_file(text):
+    """Strict parse into a LineageGraph's tracks; rejects duplicate ids,
+    dangling parents, parent gaps and B > E."""
+    return _validated(_parse_tracks(text))
 
 
 def format_track_file(graph):
@@ -60,7 +64,6 @@ def read_track_file(path, labels=()):
     frame t (0 is ignored). A mask label is its track's id, so each must lie
     inside that track's span."""
     with open(path) as f:
-        graph = parse_track_file(f.read())
+        graph = _parse_tracks(f.read())
     graph.assignments = {t: {lab: lab for lab in present if lab} for t, present in enumerate(labels, start=1)}
-    graph.validate()
-    return graph
+    return _validated(graph)

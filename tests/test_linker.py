@@ -21,8 +21,12 @@ from celllineage.linker import (
     run_linker,
     update_lineage,
 )
+from celllineage.cli import PipelineConfig, _segment_sequence
+from celllineage.jsonconfig import from_doc
 from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
-from celllineage.tracker import BACKWARD, FORWARD, TrackerPrediction
+from celllineage.simulator import SimConfig, script_collision_scenario, simulate
+from celllineage.tracker import BACKWARD, FORWARD, NCCTracker, TrackerConfig, TrackerPrediction
+from test_golden import COLLISIONS_SIM, CROWDED_SIM
 
 
 def pred(cell_id, region, direction=BACKWARD, score=0.9, valid=True):
@@ -44,6 +48,9 @@ class StationaryTracker:
 
     def predict(self, frame_src, frame_dst, cell, direction):
         return TrackerPrediction(cell.id, direction, cell.bbox, 1.0, True)
+
+    def reach(self, cell, shape):
+        return 0, 0, shape[0] - 1, shape[1] - 1
 
 
 def test_classify_state_exhaustive_sizes():
@@ -483,3 +490,49 @@ def test_run_linker_output_masks_use_track_ids():
     out, graph, events = run_linker(seq, masks, StationaryTracker())
     for om in out:
         assert set(np.unique(om.labels)) == {0, 1, 2}
+
+
+class CountingTracker:
+    """An NCCTracker that counts its backward predictions; with `whole_frame`
+    its reach is the whole frame, so run_linker prunes no backward search."""
+
+    def __init__(self, config, whole_frame):
+        self.inner = NCCTracker(config)
+        self.whole_frame = whole_frame
+        self.backward_calls = 0
+
+    def predict(self, frame_src, frame_dst, cell, direction):
+        self.backward_calls += direction == BACKWARD
+        return self.inner.predict(frame_src, frame_dst, cell, direction)
+
+    def reach(self, cell, shape):
+        if self.whole_frame:
+            return 0, 0, shape[0] - 1, shape[1] - 1
+        return self.inner.reach(cell, shape)
+
+
+@pytest.mark.parametrize(
+    "sim, search_size",
+    [
+        (COLLISIONS_SIM, 64),  # the collision golden: many lumps split and re-predicted
+        (CROWDED_SIM, 64),  # dense 512x512 field with random mitoses
+        (dict(CROWDED_SIM, rng_seed=5), 64),
+        (script_collision_scenario(seed=2), 150),
+    ],
+    ids=["collisions-golden", "crowded-1", "crowded-5", "canonical-2"],
+)
+def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
+    cfg = sim if isinstance(sim, SimConfig) else from_doc(SimConfig, sim, "sim")
+    sequence, _ = simulate(cfg)
+    masks = _segment_sequence(sequence, PipelineConfig())
+    runs = []
+    for whole_frame in (True, False):
+        tracker = CountingTracker(TrackerConfig(search_size=search_size), whole_frame)
+        out, graph, events = run_linker(sequence, [LabelMask(m.labels.copy()) for m in masks], tracker)
+        runs.append((tracker.backward_calls, out, graph, events))
+    (calls_all, out_all, graph_all, events_all), (calls, out, graph, events) = runs
+    assert all(np.array_equal(a.labels, b.labels) for a, b in zip(out, out_all))
+    assert graph == graph_all
+    assert events == events_all
+    assert calls < calls_all
+    assert any(kind == "COLLISION" for _, kind, _ in events)

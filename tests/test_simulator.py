@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from celllineage.simulator import (
     SimConfig,
     SimError,
     _CellState,
+    _initial_positions,
     _render,
     script_collision_scenario,
     simulate,
@@ -51,6 +54,40 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "sim.json"
     cfg.to_json(str(path))
     assert SimConfig.from_json(str(path)) == cfg
+
+
+def test_crowded_start_keeps_the_clearest_draw(caplog):
+    # 20 cells do not fit 128x128 with 2.2 radius sums between them
+    cfg = SimConfig(width=128, height=128, n_init=20, rng_seed=3)
+    with caplog.at_level(logging.WARNING, logger="lineage"):
+        positions, radii = _initial_positions(cfg, np.random.default_rng(cfg.rng_seed))
+    # replay the draws: up to 200 per cell, stopping at the first that clears
+    rng = np.random.default_rng(cfg.rng_seed)
+    margin = cfg.radius_range[1] + 4.0
+    expected = []
+    for k in range(cfg.n_init):
+        radius = rng.uniform(*cfg.radius_range)
+        draws = []
+        for _ in range(200):
+            pos = np.array([rng.uniform(margin, cfg.height - margin), rng.uniform(margin, cfg.width - margin)])
+            gaps = [np.linalg.norm(pos - q) - 2.2 * (radius + rq) for q, rq in zip(positions[:k], radii[:k])]
+            draws.append((min(gaps, default=np.inf), pos))
+            if draws[-1][0] > 0:
+                break
+        clearance, pos = max(draws, key=lambda d: d[0])
+        assert radii[k] == radius and np.array_equal(positions[k], pos), k
+        if clearance <= 0:
+            expected.append("cell %d in 200 draws; placed with clearance %.2f px" % (k + 1, clearance))
+    assert expected, "this config should run out of clear spots"
+    messages = [r.getMessage() for r in caplog.records if r.name == "lineage"]
+    assert len(messages) == len(expected)
+    assert all(m.endswith(e) for m, e in zip(messages, expected))
+
+
+def test_roomy_start_logs_nothing(caplog):
+    with caplog.at_level(logging.WARNING, logger="lineage"):
+        simulate(small_config())
+    assert not caplog.records
 
 
 def test_simulate_shapes_and_counts():

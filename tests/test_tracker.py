@@ -7,9 +7,11 @@ from celllineage.tracker import (
     BACKWARD,
     FORWARD,
     ExternalTracker,
+    NCCTracker,
     TrackerConfig,
     ncc_score,
     predict,
+    search_box,
 )
 
 
@@ -258,6 +260,58 @@ def test_predict_region_within_bounds():
         pred = predict(Frame(1, img1), Frame(2, img2), cell, BACKWARD)
         top, left, bottom, right = pred.region
         assert 0 <= top <= bottom < 40 and 0 <= left <= right < 40
+
+
+def box_inside(inner, outer):
+    return outer[0] <= inner[0] and outer[1] <= inner[1] and inner[2] <= outer[2] and inner[3] <= outer[3]
+
+
+def test_predict_region_lies_in_reach():
+    # the linker skips a backward search whose reach holds under two previous
+    # centroids; that is exact only if no region ever leaves the reach
+    rng = np.random.default_rng(8)
+    seen = dict.fromkeys(("top", "left", "bottom", "right", "wide", "small_window", "flat", "outside_window"), 0)
+    for case in range(500):
+        h, w = (int(v) for v in rng.integers(4, 48, size=2))
+        cfg = TrackerConfig(search_size=int(rng.integers(1, 60)), template_pad=int(rng.integers(0, 4)))
+        tracker = NCCTracker(cfg)
+        ch, cw = int(rng.integers(1, h // 2 + 2)), int(rng.integers(1, w // 2 + 2))
+        ch, cw = min(ch, h), min(cw, w)
+        top, left = int(rng.integers(0, h - ch + 1)), int(rng.integers(0, w - cw + 1))
+        cell = make_cell(1, [(top + r, left + c) for r in range(ch) for c in range(cw)])
+        flat = rng.random() < 0.2
+        src = np.full((h, w), 90, dtype=np.uint8) if flat else rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        dst = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        pred = tracker.predict(Frame(1, src), Frame(2, dst), cell, BACKWARD)
+        reach = tracker.reach(cell, (h, w))
+        assert box_inside(pred.region, reach), case
+        assert box_inside(reach, (0, 0, h - 1, w - 1)), case
+
+        pad = cfg.template_pad
+        tb = (max(0, top - pad), max(0, left - pad), min(h - 1, top + ch - 1 + pad), min(w - 1, left + cw - 1 + pad))
+        window = search_box(tb, (h, w), cfg.search_size)
+        th, tw = tb[2] - tb[0] + 1, tb[3] - tb[1] + 1
+        if not flat:
+            assert box_inside(pred.region, window), case
+        half = cfg.search_size // 2
+        seen["top"] += round((tb[0] + tb[2]) / 2) - half < 0
+        seen["left"] += round((tb[1] + tb[3]) / 2) - half < 0
+        seen["bottom"] += round((tb[0] + tb[2]) / 2) - half + cfg.search_size > h
+        seen["right"] += round((tb[1] + tb[3]) / 2) - half + cfg.search_size > w
+        seen["wide"] += max(th, tw) > cfg.search_size
+        seen["small_window"] += min(th, tw) > cfg.search_size
+        seen["flat"] += flat and not pred.valid and pred.region == tb
+        seen["outside_window"] += not box_inside(pred.region, window)
+    assert all(seen.values()), seen
+
+
+def test_external_reach_is_the_whole_frame(tmp_path):
+    path = tmp_path / "bwd.txt"
+    path.write_text("2 1 0 0 79 79 0.5\n")
+    ext = ExternalTracker(backward_path=str(path), frame_shape=(80, 80))
+    cell = blob_cell(blob_frame(1, (40, 40)))
+    assert ext.reach(cell, (80, 80)) == (0, 0, 79, 79)
+    assert ext.reach(cell, (30, 50)) == (0, 0, 29, 49)
 
 
 def test_predict_deterministic():
