@@ -50,6 +50,10 @@ class PipelineConfig:
     external_backward: str = ""
     rwalker: RWConfig = RWConfig()
 
+    def __post_init__(self):
+        if self.min_cell_size < 1:
+            raise ValueError("min_cell_size must be >= 1")
+
     @classmethod
     def from_json(cls, path):
         return jsonconfig.load(cls, path)

@@ -6,12 +6,20 @@ Laplacian with boundary value 1 on that label's seeds and 0 on the others.
 Used to split under-segmented cell lumps into a required number of parts.
 """
 
+import ctypes
+import functools
+import glob
+import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import linalg, ndimage
 
 from .imagecore import make_cell
+
+log = logging.getLogger("lineage")
 
 
 class ResegFailure(Exception):
@@ -95,6 +103,41 @@ def _components(node):
     return comp[inside] - 1, ncomp  # row-major, as the nodes
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or None.
+
+    Looked up once per process, on the first solve, so that importing the
+    package loads no library.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    log.debug("banded solves use OpenBLAS's default thread count")
+    return None
+
+
+def _solveh_banded_one_thread(band, rhs):
+    """`linalg.solveh_banded` on one OpenBLAS thread; the caller's count comes back after."""
+    api = _openblas_threads()
+    if api is None:
+        return linalg.solveh_banded(band, rhs)
+    get, set_ = api
+    threads = get()
+    set_(1)
+    try:
+        return linalg.solveh_banded(band, rhs)
+    finally:
+        set_(threads)
+
+
 @dataclass(frozen=True)
 class RWResult:
     probabilities: np.ndarray  # (n_pixels, n_labels)
@@ -106,9 +149,12 @@ def solve_probabilities(graph, seeds):
 
     Labels 1..n-1 are solved together, exactly to round-off, by one banded
     Cholesky factorisation of the unseeded Laplacian block; the last label
-    is the complement, which enforces exact normalization. Seedless
-    connected components get the graph-nearest seed's label (lattice
-    distance, ties to the lower label) and are counted in the result.
+    is the complement, which enforces exact normalization. The solve runs on
+    one BLAS thread: a lump's system has a few hundred to a thousand
+    unknowns, and at that size starting and handing work to more threads
+    costs more than the factorisation itself. Seedless connected components
+    get the graph-nearest seed's label (lattice distance, ties to the lower
+    label) and are counted in the result.
     """
     seeds.validate(graph.node)
     rc = graph.pixels
@@ -153,7 +199,7 @@ def solve_probabilities(graph, seeds):
         for u, s in ((pi, j), (pj, i)):
             hit = (u >= 0) & (node_lab[s] > 0)
             np.add.at(rhs, (u[hit], node_lab[s[hit]] - 1), w[hit])
-        prob[solve_idx, : n_labels - 1] = linalg.solveh_banded(band, rhs[:, : n_labels - 1])
+        prob[solve_idx, : n_labels - 1] = _solveh_banded_one_thread(band, rhs[:, : n_labels - 1])
         prob[solve_idx, n_labels - 1] = 1.0 - prob[solve_idx, : n_labels - 1].sum(axis=1)
     return RWResult(probabilities=prob, orphan_components=int(ncomp - seeded.sum()))
 

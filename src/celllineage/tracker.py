@@ -22,6 +22,8 @@ class TrackerConfig:
     min_score: float = 0.2  # below this the prediction is "no match"
 
     def __post_init__(self):
+        if self.search_size < 1:
+            raise ValueError("search_size must be >= 1")
         if self.template_pad < 0:
             raise ValueError("template_pad must be >= 0")
         if not -1.0 <= self.min_score <= 1.0:
@@ -91,8 +93,8 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     """Best placement of the cell's padded template in the adjacent frame.
 
     The placement is searched in `search_box`'s window. NCC ties break to
-    the row-major earliest placement; a zero-variance or frame-exceeding
-    template is invalid and its region is the template box.
+    the row-major earliest placement; a zero-variance template is invalid
+    and its region is the template box.
     """
     h, w = frame_src.pixels.shape
     if frame_dst.pixels.shape != (h, w):
@@ -100,12 +102,9 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     tb = _template_bbox(cell, config.template_pad, h, w)
     th = tb[2] - tb[0] + 1
     tw = tb[3] - tb[1] + 1
-    invalid = lambda score: TrackerPrediction(cell.id, direction, tb, score, False)
-    if th > h or tw > w:
-        return invalid(-1.0)
     template = frame_src.normalized(tb)
     if np.ptp(template) == 0:
-        return invalid(0.0)
+        return TrackerPrediction(cell.id, direction, tb, 0.0, False)
     wtop, wleft, wbottom, wright = search_box(tb, (h, w), config.search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, template)

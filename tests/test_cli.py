@@ -316,6 +316,10 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", [64], "cfg.json"),
         ("track", {"tracker": {"search_size": "big"}}, "search_size: expected an integer"),
         ("track", {"tracker": {"search_size": True}}, "search_size: expected an integer"),
+        ("track", {"tracker": {"search_size": 0}}, "search_size must be >= 1"),
+        ("track", {"tracker": {"search_size": -5}}, "search_size must be >= 1"),
+        ("track", {"min_cell_size": -3}, "min_cell_size must be >= 1"),
+        ("track", {"min_cell_size": 0}, "min_cell_size must be >= 1"),
         ("track", {"rwalker": {"cg_tol": 1e-6}}, "rwalker: unknown key 'cg_tol'"),
         ("simulate", {"frames": "3"}, "frames: expected an integer"),
         ("simulate", {"radius_range": 5}, "radius_range: expected a list"),

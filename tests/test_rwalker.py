@@ -1,9 +1,12 @@
 import dataclasses
+import glob
+import logging
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import linalg, ndimage
 
+from celllineage import rwalker
 from celllineage.imagecore import Frame, make_cell
 from celllineage.rwalker import (
     LatticeGraph,
@@ -348,3 +351,78 @@ def test_rwconfig_validation():
     with pytest.raises(ValueError):
         RWConfig(epsilon=0.0)
     assert [f.name for f in dataclasses.fields(RWConfig)] == ["beta", "epsilon"]
+
+
+def three_cell_lump():
+    """Lattice and seeds of a lump of three touching blobs, about 1,000 pixels:
+    a banded system the size of the collision workload's."""
+    rr, cc = np.indices((40, 60))
+    centres = ((20, 15), (16, 31), (22, 45))
+    patch = 0.1 + sum(0.8 * np.exp(-((rr - r) ** 2 + (cc - c) ** 2) / 60.0) for r, c in centres)
+    graph = build_lattice(patch, patch > 0.3)
+    return graph, SeedSet(tuple((p, k) for k, p in enumerate(centres, start=1)))
+
+
+def openblas_or_skip():
+    api = rwalker._openblas_threads()
+    if api is None:
+        pytest.skip("scipy's bundled OpenBLAS is not found")
+    return api
+
+
+def test_one_thread_solve_matches_default_threads(monkeypatch):
+    graph, seeds = three_cell_lump()
+    assert len(graph.pixels) > 800
+    guarded = solve_probabilities(graph, seeds).probabilities
+    # the same solve at OpenBLAS's default thread count
+    monkeypatch.setattr(rwalker, "_solveh_banded_one_thread", linalg.solveh_banded)
+    direct = solve_probabilities(graph, seeds).probabilities
+    assert guarded.tobytes() == direct.tobytes()
+    # and with the library not found, which leaves the count alone
+    monkeypatch.undo()
+    monkeypatch.setattr(rwalker, "_openblas_threads", lambda: None)
+    assert solve_probabilities(graph, seeds).probabilities.tobytes() == guarded.tobytes()
+
+
+def test_solve_restores_the_thread_count(monkeypatch):
+    get, set_ = openblas_or_skip()
+    graph, seeds = three_cell_lump()
+    before = get()
+    seen = []
+    solve = linalg.solveh_banded
+
+    def spy(*args):
+        seen.append(get())
+        return solve(*args)
+
+    def fail(*args):
+        seen.append(get())
+        raise linalg.LinAlgError("not positive definite")
+
+    try:
+        set_(2)
+        monkeypatch.setattr(rwalker.linalg, "solveh_banded", spy)
+        solve_probabilities(graph, seeds)
+        assert get() == 2
+        monkeypatch.setattr(rwalker.linalg, "solveh_banded", fail)
+        with pytest.raises(linalg.LinAlgError):
+            solve_probabilities(graph, seeds)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1]
+
+
+def test_missing_openblas_is_logged_once(monkeypatch, caplog):
+    graph, seeds = three_cell_lump()
+    want = solve_probabilities(graph, seeds).probabilities
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    rwalker._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="lineage"):
+            for _ in range(2):
+                assert solve_probabilities(graph, seeds).probabilities.tobytes() == want.tobytes()
+    finally:
+        rwalker._openblas_threads.cache_clear()
+    records = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "lineage"]
+    assert records == [(logging.DEBUG, "banded solves use OpenBLAS's default thread count")]
