@@ -363,13 +363,6 @@ def three_cell_lump():
     return graph, SeedSet(tuple((p, k) for k, p in enumerate(centres, start=1)))
 
 
-def openblas_or_skip():
-    api = rwalker._openblas_threads()
-    if api is None:
-        pytest.skip("scipy's bundled OpenBLAS is not found")
-    return api
-
-
 def test_one_thread_solve_matches_default_threads(monkeypatch):
     graph, seeds = three_cell_lump()
     assert len(graph.pixels) > 800
@@ -385,7 +378,10 @@ def test_one_thread_solve_matches_default_threads(monkeypatch):
 
 
 def test_solve_restores_the_thread_count(monkeypatch):
-    get, set_ = openblas_or_skip()
+    api = rwalker._openblas_threads()
+    if api is None:
+        pytest.skip("scipy's bundled OpenBLAS is not found")
+    get, set_ = api
     graph, seeds = three_cell_lump()
     before = get()
     seen = []
