@@ -316,10 +316,6 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", [64], "cfg.json"),
         ("track", {"tracker": {"search_size": "big"}}, "search_size: expected an integer"),
         ("track", {"tracker": {"search_size": True}}, "search_size: expected an integer"),
-        ("track", {"tracker": {"search_size": 0}}, "search_size must be >= 1"),
-        ("track", {"tracker": {"search_size": -5}}, "search_size must be >= 1"),
-        ("track", {"min_cell_size": -3}, "min_cell_size must be >= 1"),
-        ("track", {"min_cell_size": 0}, "min_cell_size must be >= 1"),
         ("track", {"rwalker": {"cg_tol": 1e-6}}, "rwalker: unknown key 'cg_tol'"),
         ("simulate", {"frames": "3"}, "frames: expected an integer"),
         ("simulate", {"radius_range": 5}, "radius_range: expected a list"),
@@ -339,6 +335,10 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"collision_script": [[40, 1, 2]]}, "collision_script: time 40 outside 1..20"),
         ("simulate", {"apoptosis_script": [[0, 1]], "frames": 8}, "apoptosis_script: time 0 outside 1..8"),
         ("simulate", {"width": 64, "height": 200, "radius_range": [2.0, 30.0]}, "leave a 4 px margin"),
+        ("track", {"tracker": {"search_size": 0}}, "search_size must be >= 1"),
+        ("track", {"tracker": {"search_size": -5}}, "search_size must be >= 1"),
+        ("track", {"min_cell_size": -3}, "min_cell_size must be >= 1"),
+        ("track", {"min_cell_size": 0}, "min_cell_size must be >= 1"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):
