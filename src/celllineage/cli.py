@@ -1,6 +1,7 @@
 """`lineage` command line: simulate, track, evaluate, overlay."""
 
 import argparse
+import colorsys
 import json
 import logging
 import os
@@ -51,45 +52,48 @@ class PipelineConfig:
     rwalker: RWConfig = RWConfig()
 
     def __post_init__(self):
+        if self.segmentation not in ("threshold", "masks"):
+            raise ValueError("segmentation must be 'threshold' or 'masks', got %r" % self.segmentation)
+        if self.threshold_method not in ("otsu", "fixed"):
+            raise ValueError("threshold_method must be 'otsu' or 'fixed', got %r" % self.threshold_method)
+        if self.threshold_method == "fixed" and not 0.0 <= self.threshold_level <= 1.0:
+            raise ValueError("threshold_level must be in [0, 1] for the fixed method")
         if self.min_cell_size < 1:
             raise ValueError("min_cell_size must be >= 1")
+        if self.connectivity not in (4, 8):
+            raise ValueError("connectivity must be 4 or 8")
 
     @classmethod
     def from_json(cls, path):
         return jsonconfig.load(cls, path)
 
 
+def _load_stack(directory, fmt, read, noun, count=None):
+    """`read` of each file fmt % 1, fmt % 2, ... in `directory`, up to the first
+    missing one; `count`, when given, is the number of files expected."""
+    stack = []
+    path = os.path.join(directory, fmt % 1)
+    while os.path.exists(path):
+        stack.append(read(path))
+        path = os.path.join(directory, fmt % (len(stack) + 1))
+    if not stack:
+        raise CliError("no %s (%s) found in %s" % (noun, fmt % 1, directory))
+    if count is not None and len(stack) != count:
+        raise CliError(
+            "%s: found %d %s, expected %d (%s missing?)"
+            % (directory, len(stack), noun, count, fmt % (len(stack) + 1))
+        )
+    return stack
+
+
 def _load_frames(directory):
-    frames = []
-    t = 1
-    while True:
-        path = os.path.join(directory, FRAME_FMT % t)
-        if not os.path.exists(path):
-            break
-        frames.append(Frame(index=t, pixels=pgm.read_pgm8(path)))
-        t += 1
-    if not frames:
-        raise CliError("no frames (%s) found in %s" % (FRAME_FMT % 1, directory))
-    return Sequence(frames=tuple(frames))
+    stack = _load_stack(directory, FRAME_FMT, pgm.read_pgm8, "frames")
+    return Sequence(frames=tuple(Frame(index=t, pixels=p) for t, p in enumerate(stack, start=1)))
 
 
 def _load_masks(directory, count=None):
-    masks = []
-    t = 1
-    while True:
-        path = os.path.join(directory, MASK_FMT % t)
-        if not os.path.exists(path):
-            break
-        masks.append(LabelMask(labels=pgm.read_pgm16(path).astype(np.int32)))
-        t += 1
-    if not masks:
-        raise CliError("no masks (%s) found in %s" % (MASK_FMT % 1, directory))
-    if count is not None and len(masks) != count:
-        raise CliError(
-            "%s: found %d masks, expected %d (%s missing?)"
-            % (directory, len(masks), count, MASK_FMT % (len(masks) + 1))
-        )
-    return masks
+    read = lambda path: LabelMask(labels=pgm.read_pgm16(path).astype(np.int32))
+    return _load_stack(directory, MASK_FMT, read, "masks", count)
 
 
 def _write_events(path, events):
@@ -145,10 +149,8 @@ def cmd_track(args):
     sequence = _load_frames(cfg.input_dir)
     if cfg.segmentation == "masks":
         masks = _load_masks(cfg.input_dir, count=len(sequence))
-    elif cfg.segmentation == "threshold":
-        masks = _segment_sequence(sequence, cfg)
     else:
-        raise CliError("unknown segmentation source %r" % cfg.segmentation)
+        masks = _segment_sequence(sequence, cfg)
 
     if cfg.external_forward or cfg.external_backward:
         tracker = ExternalTracker(
@@ -207,11 +209,7 @@ def cmd_evaluate(args):
 
 def _palette_color(track_id):
     """Fixed hue-stepped palette; the same id maps to the same color."""
-    hue = (track_id * 0.61803398875) % 1.0
-    i = int(hue * 6.0)
-    f = hue * 6.0 - i
-    q, t = 1.0 - f, f
-    rgb = [(1, t, 0), (q, 1, 0), (0, 1, t), (0, q, 1), (t, 0, 1), (1, 0, q)][i % 6]
+    rgb = colorsys.hsv_to_rgb((track_id * 0.61803398875) % 1.0, 1.0, 1.0)
     return tuple(int(round(255 * v)) for v in rgb)
 
 

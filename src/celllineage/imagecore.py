@@ -127,21 +127,6 @@ def make_cell(cell_id, pixels):
     return _cell(cell_id, mask, top, left)
 
 
-def _relabel_scan_order(raw):
-    """Remap labels so they run 1..K in order of first pixel in row-major scan."""
-    flat = raw.ravel()
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
-        return np.zeros_like(raw, dtype=np.int32)
-    first = flat[nz]
-    # order of first occurrence of each raw label
-    _, idx = np.unique(first, return_index=True)
-    order = first[np.sort(idx)]
-    remap = np.zeros(raw.max() + 1, dtype=np.int32)
-    remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return remap[raw]
-
-
 def _structure(connectivity):
     """ndimage structuring element: the cross for 4, the full 3x3 for 8."""
     if connectivity not in (4, 8):
@@ -159,21 +144,21 @@ def connected_components(mask, connectivity=4, min_size=1):
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
     labels = ndimage.label(mask, structure=_structure(connectivity))[0]
-    labels[(np.bincount(labels.ravel()) < min_size)[labels]] = 0
-    return LabelMask(labels=_relabel_scan_order(labels))
+    # ndimage.label numbers components in row-major first-pixel order, so a
+    # running count over the kept ones keeps that order
+    keep = np.bincount(labels.ravel()) >= min_size
+    keep[0] = False
+    return LabelMask(labels=(np.cumsum(keep, dtype=np.int32) * keep)[labels])
 
 
 def cells_from_labelmask(mask, connectivity=4):
     """Extract one Cell per connected region of each nonzero label.
 
-    A label occupying several disconnected regions yields several cells.
-    Cell ids are reassigned 1..K in row-major first-pixel order.
+    A label occupying several disconnected regions yields several cells,
+    each found in its label's own box. Cell ids are reassigned 1..K in
+    row-major first-pixel order.
     """
-    return _cells(mask.labels, _structure(connectivity))
-
-
-def _cells(labels, struct):
-    """Cells of `cells_from_labelmask`: each label's pieces, found in its own box."""
+    labels, struct = mask.labels, _structure(connectivity)
     cells = []
     for lab, box in enumerate(ndimage.find_objects(labels), start=1):
         if box is None:

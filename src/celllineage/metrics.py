@@ -122,13 +122,11 @@ def _lineage_edges(lineage, nodes):
     return edges
 
 
-def tra_score(gt_lineage, pred_lineage, census, weights=None):
+def tra_score(gt_lineage, pred_lineage, census):
     """AOGM-based tracking accuracy of a predicted track forest."""
     gt_lineage.validate()
     pred_lineage.validate()
-    w = dict(DEFAULT_WEIGHTS)
-    if weights:
-        w.update(weights)
+    w = DEFAULT_WEIGHTS
 
     gt_nodes, pred_nodes = set(), set()
     node_match = {}  # gt node -> pred node

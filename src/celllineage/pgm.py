@@ -1,8 +1,13 @@
 """Binary netpbm I/O: 8-bit PGM frames, 16-bit PGM label masks, 24-bit PPM overlays."""
 
+import math
 import re
 
 import numpy as np
+
+
+# a header token: a run of bytes that are neither whitespace nor '#'
+_TOKEN = re.compile(rb"[^\s#]+")
 
 
 class PnmError(ValueError):
@@ -28,7 +33,7 @@ def _read_header(data, expected_magic):
         elif ch.isspace():
             pos += 1
         else:
-            m = re.match(rb"[^\s#]+", data[pos:])
+            m = _TOKEN.match(data, pos)
             tokens.append(m.group(0))
             pos += len(m.group(0))
     if tokens[0] != expected_magic:
@@ -45,72 +50,60 @@ def _read_header(data, expected_magic):
     return width, height, maxval, pos + 1
 
 
-def read_pgm8(path):
-    """Read an 8-bit binary PGM into a uint8 (height, width) array."""
+def _read(path, magic, maxval, dtype, shape_tail=()):
+    """Raster of the binary netpbm file at `path` as a new, writable native-order
+    array of shape (height, width) + `shape_tail`; `dtype` is the file's sample type."""
     with open(path, "rb") as f:
         data = f.read()
-    width, height, maxval, off = _read_header(data, b"P5")
-    if maxval != 255:
-        raise PnmError("%s: expected maxval 255, got %d" % (path, maxval))
-    n = width * height
+    width, height, got, off = _read_header(data, magic)
+    if got != maxval:
+        raise PnmError("%s: expected maxval %d, got %d" % (path, maxval, got))
+    dtype = np.dtype(dtype)
+    shape = (height, width) + shape_tail
+    n = math.prod(shape) * dtype.itemsize
     raster = data[off : off + n]
     if len(raster) != n:
         raise PnmError("%s: raster has %d bytes, expected %d" % (path, len(raster), n))
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(raster, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+
+
+def _write(path, magic, maxval, raster, shape_tail=()):
+    """Write `raster`, of shape (height, width) + `shape_tail`, as a binary netpbm file."""
+    height, width = raster.shape[: raster.ndim - len(shape_tail)]  # raises unless the rank fits
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n%d\n" % (magic, width, height, maxval))
+        f.write(raster.tobytes())
+
+
+def read_pgm8(path):
+    """Read an 8-bit binary PGM into a uint8 (height, width) array."""
+    return _read(path, b"P5", 255, np.uint8)
 
 
 def write_pgm8(path, pixels):
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    h, w = pixels.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(pixels.tobytes())
+    _write(path, b"P5", 255, np.asarray(pixels, dtype=np.uint8))
 
 
 def read_pgm16(path):
     """Read a 16-bit binary PGM (big-endian samples) into a uint16 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    width, height, maxval, off = _read_header(data, b"P5")
-    if maxval != 65535:
-        raise PnmError("%s: expected maxval 65535, got %d" % (path, maxval))
-    n = width * height * 2
-    raster = data[off : off + n]
-    if len(raster) != n:
-        raise PnmError("%s: raster has %d bytes, expected %d" % (path, len(raster), n))
-    arr = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    return arr.astype(np.uint16)
+    return _read(path, b"P5", 65535, ">u2")
 
 
 def write_pgm16(path, labels):
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() > 65535:
         raise PnmError("label values outside uint16 range")
-    h, w = labels.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n65535\n" % (w, h))
-        f.write(labels.astype(">u2").tobytes())
+    _write(path, b"P5", 65535, labels.astype(">u2"))
 
 
 def write_ppm(path, rgb):
     """Write a 24-bit binary PPM from a uint8 (height, width, 3) array."""
     rgb = np.asarray(rgb, dtype=np.uint8)
-    h, w, c = rgb.shape
+    _, _, c = rgb.shape
     if c != 3:
         raise PnmError("PPM needs 3 channels, got %d" % c)
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(rgb.tobytes())
+    _write(path, b"P6", 255, rgb, (3,))
 
 
 def read_ppm(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    width, height, maxval, off = _read_header(data, b"P6")
-    if maxval != 255:
-        raise PnmError("%s: expected maxval 255, got %d" % (path, maxval))
-    n = width * height * 3
-    raster = data[off : off + n]
-    if len(raster) != n:
-        raise PnmError("%s: raster has %d bytes, expected %d" % (path, len(raster), n))
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _read(path, b"P6", 255, np.uint8, (3,))

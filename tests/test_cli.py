@@ -14,7 +14,7 @@ import pytest
 
 import celllineage
 from celllineage import metrics, pgm, trackfile
-from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, build_parser, main
+from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, _palette_color, build_parser, main
 from celllineage.imagecore import Cell
 from celllineage.simulator import SimConfig
 from celllineage.tracker import ExternalTracker
@@ -226,6 +226,23 @@ def test_overlay(sim_dir, tmp_path, capsys):
     assert np.any(rgb[:, :, 0] != rgb[:, :, 1])
 
 
+def sextant_palette_color(track_id):
+    """The overlay palette as a hand-written HSV sextant table at full
+    saturation and value: the reference for `_palette_color`."""
+    hue = (track_id * 0.61803398875) % 1.0
+    i = int(hue * 6.0)
+    f = hue * 6.0 - i
+    q, t = 1.0 - f, f
+    rgb = [(1, t, 0), (q, 1, 0), (0, 1, t), (0, q, 1), (t, 0, 1), (1, 0, q)][i % 6]
+    return tuple(int(round(255 * v)) for v in rgb)
+
+
+def test_palette_matches_sextant_table():
+    ids = range(1, 65536)  # every label a 16-bit mask can hold
+    mismatched = [i for i in ids if _palette_color(i) != sextant_palette_color(i)]
+    assert mismatched == []
+
+
 def _end_track_at_birth(directory):
     """Cut a childless track of the track file in `directory` back to its
     first frame; returns (track id, a later frame whose mask holds it)."""
@@ -288,6 +305,26 @@ def test_error_paths(tmp_path, capsys):
     assert run(["evaluate", "--gt", str(missing), "--pred", str(missing)]) == 1
 
 
+@pytest.mark.parametrize("stack", ["no frames", "no masks", "one mask short"])
+def test_missing_stack_is_an_exact_error_message(stack, sim_dir, tmp_path, capsys):
+    d = str(tmp_path / "in")
+    shutil.copytree(sim_dir, d)
+    if stack == "no frames":
+        removed, argv = [FRAME_FMT % t for t in range(1, 9)], ["track", "--in", d]
+        expected = "no frames (t001.pgm) found in %s" % d
+    elif stack == "no masks":
+        removed, argv = [MASK_FMT % t for t in range(1, 9)], ["evaluate", "--gt", d, "--pred", sim_dir]
+        expected = "no masks (mask001.pgm) found in %s" % d
+    else:
+        removed, argv = [MASK_FMT % 8], ["evaluate", "--gt", sim_dir, "--pred", d]
+        expected = "%s: found 7 masks, expected 8 (mask008.pgm missing?)" % d
+    for name in removed:
+        os.remove(os.path.join(d, name))
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "lineage: error: %s\n" % expected
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_config_from_json(tmp_path):
     doc = {
         "segmentation": "threshold",
@@ -339,6 +376,13 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"tracker": {"search_size": -5}}, "search_size must be >= 1"),
         ("track", {"min_cell_size": -3}, "min_cell_size must be >= 1"),
         ("track", {"min_cell_size": 0}, "min_cell_size must be >= 1"),
+        ("track", {"segmentation": "bogus"}, "segmentation must be 'threshold' or 'masks', got 'bogus'"),
+        ("track", {"segmentation": "masks", "threshold_method": "bogus"}, "threshold_method must be 'otsu' or"),
+        ("track", {"threshold_method": "Otsu"}, "threshold_method must be 'otsu' or 'fixed', got 'Otsu'"),
+        ("track", {"threshold_method": "fixed", "threshold_level": 1.5}, "threshold_level must be in [0, 1]"),
+        ("track", {"segmentation": "masks", "threshold_method": "fixed", "threshold_level": -0.1}, "threshold_level"),
+        ("track", {"connectivity": 6}, "connectivity must be 4 or 8"),
+        ("track", {"segmentation": "masks", "connectivity": 0}, "connectivity must be 4 or 8"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

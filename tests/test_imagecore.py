@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import ndimage
+from test_golden import CROWDED_SIM
 
 from celllineage.imagecore import (
     Frame,
@@ -10,6 +12,8 @@ from celllineage.imagecore import (
     mask_from_cells,
     threshold_segment,
 )
+from celllineage.jsonconfig import from_doc
+from celllineage.simulator import SimConfig, simulate
 
 
 def flood_fill_labels(mask, connectivity):
@@ -102,6 +106,40 @@ def test_components_min_size_matches_oracle(conn):
                 kept |= comp == k
         got = connected_components(m, connectivity=conn, min_size=min_size)
         assert np.array_equal(got.labels, flood_fill_labels(kept, conn))
+
+
+def relabel_scan_order(raw):
+    """Remap labels so they run 1..K in order of first pixel in row-major scan."""
+    flat = raw.ravel()
+    nz = np.flatnonzero(flat)
+    if nz.size == 0:
+        return np.zeros_like(raw, dtype=np.int32)
+    first = flat[nz]
+    # order of first occurrence of each raw label
+    _, idx = np.unique(first, return_index=True)
+    order = first[np.sort(idx)]
+    remap = np.zeros(raw.max() + 1, dtype=np.int32)
+    remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+    return remap[raw]
+
+
+@pytest.mark.parametrize("min_size", [1, 5, 50])
+def test_components_match_scan_order_relabel_on_crowded_frames(min_size):
+    """Full-size thresholded frames, where the size filter leaves gaps in
+    ndimage.label's numbering: the running count renumbers them exactly as
+    an explicit first-pixel relabel of the filtered labels does."""
+    sequence, _ = simulate(from_doc(SimConfig, CROWDED_SIM, "sim"))
+    dropped = 0
+    for frame in sequence.frames:
+        fg = threshold_segment(frame).mask
+        for conn in (4, 8):
+            raw = ndimage.label(fg, structure=ndimage.generate_binary_structure(2, conn // 4))[0]
+            small = (np.bincount(raw.ravel()) < min_size)[raw]
+            dropped += int(raw[small].any())
+            raw[small] = 0
+            got = connected_components(fg, connectivity=conn, min_size=min_size).labels
+            assert got.dtype == np.int32 and np.array_equal(got, relabel_scan_order(raw)), (frame.index, conn)
+    assert dropped > 0 or min_size == 1
 
 
 def expected_label_cells(labels, connectivity):

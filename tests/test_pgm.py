@@ -56,6 +56,54 @@ def test_bad_pgm8(tmp_path, payload):
         pgm.read_pgm8(path)
 
 
+@pytest.mark.parametrize(
+    "reader, payload",
+    [
+        (pgm.read_pgm16, b"P6\n2 1\n65535\n\x00\x00\x00\x00"),
+        (pgm.read_pgm16, b"P5\n2 1\n255\n\x00\x00\x00\x00"),
+        (pgm.read_pgm16, b"P5\n2 1\n65535\n\x00\x00\x00"),
+        (pgm.read_ppm, b"P5\n2 1\n255\n" + bytes(6)),
+        (pgm.read_ppm, b"P6\n2 1\n65535\n" + bytes(6)),
+        (pgm.read_ppm, b"P6\n2 1\n255\n" + bytes(5)),
+    ],
+    ids=["pgm16-magic", "pgm16-maxval", "pgm16-short", "ppm-magic", "ppm-maxval", "ppm-short"],
+)
+def test_bad_pgm16_and_ppm(tmp_path, reader, payload):
+    path = str(tmp_path / "bad.pnm")
+    with open(path, "wb") as f:
+        f.write(payload)
+    with pytest.raises(pgm.PnmError):
+        reader(path)
+
+
+def test_readers_return_writable_native_arrays(tmp_path):
+    for reader, writer, raster in (
+        (pgm.read_pgm8, pgm.write_pgm8, np.arange(6, dtype=np.uint8).reshape(2, 3)),
+        (pgm.read_pgm16, pgm.write_pgm16, np.arange(6, dtype=np.uint16).reshape(2, 3) * 4097),
+        (pgm.read_ppm, pgm.write_ppm, np.arange(18, dtype=np.uint8).reshape(2, 3, 3)),
+    ):
+        path = str(tmp_path / "a.pnm")
+        writer(path, raster)
+        got = reader(path)
+        assert got.dtype == raster.dtype and got.dtype.isnative and got.shape == raster.shape
+        assert got.flags.writeable and np.array_equal(got, raster)
+
+
+@pytest.mark.parametrize(
+    "writer, raster",
+    [
+        (pgm.write_pgm8, np.zeros((2, 3, 1))),
+        (pgm.write_pgm8, np.zeros(6)),
+        (pgm.write_pgm16, np.zeros((2, 3, 3))),
+        (pgm.write_ppm, np.zeros((2, 3))),
+        (pgm.write_ppm, np.zeros((2, 3, 3, 1))),
+    ],
+)
+def test_writers_reject_a_raster_of_the_wrong_rank(tmp_path, writer, raster):
+    with pytest.raises(ValueError):
+        writer(str(tmp_path / "x.pnm"), raster)
+
+
 def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rgb = rng.integers(0, 256, size=(9, 11, 3), dtype=np.uint8)
