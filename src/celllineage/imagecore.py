@@ -167,8 +167,12 @@ def cells_from_labelmask(mask, connectivity=4):
         top, left = box[0].start, box[1].start
         for k, (rows, cols) in enumerate(ndimage.find_objects(comp), start=1):
             cells.append(_cell(0, comp[rows, cols] == k, top + rows.start, left + cols.start))
-    cells.sort(key=lambda c: c.first)
-    return [replace(c, id=i) for i, c in enumerate(cells, start=1)]
+    return in_scan_order(cells)
+
+
+def in_scan_order(cells):
+    """The cells sorted by row-major first pixel, with ids renumbered 1..K."""
+    return [replace(c, id=i) for i, c in enumerate(sorted(cells, key=lambda c: c.first), start=1)]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tracker as trk
-from .imagecore import cells_from_labelmask, mask_from_cells
+from .imagecore import cells_from_labelmask, in_scan_order, mask_from_cells
 from .rwalker import ResegFailure, RWConfig, reseg_cell
 
 
@@ -81,10 +81,21 @@ class LineageGraph:
                     )
 
 
-def _bbox_contains(bbox, point):
-    top, left, bottom, right = bbox
-    r, c = point
-    return top <= r <= bottom and left <= c <= right
+def _in_box(box, rows, cols):
+    """Inclusive box test. One box against n points gives n answers; a
+    (4, k, 1) stack of boxes against n points gives a k x n table."""
+    top, left, bottom, right = box
+    return (top <= rows) & (rows <= bottom) & (left <= cols) & (cols <= right)
+
+
+def _centroids(cells):
+    """The cells' centroid rows and columns, as two arrays."""
+    return np.array([c.centroid for c in cells], dtype=float).reshape(-1, 2).T
+
+
+def _stack(boxes):
+    """Inclusive boxes as the (4, k, 1) stack that `_in_box` tables."""
+    return np.array(boxes).reshape(-1, 4).T[:, :, None]
 
 
 def _bbox_center(bbox):
@@ -97,15 +108,13 @@ def detect_collisions(cells_prev, cells_cur, backward_preds):
 
     Returns [(current cell id, [previous cell ids])] in current-cell order.
     """
-    flagged = []
-    for cell in cells_cur:
-        pred = backward_preds.get(cell.id)
-        if pred is None or not pred.valid:
-            continue
-        inside = [p.id for p in cells_prev if _bbox_contains(pred.region, p.centroid)]
-        if len(inside) >= 2:
-            flagged.append((cell.id, inside))
-    return flagged
+    preds = [backward_preds.get(c.id) for c in cells_cur]
+    lumps = [(c.id, p.region) for c, p in zip(cells_cur, preds) if p is not None and p.valid]
+    inside = {}  # lump index -> previous ids whose centroid its region holds
+    table = _in_box(_stack([region for _, region in lumps]), *_centroids(cells_prev))
+    for k, j in np.argwhere(table).tolist():
+        inside.setdefault(k, []).append(cells_prev[j].id)
+    return [(lumps[k][0], ids) for k, ids in inside.items() if len(ids) >= 2]
 
 
 @dataclass
@@ -186,10 +195,7 @@ def resolve_collisions(
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 
-    # renumber densely in row-major first-pixel order
-    ordered = sorted(cells.values(), key=lambda c: c.first)
-    out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
-    return out, report
+    return in_scan_order(cells.values()), report
 
 
 def match_forward(cells_prev, cells_cur, forward_preds):
@@ -199,18 +205,19 @@ def match_forward(cells_prev, cells_cur, forward_preds):
     bbox (inclusive), or the region's center pixel lies in the cell. Invalid
     predictions yield empty match sets.
     """
-    out = []
-    for prev in cells_prev:
-        pred = forward_preds.get(prev.id)
-        matches = []
-        if pred is not None and pred.valid:
-            fr, fc = _bbox_center(pred.region)
-            center_px = (int(round(fr)), int(round(fc)))
-            for cur in cells_cur:
-                if _bbox_contains(pred.region, cur.centroid) or cur.contains(center_px):
-                    matches.append(cur.id)
-        out.append(MatchSet(source=prev.id, matches=tuple(matches)))
-    return out
+    preds = [forward_preds.get(c.id) for c in cells_prev]
+    sources = [k for k, p in enumerate(preds) if p is not None and p.valid]
+    regions = _stack([preds[k].region for k in sources])
+    # centroid in region; else the cell's box holds the region's center pixel
+    match = _in_box(regions, *_centroids(cells_cur))
+    centers = np.round((regions[:2, :, 0] + regions[2:, :, 0]) / 2.0).astype(int)
+    maybe = _in_box(_stack([c.bbox for c in cells_cur]), *centers).T & ~match
+    for k, i in np.argwhere(maybe).tolist():
+        match[k, i] = cells_cur[i].contains(centers[:, k])
+    matches = [[] for _ in cells_prev]
+    for k, i in np.argwhere(match).tolist():
+        matches[sources[k]].append(cells_cur[i].id)
+    return [MatchSet(source=p.id, matches=tuple(m)) for p, m in zip(cells_prev, matches)]
 
 
 def classify_state(match_set):
@@ -318,14 +325,13 @@ def run_linker(sequence, masks, tracker, config=LinkerConfig()):
         cells_cur = cells_from_labelmask(masks[t - 1], config.connectivity)
 
         if config.enable_collision_resolution:
-            prev_rows, prev_cols = np.array([c.centroid for c in cells_prev]).reshape(-1, 2).T
+            prev_rows, prev_cols = _centroids(cells_prev)
 
             def predict_backward(c):
                 # every region lies in the tracker's reach, so a cell whose
                 # reach holds fewer than two previous centroids is never flagged
-                top, left, bottom, right = tracker.reach(c, frame_cur.pixels.shape)
-                rows_in = (top <= prev_rows) & (prev_rows <= bottom)
-                if np.count_nonzero(rows_in & (left <= prev_cols) & (prev_cols <= right)) < 2:
+                reach = tracker.reach(c, frame_cur.pixels.shape)
+                if np.count_nonzero(_in_box(reach, prev_rows, prev_cols)) < 2:
                     return None
                 return tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD)
 

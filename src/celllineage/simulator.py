@@ -79,6 +79,11 @@ class SimConfig:
                     raise ValueError("%s: entries must be lists of %d integers, got %r" % (key, size, entry))
                 if not first <= entry[0] <= self.frames:
                     raise ValueError("%s: time %d outside %d..%d" % (key, entry[0], first, self.frames))
+        for t, a, b in self.collision_script:
+            if a == b:
+                raise ValueError("collision_script: cell %d cannot collide with itself" % a)
+            if t < 3:  # an approach is planned at frame 2 at the earliest and moves cells from frame 3
+                raise ValueError("collision_script: time %d is before 3, the first frame of contact" % t)
         if self.fade_frames < 1:
             raise ValueError("fade_frames must be >= 1, got %r" % (self.fade_frames,))
         rmin, rmax = self.radius_range
@@ -120,6 +125,19 @@ class _CellState:
     path: dict = field(default_factory=dict)  # scripted frame -> position
 
 
+def _scripted_cell(cells, a, t, event):
+    """Cell a, which a scripted event at frame t changes; SimError when it is
+    dead, fading, or moved by a collision plan after frame t."""
+    cell = cells.get(a)
+    if cell is None:
+        raise SimError("%s: cell %d is dead" % (event, a))
+    if cell.fade_left >= 0:
+        raise SimError("%s: cell %d is fading" % (event, a))
+    if t < cell.scripted_until:
+        raise SimError("%s: cell %d is under a collision plan through frame %d" % (event, a, cell.scripted_until))
+    return cell
+
+
 def _reflect(x, lo, hi):
     if hi <= lo:
         return lo
@@ -128,13 +146,26 @@ def _reflect(x, lo, hi):
     return lo + (span - abs(x - span) if x > span else x)
 
 
+def _reflect_into(pos, lo, cfg):
+    """`pos` reflected at the frame's borders to lie at least `lo` from each."""
+    return np.array([_reflect(pos[0], lo, cfg.height - 1 - lo), _reflect(pos[1], lo, cfg.width - 1 - lo)])
+
+
+def _clearance(pos, radius, centres, radii, factor):
+    """Smallest gap from a cell at `pos` to the cells at `centres`, less
+    `factor` times each radius sum; inf when there are none."""
+    d = pos - centres
+    # vecdot sums as np.linalg.norm does, so the distances equal its bit for bit
+    return np.min(np.sqrt(np.vecdot(d, d)) - factor * (radius + radii), initial=math.inf)
+
+
 def _initial_positions(cfg, rng):
     """Up to 200 random draws per cell; the first that clears every earlier
     cell by 2.2 radius sums is kept, else the draw with the largest
     clearance, with a warning."""
     margin = cfg.radius_range[1] + 4.0
-    positions = []
-    radii = []
+    positions = np.empty((cfg.n_init, 2))
+    radii = np.empty(cfg.n_init)
     for k in range(cfg.n_init):
         radius = rng.uniform(*cfg.radius_range)
         best = None
@@ -142,10 +173,7 @@ def _initial_positions(cfg, rng):
             pos = np.array(
                 [rng.uniform(margin, cfg.height - margin), rng.uniform(margin, cfg.width - margin)]
             )
-            clearance = min(
-                (np.linalg.norm(pos - q) - 2.2 * (radius + rq) for q, rq in zip(positions, radii)),
-                default=math.inf,
-            )
+            clearance = _clearance(pos, radius, positions[:k], radii[:k], 2.2)
             if best is None or clearance > best[0]:
                 best = (clearance, pos)
             if clearance > 0:
@@ -156,9 +184,8 @@ def _initial_positions(cfg, rng):
                 k + 1,
                 best[0],
             )
-        positions.append(best[1])
-        radii.append(radius)
-    return positions, radii
+        positions[k], radii[k] = best[1], radius
+    return list(positions), radii.tolist()
 
 
 def _preposition_partner(cells, a, b, cfg):
@@ -176,6 +203,8 @@ def _preposition_partner(cells, a, b, cfg):
     u0 = delta / dist
     margin = cb.radius + 2.0
     others = [c for tid, c in cells.items() if tid not in (a, b)]
+    centres = np.reshape([c.pos for c in others], (-1, 2))
+    radii = np.array([c.radius for c in others])
     best = None
     for k in range(16):
         angle = 2.0 * math.pi * k / 16.0
@@ -185,17 +214,8 @@ def _preposition_partner(cells, a, b, cfg):
                 [math.sin(angle), math.cos(angle)],
             ]
         )
-        pos = ca.pos + target * (rot @ u0)
-        pos = np.array(
-            [
-                min(max(pos[0], margin), cfg.height - 1 - margin),
-                min(max(pos[1], margin), cfg.width - 1 - margin),
-            ]
-        )
-        clearance = min(
-            (np.linalg.norm(pos - c.pos) - 2.0 * (cb.radius + c.radius) for c in others),
-            default=1.0,
-        )
+        pos = np.clip(ca.pos + target * (rot @ u0), margin, (cfg.height - 1 - margin, cfg.width - 1 - margin))
+        clearance = _clearance(pos, cb.radius, centres, radii, 2.0)
         if best is None or clearance > best[0]:
             best = (clearance, pos)
         if clearance >= 0:
@@ -277,38 +297,25 @@ def simulate(cfg):
         if a in cells and b in cells:
             _preposition_partner(cells, a, b, cfg)
 
-    # collision scripts activate _APPROACH frames before contact
-    col_by_frame = {}
-    for t, a, b in cfg.collision_script:
-        col_by_frame.setdefault(max(2, t - _APPROACH), []).append((t, a, b))
-    mit_by_frame = {}
-    for t, a in cfg.mitosis_script:
-        mit_by_frame.setdefault(t, []).append(a)
-    apo_by_frame = {}
-    for t, a in cfg.apoptosis_script:
-        apo_by_frame.setdefault(t, []).append(a)
-
     frames = []
     gt_masks = []
     for t in range(1, cfg.frames + 1):
-        # scripted events entering effect at frame t
-        for contact_t, a, b in col_by_frame.get(t, []):
-            if a not in cells or b not in cells:
-                raise SimError(
-                    "collision scripted at t=%d involves a dead cell (%d, %d)" % (contact_t, a, b)
-                )
-            _plan_collision(cells, contact_t, a, b)
-            events.append((contact_t, "COLLISION", (a, b)))
-        for a in mit_by_frame.get(t, []):
-            if a not in cells:
-                raise SimError("mitosis scripted at t=%d for dead cell %d" % (t, a))
-            children = _divide(cells, graph, a, t, rng, cfg)
-            events.append((t, "MITOSIS", (a, *children)))
-        for a in apo_by_frame.get(t, []):
-            if a not in cells:
-                raise SimError("apoptosis scripted at t=%d for dead cell %d" % (t, a))
-            cells[a].fade_left = cfg.fade_frames
-            events.append((t, "APOPTOSIS", (a,)))
+        # scripted events entering effect at frame t (a collision _APPROACH frames before contact)
+        for contact_t, a, b in cfg.collision_script:
+            if max(2, contact_t - _APPROACH) == t:
+                for cell in (a, b):
+                    _scripted_cell(cells, cell, t, "collision scripted at t=%d" % contact_t)
+                _plan_collision(cells, contact_t, a, b)
+                events.append((contact_t, "COLLISION", (a, b)))
+        for when, a in cfg.mitosis_script:
+            if when == t:
+                _scripted_cell(cells, a, t, "mitosis scripted at t=%d" % t)
+                children = _divide(cells, graph, a, t, rng, cfg)
+                events.append((t, "MITOSIS", (a, *children)))
+        for when, a in cfg.apoptosis_script:
+            if when == t:
+                _scripted_cell(cells, a, t, "apoptosis scripted at t=%d" % t).fade_left = cfg.fade_frames
+                events.append((t, "APOPTOSIS", (a,)))
 
         # random events (skipped for cells under a collision script)
         for tid in sorted(cells):
@@ -346,13 +353,7 @@ def simulate(cfg):
                 cell.pos = scripted.copy()
             else:
                 step = rng.normal(0.0, cfg.drift_sigma, size=2)
-                lo = cell.radius + 1.0
-                cell.pos = np.array(
-                    [
-                        _reflect(cell.pos[0] + step[0], lo, cfg.height - 1 - lo),
-                        _reflect(cell.pos[1] + step[1], lo, cfg.width - 1 - lo),
-                    ]
-                )
+                cell.pos = _reflect_into(cell.pos + step, cell.radius + 1.0, cfg)
 
     graph.validate()
     sequence = Sequence(frames=tuple(frames))
@@ -368,10 +369,7 @@ def _divide(cells, graph, tid, t, rng, cfg):
     children = []
     for sign in (1.0, -1.0):
         child = graph.new_track(t, parent=tid)
-        pos = cell.pos + sign * cell.radius * u
-        lo = cell.radius / 2.0 + 1.0
-        pos[0] = _reflect(pos[0], lo, cfg.height - 1 - lo)
-        pos[1] = _reflect(pos[1], lo, cfg.width - 1 - lo)
+        pos = _reflect_into(cell.pos + sign * cell.radius * u, cell.radius / 2.0 + 1.0, cfg)
         cells[child] = _CellState(track=child, pos=pos, radius=cell.radius / 2.0)
         children.append(child)
     return children

@@ -40,20 +40,13 @@ class TrackerPrediction:
 
 
 def ncc_score(template, candidate):
-    """Zero-normalized cross-correlation of two equal-shape patches.
-
-    Returns a value in [-1, 1]; 0 when either patch has zero variance.
+    """Zero-normalized cross-correlation of two equal-shape patches: the
+    kernel's score of the one placement. Returns a value in [-1, 1]; 0 when
+    either patch has zero variance.
     """
-    template = np.asarray(template, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if template.shape != candidate.shape:
-        raise ValueError("patch shapes differ: %s vs %s" % (template.shape, candidate.shape))
-    t0 = template - template.mean()
-    c0 = candidate - candidate.mean()
-    denom = np.sqrt(np.sum(t0 * t0) * np.sum(c0 * c0))
-    if denom <= 1e-12:
-        return 0.0
-    return float(np.clip(np.sum(t0 * c0) / denom, -1.0, 1.0))
+    if np.shape(template) != np.shape(candidate):
+        raise ValueError("patch shapes differ: %s vs %s" % (np.shape(template), np.shape(candidate)))
+    return float(kernels.ncc_map(candidate, template)[0, 0])
 
 
 def _template_bbox(cell, pad, height, width):

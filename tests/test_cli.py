@@ -14,7 +14,16 @@ import pytest
 
 import celllineage
 from celllineage import metrics, pgm, trackfile
-from celllineage.cli import FRAME_FMT, MASK_FMT, TRACK_FILE, PipelineConfig, _palette_color, build_parser, main
+from celllineage.cli import (
+    FRAME_FMT,
+    MASK_FMT,
+    TRACK_FILE,
+    PipelineConfig,
+    _load_masks,
+    _palette_color,
+    build_parser,
+    main,
+)
 from celllineage.imagecore import Cell
 from celllineage.simulator import SimConfig
 from celllineage.tracker import ExternalTracker
@@ -383,6 +392,15 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"segmentation": "masks", "threshold_method": "fixed", "threshold_level": -0.1}, "threshold_level"),
         ("track", {"connectivity": 6}, "connectivity must be 4 or 8"),
         ("track", {"segmentation": "masks", "connectivity": 0}, "connectivity must be 4 or 8"),
+        ("simulate", {"collision_script": [[8, 1, 1]]}, "collision_script: cell 1 cannot collide with itself"),
+        ("simulate", {"collision_script": [[1, 1, 2]]}, "collision_script: time 1 is before 3"),
+        ("simulate", {"collision_script": [[2, 1, 2]]}, "collision_script: time 2 is before 3"),
+        ("simulate", {"collision_script": [[8, 1, 2], [8, 1, 3]]}, "t=8: cell 1 is under a collision plan"),
+        ("simulate", {"collision_script": [[8, 1, 2], [12, 1, 3]]}, "t=12: cell 1 is under a collision plan"),
+        ("simulate", {"apoptosis_script": [[3, 1], [4, 1]]}, "apoptosis scripted at t=4: cell 1 is fading"),
+        ("simulate", {"apoptosis_script": [[3, 1]], "mitosis_script": [[4, 1]]}, "mitosis scripted at t=4: cell 1 is fading"),
+        ("simulate", {"apoptosis_script": [[3, 1]], "collision_script": [[12, 1, 2]]}, "t=12: cell 1 is fading"),
+        ("simulate", {"collision_script": [[8, 1, 2]], "mitosis_script": [[8, 1]]}, "mitosis scripted at t=8: cell 1 is under"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):
@@ -449,6 +467,132 @@ def test_readers_close_their_files(sim_dir, tmp_path):
         ExternalTracker(forward_path=str(pred_path))
         del masks
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# Bad values the pipeline fuzz puts into otherwise valid documents.
+BAD_SIM_VALUES = [
+    ("frames", 0), ("n_init", -1), ("radius_range", [6.0, 3.0]), ("radius_range", [4.0, 60.0]),
+    ("noise_sigma", -0.1), ("fade_frames", 0), ("mitosis_prob", 1.5), ("width", "64"), ("n_cells", 3),
+    ("collision_script", [[2, 1, 2]]), ("collision_script", [[4, 2, 2]]), ("apoptosis_script", [[2, 1], [3, 1]]),
+    ("collision_script", [[5, 1, 2], [6, 2, 3]]),
+]
+BAD_TRACK_VALUES = [
+    ("tracker", {"search_size": 0}), ("min_cell_size", 0), ("connectivity", 6), ("segmentation", "bogus"),
+    ("threshold_level", 1.5), ("rwalker", {"beta": -1.0}), ("tracker", {"search_sise": 64}),
+]
+REPORT_KEYS = ["seg", "tra", "aogm", "aogm0", "counts", "gt_fingerprint", "seg_rows"]
+
+
+def _fuzz_sim_doc(rng):
+    """A small SimConfig document, sometimes with one bad value."""
+    frames, n_init = int(rng.integers(1, 7)), int(rng.integers(0, 6))
+    rmin = float(rng.uniform(3.0, 8.0))
+    doc = {
+        "width": int(rng.integers(40, 97)),
+        "height": int(rng.integers(40, 97)),
+        "frames": frames,
+        "n_init": n_init,
+        "radius_range": [rmin, rmin + float(rng.uniform(0.0, 4.0))],
+        "drift_sigma": float(rng.choice([0.0, 1.0, 3.0])),
+        "mitosis_prob": float(rng.choice([0.0, 0.0, 0.1])),
+        "apoptosis_prob": float(rng.choice([0.0, 0.0, 0.1])),
+        "fade_frames": int(rng.integers(1, 4)),
+        "noise_sigma": float(rng.choice([0.0, 0.02])),
+        "rng_seed": int(rng.integers(1000)),
+    }
+    times = lambda first: int(rng.integers(first, frames + 1))
+
+    def cells(k):
+        pool = n_init + int(rng.random() < 0.15)  # sometimes name cell n_init + 1, which is not there
+        return [int(c) for c in rng.choice(pool, size=k, replace=False) + 1]
+
+    if frames >= 3 and n_init >= 2 and rng.random() < 0.5:
+        doc["collision_script"] = [[times(3), *cells(2)]]
+    if frames >= 2 and n_init >= 1 and rng.random() < 0.3:
+        doc["mitosis_script"] = [[times(2), *cells(1)]]
+    if n_init >= 1 and rng.random() < 0.3:
+        doc["apoptosis_script"] = [[times(1), *cells(1)]]
+    if rng.random() < 0.25:
+        key, value = BAD_SIM_VALUES[int(rng.integers(len(BAD_SIM_VALUES)))]
+        doc[key] = value
+    return doc
+
+
+def _fuzz_track_doc(rng):
+    """A small PipelineConfig document, sometimes with one bad value."""
+    doc = {
+        "segmentation": str(rng.choice(["threshold", "threshold", "masks"])),
+        "threshold_method": str(rng.choice(["otsu", "fixed"])),
+        "threshold_level": float(rng.choice([0.2, 0.3, 0.5])),
+        "min_cell_size": int(rng.choice([1, 5, 20])),
+        "connectivity": int(rng.choice([4, 8])),
+        "tracker": {"search_size": int(rng.choice([8, 32, 64]))},
+    }
+    if rng.random() < 0.2:
+        key, value = BAD_TRACK_VALUES[int(rng.integers(len(BAD_TRACK_VALUES)))]
+        doc[key] = value
+    return doc
+
+
+def _run_checked(argv, capsys):
+    """main(argv): exit 0, or exit 1 with exactly one `lineage: error:` line; never a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err, (argv, err)
+    assert len([line for line in err.splitlines() if line.startswith("lineage: error: ")]) == code, (argv, err)
+    return code
+
+
+def _checked_lineage(directory):
+    """The tree's lineage, checked by LineageGraph.validate() against its masks' labels."""
+    present = [np.unique(mask.labels) for mask in _load_masks(directory)]
+    return trackfile.read_track_file(os.path.join(directory, TRACK_FILE), present)
+
+
+def _check_events(directory, lineage):
+    """Every event of a simulated tree names tracks that its lineage has alive then."""
+    with open(os.path.join(directory, "events.txt")) as f:
+        events = [[int(v) if v.isdigit() else v for v in line.split()] for line in f]
+    alive = lambda tid, t: lineage.tracks[tid].birth <= t <= lineage.tracks[tid].end
+    for t, kind, *ids in events:
+        if kind == "MITOSIS":
+            assert lineage.tracks[ids[0]].end == t - 1, (t, kind, ids)
+            assert all((lineage.tracks[c].birth, lineage.tracks[c].parent) == (t, ids[0]) for c in ids[1:])
+        else:
+            assert all(alive(tid, t) for tid in ids), (t, kind, ids)
+    dying = [ids[0] for _, kind, *ids in events if kind == "APOPTOSIS"]
+    assert len(dying) == len(set(dying))
+
+
+def test_pipeline_fuzz(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    codes = Counter()
+    for case in range(100):
+        work = tmp_path / str(case)
+        work.mkdir()
+        sim_cfg, track_cfg, sim = work / "sim.json", work / "track.json", str(work / "sim")
+        sim_cfg.write_text(json.dumps(_fuzz_sim_doc(rng)))
+        track_cfg.write_text(json.dumps(_fuzz_track_doc(rng)))
+        codes["simulate", _run_checked(["simulate", "--config", str(sim_cfg), "--out", sim], capsys)] += 1
+        if not os.path.isdir(sim):
+            continue
+        _check_events(sim, _checked_lineage(sim))
+        for mode in ([], ["--baseline"]):
+            out = str(work / ("track" + "".join(mode)))
+            code = _run_checked(["track", "--in", sim, "--out", out, "--config", str(track_cfg)] + mode, capsys)
+            codes["track", code] += 1
+            if code:
+                continue
+            _checked_lineage(out)
+            code = _run_checked(["evaluate", "--gt", sim, "--pred", out], capsys)
+            codes["evaluate", code] += 1
+            if code == 0:
+                with open(os.path.join(out, "report.json")) as f:
+                    assert list(json.load(f)) == REPORT_KEYS
+            argv = ["overlay", "--in", sim, "--masks", out, "--out", out + "_overlay"]
+            codes["overlay", _run_checked(argv, capsys)] += 1
+    assert all(codes[cmd, code] for cmd in ("simulate", "track") for code in (0, 1)), codes
+    assert codes["evaluate", 0] and codes["overlay", 0], codes
 
 
 def test_parser_requires_subcommand():

@@ -14,7 +14,10 @@ seed 1's tracked output) were recorded before `evaluate` built its
 per-frame census once. `CROWDED_GOLDEN` pins `lineage simulate`'s frames,
 ground-truth masks, `res_track.txt` and `events.txt` for a dense 512x512
 field with random mitoses; it was recorded before the simulator rendered
-each cell only in its own window. A change that alters any output byte
+each cell only in its own window. `CROWDED_TRACK_GOLDEN` pins `lineage
+track` of that field, full and `--baseline`, with the 64 px window, and the
+`report.json` of each; it was recorded before the linker matched cells by
+box tables. A change that alters any output byte
 fails here. To see the digests of the current code for every pinned case,
 run this file as a script.
 """
@@ -128,6 +131,21 @@ CROWDED_GOLDEN = {
     "events": "367596fe0ace69c7c03c57e63f521eb3c68a4c17e7628072563c316b55e2f6bb",
 }
 
+CROWDED_TRACK_GOLDEN = {
+    "full": {
+        "masks": "ed4bcc84c1330e6b75c928fad225cc8198fd6ec504388fa01fceb2747a90e751",
+        "res_track": "1636234b02761f1f808dfad49a29fe1d6e314e56d5b4c63b8b8dac3729939fbd",
+        "events": "2433f2f6b83e31c026108fa2d5588c1f6be7c1a1aca964b70321649deb457b4a",
+        "report": "01a220ecd73db94cb5f5cc46aec344045c5af4500000f3df06a0c578835c6676",
+    },
+    "baseline": {
+        "masks": "7420ccbad6e73adf8ec761680264b2b712ff978019fc23c852065d45ffec74a8",
+        "res_track": "4c30d443595af5755e040fe437bbd6bcc4b0b7b6856dca0fb41fa36e6b42d84e",
+        "events": "f5ea177252d43bfd2afd009db48485334e838e81d3138d2349d4d74db50b865d",
+        "report": "a9d9daafe6124def7af8e07a751ad1bfa0b234583f953c379b6c724ebdd1c74c",
+    },
+}
+
 OVERLAY_GOLDEN = "1a6d2d373f79b6dfb78ddb3270fbc4b3b98791d3d923fe0c5f37f699f9b88ff7"
 
 
@@ -179,18 +197,34 @@ def collisions_digests(workdir, baseline):
     return {"frames": _stack_digest(sim, FRAME_FMT), **_track_digests(sim, out, track_args)}
 
 
+def _simulate_crowded(workdir):
+    """Path of CROWDED_SIM's `lineage simulate` tree, simulated on first use."""
+    sim, sim_cfg = os.path.join(workdir, "crowded"), os.path.join(workdir, "crowded.json")
+    if not os.path.isdir(sim):
+        with open(sim_cfg, "w") as f:
+            json.dump(CROWDED_SIM, f)
+        assert main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    return sim
+
+
 def crowded_digests(workdir):
     """Digests of `lineage simulate`'s output tree for CROWDED_SIM."""
-    sim, sim_cfg = os.path.join(workdir, "crowded"), os.path.join(workdir, "crowded.json")
-    with open(sim_cfg, "w") as f:
-        json.dump(CROWDED_SIM, f)
-    assert main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    sim = _simulate_crowded(workdir)
     return {
         "frames": _stack_digest(sim, FRAME_FMT),
         "masks": _stack_digest(sim, MASK_FMT),
         "res_track": _file_digest(os.path.join(sim, TRACK_FILE)),
         "events": _file_digest(os.path.join(sim, EVENT_FILE)),
     }
+
+
+def crowded_track_digests(workdir, baseline):
+    """Digests of `lineage track` of CROWDED_SIM with the 64 px window, and its report."""
+    sim, track_cfg = _simulate_crowded(workdir), os.path.join(workdir, "crowded_track.json")
+    with open(track_cfg, "w") as f:
+        json.dump(COLLISIONS_TRACK, f)
+    out = os.path.join(workdir, "crowded_track%s" % ("_baseline" if baseline else ""))
+    return _track_digests(sim, out, ["--config", track_cfg] + (["--baseline"] if baseline else []))
 
 
 def overlay_digest(workdir):
@@ -229,6 +263,13 @@ def test_crowded_simulation_matches_golden(tmp_path, capsys):
     assert digests == CROWDED_GOLDEN
 
 
+@pytest.mark.parametrize("mode", sorted(CROWDED_TRACK_GOLDEN))
+def test_crowded_track_outputs_match_golden(mode, tmp_path, capsys):
+    digests = crowded_track_digests(str(tmp_path), mode == "baseline")
+    capsys.readouterr()
+    assert digests == CROWDED_TRACK_GOLDEN[mode]
+
+
 def test_canonical_overlay_matches_golden(tmp_path, capsys):
     digest = overlay_digest(str(tmp_path))
     capsys.readouterr()
@@ -246,3 +287,5 @@ if __name__ == "__main__":
             print("collisions", mode, collisions_digests(tmp, mode == "baseline"), file=sys.stderr)
         print("overlay", 1, overlay_digest(tmp), file=sys.stderr)
         print("crowded simulate", crowded_digests(tmp), file=sys.stderr)
+        for mode in sorted(CROWDED_TRACK_GOLDEN):
+            print("crowded track", mode, crowded_track_digests(tmp, mode == "baseline"), file=sys.stderr)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from celllineage.imagecore import Frame, LabelMask, Sequence, make_cell
+from celllineage.imagecore import Frame, LabelMask, Sequence, cells_from_labelmask, make_cell
 from celllineage.linker import (
     Apoptosis,
     CollisionReport,
@@ -111,6 +111,109 @@ def test_match_forward_multiple_matches():
     cur = [square_cell(1, 8, 8), square_cell(2, 8, 16)]
     preds = {1: pred(1, (6, 6, 23, 23), FORWARD)}
     assert match_forward(prev, cur, preds)[0].matches == (1, 2)
+
+
+def _reference_bbox_contains(bbox, point):
+    top, left, bottom, right = bbox
+    r, c = point
+    return top <= r <= bottom and left <= c <= right
+
+
+def reference_detect_collisions(cells_prev, cells_cur, backward_preds):
+    """Reference for `detect_collisions`: a Python loop over every pair of cells.
+
+    Returns [(current cell id, [previous cell ids])] in current-cell order.
+    """
+    flagged = []
+    for cell in cells_cur:
+        pred = backward_preds.get(cell.id)
+        if pred is None or not pred.valid:
+            continue
+        inside = [p.id for p in cells_prev if _reference_bbox_contains(pred.region, p.centroid)]
+        if len(inside) >= 2:
+            flagged.append((cell.id, inside))
+    return flagged
+
+
+def reference_match_forward(cells_prev, cells_cur, forward_preds):
+    """Reference for `match_forward`: a Python loop over every pair of cells.
+
+    A current cell matches when its centroid falls in the predicted region
+    bbox (inclusive), or the region's center pixel lies in the cell. Invalid
+    predictions yield empty match sets.
+    """
+    out = []
+    for prev in cells_prev:
+        pred = forward_preds.get(prev.id)
+        matches = []
+        if pred is not None and pred.valid:
+            fr, fc = _bbox_center(pred.region)
+            center_px = (int(round(fr)), int(round(fc)))
+            for cur in cells_cur:
+                if _reference_bbox_contains(pred.region, cur.centroid) or cur.contains(center_px):
+                    matches.append(cur.id)
+        out.append(MatchSet(source=prev.id, matches=tuple(matches)))
+    return out
+
+
+def _fuzz_cells(rng, h, w):
+    """Cells of a raster painted with random rectangles of random labels:
+    irregular, touching and split regions, and none at all."""
+    labels = np.zeros((h, w), dtype=np.int32)
+    for _ in range(int(rng.integers(0, 12))):
+        r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+        dr, dc = (int(v) for v in rng.integers(1, 9, size=2))
+        labels[r : r + dr, c : c + dc] = rng.integers(0, 6)
+    return cells_from_labelmask(LabelMask(labels), int(rng.choice([4, 8])))
+
+
+def _fuzz_preds(rng, cells, h, w, direction):
+    """Per cell: no entry, None, an invalid prediction, or a region around,
+    beside or half off the frame, clipped to the frame edge half the time."""
+    preds = {}
+    for c in cells:
+        kind = rng.random()
+        if kind < 0.1:
+            continue
+        if kind < 0.2:
+            preds[c.id] = None
+            continue
+        top, left = (int(v) for v in rng.integers(-4, (h + 2, w + 2)))
+        region = (top, left, top + int(rng.integers(0, 12)), left + int(rng.integers(0, 12)))
+        if rng.random() < 0.5:
+            region = (max(0, region[0]), max(0, region[1]), min(h - 1, region[2]), min(w - 1, region[3]))
+        if rng.random() < 0.3:
+            region = grown(c.bbox, int(rng.integers(0, 6)), h, w)
+        preds[c.id] = pred(c.id, region, direction, valid=bool(rng.random() < 0.85))
+    return preds
+
+
+def test_box_tables_match_reference_loops():
+    rng = np.random.default_rng(14)
+    flagged = matched = center_only = split = empty = 0
+    for case in range(1500):
+        h, w = (int(v) for v in rng.integers(6, 33, size=2))
+        prev, cur = _fuzz_cells(rng, h, w), _fuzz_cells(rng, h, w)
+        back, fwd = _fuzz_preds(rng, cur, h, w, BACKWARD), _fuzz_preds(rng, prev, h, w, FORWARD)
+        if cur and rng.random() < 0.3:
+            # pieces split off by resolve_collisions, renumbered in scan order
+            frame = Frame(2, rng.integers(0, 256, size=(h, w)).astype(np.uint8))
+            cur, report = resolve_collisions(frame, cur, prev, back, lambda c: pred(c.id, grown(c.bbox, 2, h, w)))
+            back = _fuzz_preds(rng, cur, h, w, BACKWARD)
+            split += bool(report.splits)
+        want = reference_detect_collisions(prev, cur, back)
+        assert detect_collisions(prev, cur, back) == want, case
+        flagged += bool(want)
+        want = reference_match_forward(prev, cur, fwd)
+        assert match_forward(prev, cur, fwd) == want, case
+        matched += any(ms.matches for ms in want)
+        empty += not prev or not cur
+        for ms in want:
+            p = fwd.get(ms.source)
+            center_only += any(
+                not _reference_bbox_contains(p.region, c.centroid) for c in cur if c.id in ms.matches
+            )
+    assert flagged and matched and center_only and split and empty
 
 
 def test_lineage_validate_rejects_bad_graphs():

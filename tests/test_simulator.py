@@ -1,4 +1,6 @@
+import copy
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from celllineage.simulator import (
     SimConfig,
     SimError,
     _CellState,
+    _clearance,
     _initial_positions,
+    _preposition_partner,
     _render,
     script_collision_scenario,
     simulate,
@@ -197,6 +201,24 @@ def test_collision_with_dead_cell_errors():
         simulate(cfg)
 
 
+def _touching(labels, a, b):
+    """True when a pixel labelled a is 4-adjacent to one labelled b."""
+    pa, pb = labels == a, labels == b
+    pairs = ((pa[1:], pb[:-1]), (pa[:-1], pb[1:]), (pa[:, 1:], pb[:, :-1]), (pa[:, :-1], pb[:, 1:]))
+    return any(bool(np.any(x & y)) for x, y in pairs)
+
+
+@pytest.mark.parametrize("script", [((3, 1, 2),), ((8, 1, 2),), ((8, 1, 2), (20, 1, 3)), ((8, 1, 2), (9, 3, 4))])
+def test_scripted_collisions_touch_from_their_time(script):
+    cfg = SimConfig(collision_script=script, rng_seed=1)
+    _, gt = simulate(cfg)
+    assert [ev for ev in gt.events if ev[1] == "COLLISION"] == [(t, "COLLISION", (a, b)) for t, a, b in script]
+    for t, a, b in script:
+        assert not _touching(gt.masks[0].labels, a, b)
+        for frame in range(t, min(t + 2, cfg.frames) + 1):
+            assert _touching(gt.masks[frame - 1].labels, a, b), (t, frame)
+
+
 def test_random_events_respect_probabilities():
     # prob 0 on both: no events at all beyond the empty script
     seq, gt = simulate(small_config(frames=10))
@@ -318,3 +340,125 @@ def test_windowed_render_equals_full_frame_render():
                 disc_clipped[axis] |= (cell.pos[axis] < cell.radius, cell.pos[axis] > size - 1 - cell.radius)
             inner_windows += all(half <= p <= n - 1 - half for p, n in zip(cell.pos, (cfg.height, cfg.width)))
     assert disc_clipped.all() and inner_windows > 0  # windows clipped on every side, and some not at all
+
+
+def reference_initial_positions(cfg, rng):
+    """Reference for `_initial_positions`: one np.linalg.norm per earlier cell and draw.
+
+    Up to 200 random draws per cell; the first that clears every earlier
+    cell by 2.2 radius sums is kept, else the draw with the largest
+    clearance."""
+    margin = cfg.radius_range[1] + 4.0
+    positions = []
+    radii = []
+    for k in range(cfg.n_init):
+        radius = rng.uniform(*cfg.radius_range)
+        best = None
+        for _attempt in range(200):
+            pos = np.array(
+                [rng.uniform(margin, cfg.height - margin), rng.uniform(margin, cfg.width - margin)]
+            )
+            clearance = min(
+                (np.linalg.norm(pos - q) - 2.2 * (radius + rq) for q, rq in zip(positions, radii)),
+                default=math.inf,
+            )
+            if best is None or clearance > best[0]:
+                best = (clearance, pos)
+            if clearance > 0:
+                break
+        positions.append(best[1])
+        radii.append(radius)
+    return positions, radii
+
+
+def reference_preposition_partner(cells, a, b, cfg):
+    """Reference for `_preposition_partner`: one np.linalg.norm per other cell and angle.
+
+    Move cell b near cell a so a scripted approach stays slow.
+    """
+    ca, cb = cells[a], cells[b]
+    target = 2.8 * (ca.radius + cb.radius)
+    delta = cb.pos - ca.pos
+    dist = np.linalg.norm(delta)
+    if dist <= target:
+        return
+    u0 = delta / dist
+    margin = cb.radius + 2.0
+    others = [c for tid, c in cells.items() if tid not in (a, b)]
+    best = None
+    for k in range(16):
+        angle = 2.0 * math.pi * k / 16.0
+        rot = np.array(
+            [
+                [math.cos(angle), -math.sin(angle)],
+                [math.sin(angle), math.cos(angle)],
+            ]
+        )
+        pos = ca.pos + target * (rot @ u0)
+        pos = np.array(
+            [
+                min(max(pos[0], margin), cfg.height - 1 - margin),
+                min(max(pos[1], margin), cfg.width - 1 - margin),
+            ]
+        )
+        clearance = min(
+            (np.linalg.norm(pos - c.pos) - 2.0 * (cb.radius + c.radius) for c in others),
+            default=1.0,
+        )
+        if best is None or clearance > best[0]:
+            best = (clearance, pos)
+        if clearance >= 0:
+            break
+    cb.pos = best[1]
+
+
+def _fuzz_placement_config(rng):
+    """Frames of 40-200 px holding 0-24 cells: roomy, crowded past the
+    200-draw fallback, and single-cell starts."""
+    h, w = (int(v) for v in rng.integers(40, 201, size=2))
+    rmin = float(rng.uniform(1.0, min(h, w) / 4.0))
+    rmax = float(rng.uniform(rmin, min(h, w) / 2.0 - 4.0))
+    n_init = int(rng.choice([0, 1, int(rng.integers(2, 25))]))
+    return SimConfig(width=w, height=h, n_init=n_init, radius_range=(rmin, rmax), rng_seed=int(rng.integers(2**31)))
+
+
+def test_vectorised_placement_matches_reference_loops(caplog):
+    rng = np.random.default_rng(909)
+    counts = {"fallback": 0, "empty": 0, "single": 0, "moved": 0, "alone": 0}
+    for case in range(60):
+        cfg = _fuzz_placement_config(rng)
+        rng_ref, rng_new = np.random.default_rng(cfg.rng_seed), np.random.default_rng(cfg.rng_seed)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lineage"):
+            positions, radii = _initial_positions(cfg, rng_new)
+        ref_positions, ref_radii = reference_initial_positions(cfg, rng_ref)
+        assert radii == ref_radii, case
+        assert np.array_equal(np.reshape(positions, (-1, 2)), np.reshape(ref_positions, (-1, 2))), case
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state, case
+        counts["fallback"] += bool(caplog.records)
+        counts["empty"] += cfg.n_init == 0
+        counts["single"] += cfg.n_init == 1
+        if cfg.n_init < 2:
+            continue
+        cells = {k + 1: _CellState(track=k + 1, pos=p, radius=r) for k, (p, r) in enumerate(zip(positions, radii))}
+        for _ in range(3):
+            a, b = (int(v) for v in rng.choice(list(cells), size=2, replace=False))
+            if rng.random() < 0.2:
+                cells = {a: cells[a], b: cells[b]}  # no other cell to clear
+                counts["alone"] += 1
+            ref = copy.deepcopy(cells)
+            _preposition_partner(cells, a, b, cfg)
+            reference_preposition_partner(ref, a, b, cfg)
+            assert all(np.array_equal(cells[t].pos, ref[t].pos) for t in cells), case
+            counts["moved"] += not np.array_equal(cells[b].pos, positions[b - 1])
+    assert all(counts.values()), counts
+
+
+def test_clearance_equals_per_cell_norms_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for case in range(2000):
+        n = int(rng.integers(0, 6))
+        pos, centres = rng.uniform(0, 2048, 2), rng.uniform(0, 2048, (n, 2))
+        radius, radii, factor = rng.uniform(1, 30), rng.uniform(1, 30, n), float(rng.choice([2.0, 2.2]))
+        want = min((np.linalg.norm(pos - q) - factor * (radius + rq) for q, rq in zip(centres, radii)), default=math.inf)
+        assert _clearance(pos, radius, centres, radii, factor) == want, case

@@ -179,6 +179,13 @@ def test_kernel_matches_brute_force():
         w = rng.random((20, 20))
         t = rng.random((5, 5))
         assert np.allclose(kernels.ncc_map(w, t), brute_force_ncc(w, t), atol=1e-9)
+    # ncc_score is the kernel's one placement of two equal-shape patches
+    for shape in ((5, 5), (1, 7), (6, 3), (1, 1)):
+        a, b = rng.random(shape), rng.random(shape)
+        flat, bright = np.full(shape, 0.4), np.full(shape, 0.9)
+        for template, candidate in ((a, b), (a, 1.0 - a), (a, 3.0 * a + 1.0), (a, flat), (flat, b), (flat, bright)):
+            want = brute_force_ncc(candidate, template)[0, 0]
+            assert ncc_score(template, candidate) == pytest.approx(want, abs=1e-9)
 
 
 def test_predict_stationary():
