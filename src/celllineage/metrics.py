@@ -25,7 +25,7 @@ def masks_fingerprint(masks):
     """Stable hash of a mask stack, used to pair reports over one ground truth."""
     h = hashlib.sha256()
     for mask in masks:
-        h.update(np.ascontiguousarray(mask.labels, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(mask.labels, dtype=np.int64))
         h.update(b"|")
     return h.hexdigest()[:16]
 

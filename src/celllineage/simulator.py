@@ -317,10 +317,11 @@ def simulate(cfg):
                 _scripted_cell(cells, a, t, "apoptosis scripted at t=%d" % t).fade_left = cfg.fade_frames
                 events.append((t, "APOPTOSIS", (a,)))
 
-        # random events (skipped for cells under a collision script)
+        # random events (skipped for cells under a collision script, fading,
+        # or born this frame: a cell divides or dies only after one frame of life)
         for tid in sorted(cells):
             cell = cells[tid]
-            if t <= cell.scripted_until or cell.fade_left >= 0 or t == 1:
+            if t <= cell.scripted_until or cell.fade_left >= 0 or graph.tracks[tid].birth == t:
                 continue
             if cfg.mitosis_prob > 0 and rng.random() < cfg.mitosis_prob:
                 children = _divide(cells, graph, tid, t, rng, cfg)

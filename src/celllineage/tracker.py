@@ -62,20 +62,15 @@ def _template_bbox(cell, pad, height, width):
 def search_box(tb, shape, search_size):
     """Inclusive search window for the template box `tb` in a frame of `shape`.
 
-    The window is search_size squared, centered on the template center and
-    clipped to the frame, then grown back inward when the clip leaves no
-    room for the template.
+    The window is the search_size square centered on the template center,
+    grown to hold the template box, then clipped to the frame. It therefore
+    always holds `tb`, so the placement of a cell that did not move is
+    always searched.
     """
 
     def span(lo_t, hi_t, flen):
-        tlen = hi_t - lo_t + 1
         lo = int(round((lo_t + hi_t) / 2.0)) - search_size // 2
-        hi = min(flen - 1, lo + search_size - 1)
-        lo = max(0, lo)
-        if hi - lo + 1 < tlen:
-            lo = max(0, min(lo, flen - tlen))
-            hi = lo + tlen - 1
-        return lo, hi
+        return max(0, min(lo, lo_t)), min(flen - 1, max(lo + search_size - 1, hi_t))
 
     top, bottom = span(tb[0], tb[2], shape[0])
     left, right = span(tb[1], tb[3], shape[1])
@@ -116,11 +111,8 @@ class NCCTracker:
 
     def reach(self, cell, shape):
         """Inclusive box that every region `predict` returns for `cell` lies in:
-        the search window, widened to the template box of an invalid return
-        when the window is narrower than the template."""
-        tb = _template_bbox(cell, self.config.template_pad, *shape)
-        top, left, bottom, right = search_box(tb, shape, self.config.search_size)
-        return min(top, tb[0]), min(left, tb[1]), max(bottom, tb[2]), max(right, tb[3])
+        the search window, which always holds the template box."""
+        return search_box(_template_bbox(cell, self.config.template_pad, *shape), shape, self.config.search_size)
 
 
 class ExternalTracker:

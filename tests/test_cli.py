@@ -595,6 +595,15 @@ def test_pipeline_fuzz(tmp_path, capsys):
     assert codes["evaluate", 0] and codes["overlay", 0], codes
 
 
+def test_simulate_newborns_sit_out_their_birth_frame(tmp_path, capsys):
+    # daughters of a scripted mitosis are born at t=2; a random event on them
+    # in that same frame would end their track before it began
+    cfg, sim = tmp_path / "sim.json", str(tmp_path / "sim")
+    cfg.write_text(json.dumps({"frames": 3, "mitosis_prob": 0.5, "mitosis_script": [[2, 1]]}))
+    assert _run_checked(["simulate", "--seed", "0", "--config", str(cfg), "--out", sim], capsys) == 0
+    _check_events(sim, _checked_lineage(sim))
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

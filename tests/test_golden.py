@@ -17,7 +17,10 @@ field with random mitoses; it was recorded before the simulator rendered
 each cell only in its own window. `CROWDED_TRACK_GOLDEN` pins `lineage
 track` of that field, full and `--baseline`, with the 64 px window, and the
 `report.json` of each; it was recorded before the linker matched cells by
-box tables. A change that alters any output byte
+box tables. The full-pipeline `masks` and `report` digests of both 64 px
+window cases, and the crowded `events`, were re-recorded when a search
+window narrower than its template came to be grown to hold the template
+box instead of shifted off it. A change that alters any output byte
 fails here. To see the digests of the current code for every pinned case,
 run this file as a script.
 """
@@ -94,10 +97,10 @@ COLLISIONS_TRACK = {"tracker": {"search_size": 64}}
 COLLISIONS_GOLDEN = {
     "full": {
         "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
-        "masks": "3771ffa75964fdfcb38e02eb49db15f4d12e7cdfeca5e00c5e63e4ce104b851b",
+        "masks": "22ad5ab219cfe12139b8d630371c06350e5cee84264e0a43b08a50704e4650ed",
         "res_track": "f4514073cb3b75691d4f184311505e6244571061b68b92eb8dc4673cf0aa17dd",
         "events": "50838b5fffaf0cbbe44d1c6f0b7834d3696034fb6fa39e008569a5b48d965063",
-        "report": "0dc7149570af6992950cd622f31bb97c92aae2dc3257f84a3e6c826b376d1c5d",
+        "report": "3798ae0885f44f36c841fa1b64b14ff045a3d407464df970b1311b32445d9544",
     },
     "baseline": {
         "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
@@ -133,10 +136,10 @@ CROWDED_GOLDEN = {
 
 CROWDED_TRACK_GOLDEN = {
     "full": {
-        "masks": "ed4bcc84c1330e6b75c928fad225cc8198fd6ec504388fa01fceb2747a90e751",
+        "masks": "41d443ee8e1ce229b3a65a7a0b937ee3b08105e1498acfb9424d15a09499c4b1",
         "res_track": "1636234b02761f1f808dfad49a29fe1d6e314e56d5b4c63b8b8dac3729939fbd",
-        "events": "2433f2f6b83e31c026108fa2d5588c1f6be7c1a1aca964b70321649deb457b4a",
-        "report": "01a220ecd73db94cb5f5cc46aec344045c5af4500000f3df06a0c578835c6676",
+        "events": "9d921e4559f624164b483fd5dd4a339e689e62823765696bd99bb9973ca106cf",
+        "report": "5a4d096b232eff8e226ba2f7383931598ec4b56367448885c80ce1ff22747827",
     },
     "baseline": {
         "masks": "7420ccbad6e73adf8ec761680264b2b712ff978019fc23c852065d45ffec74a8",

@@ -199,6 +199,25 @@ def test_predict_stationary():
     assert pred.valid
 
 
+@pytest.mark.parametrize("search_size", [1, 10, 19, 20, 21])
+def test_predict_stationary_in_any_window(search_size):
+    # a 16x16 cell has a 20 px template with the default pad; a window
+    # narrower than that is grown to hold it, so an unmoved cell is found
+    # where it was
+    img = np.random.default_rng(9).integers(0, 256, size=(80, 80), dtype=np.uint8)
+    cell = make_cell(1, [(r, c) for r in range(30, 46) for c in range(30, 46)])
+    tb = (28, 28, 47, 47)
+    cfg = TrackerConfig(search_size=search_size)
+    pred = predict(Frame(1, img), Frame(2, img.copy()), cell, FORWARD, cfg)
+    assert pred.region == tb
+    assert pred.score == pytest.approx(1.0, abs=1e-9)
+    assert pred.valid
+    old = offcentre_search_box(tb, img.shape, search_size)
+    assert box_inside(tb, old) == (search_size >= 20)
+    if search_size >= 20:
+        assert search_box(tb, img.shape, search_size) == old
+
+
 def test_predict_translated_blob_exact_offset():
     rng = np.random.default_rng(4)
     for _ in range(15):
@@ -273,11 +292,64 @@ def box_inside(inner, outer):
     return outer[0] <= inner[0] and outer[1] <= inner[1] and inner[2] <= outer[2] and inner[3] <= outer[3]
 
 
+def offcentre_search_box(tb, shape, search_size):
+    """The earlier window rule, kept as a reference: the centred window is
+    clipped, then a clip narrower than the template is grown back to the
+    template's length, which shifts it off the template."""
+
+    def span(lo_t, hi_t, flen):
+        tlen = hi_t - lo_t + 1
+        lo = int(round((lo_t + hi_t) / 2.0)) - search_size // 2
+        hi = min(flen - 1, lo + search_size - 1)
+        lo = max(0, lo)
+        if hi - lo + 1 < tlen:
+            lo = max(0, min(lo, flen - tlen))
+            hi = lo + tlen - 1
+        return lo, hi
+
+    top, bottom = span(tb[0], tb[2], shape[0])
+    left, right = span(tb[1], tb[3], shape[1])
+    return top, left, bottom, right
+
+
+def test_search_box_holds_the_template():
+    # the window always holds the template box and lies in the frame; where
+    # the off-centre rule's window held the box, the two rules agree
+    rng = np.random.default_rng(10)
+    seen = dict.fromkeys(("size_1", "tall", "wide", "top", "left", "bottom", "right", "old_missed", "old_held"), 0)
+    for case in range(3000):
+        h, w = (int(v) for v in rng.integers(1, 90, size=2))
+        search_size = 1 if case % 10 == 0 else int(rng.integers(1, 100))
+        top, bottom = sorted(int(v) for v in rng.integers(0, h, size=2))
+        left, right = sorted(int(v) for v in rng.integers(0, w, size=2))
+        if case % 7 == 0:
+            top, left = 0, 0
+        elif case % 7 == 1:
+            bottom, right = h - 1, w - 1
+        tb = (top, left, bottom, right)
+        window = search_box(tb, (h, w), search_size)
+        assert box_inside(tb, window), (case, tb, (h, w), search_size, window)
+        assert box_inside(window, (0, 0, h - 1, w - 1)), (case, tb, (h, w), search_size, window)
+        old = offcentre_search_box(tb, (h, w), search_size)
+        if box_inside(tb, old):
+            assert window == old, (case, tb, (h, w), search_size, window, old)
+        seen["size_1"] += search_size == 1
+        seen["tall"] += bottom - top + 1 > search_size
+        seen["wide"] += right - left + 1 > search_size
+        seen["top"] += top == 0
+        seen["left"] += left == 0
+        seen["bottom"] += bottom == h - 1
+        seen["right"] += right == w - 1
+        seen["old_missed"] += not box_inside(tb, old)
+        seen["old_held"] += box_inside(tb, old)
+    assert all(seen.values()), seen
+
+
 def test_predict_region_lies_in_reach():
     # the linker skips a backward search whose reach holds under two previous
     # centroids; that is exact only if no region ever leaves the reach
     rng = np.random.default_rng(8)
-    seen = dict.fromkeys(("top", "left", "bottom", "right", "wide", "small_window", "flat", "outside_window"), 0)
+    seen = dict.fromkeys(("top", "left", "bottom", "right", "wide", "small_window", "flat"), 0)
     for case in range(500):
         h, w = (int(v) for v in rng.integers(4, 48, size=2))
         cfg = TrackerConfig(search_size=int(rng.integers(1, 60)), template_pad=int(rng.integers(0, 4)))
@@ -298,8 +370,9 @@ def test_predict_region_lies_in_reach():
         tb = (max(0, top - pad), max(0, left - pad), min(h - 1, top + ch - 1 + pad), min(w - 1, left + cw - 1 + pad))
         window = search_box(tb, (h, w), cfg.search_size)
         th, tw = tb[2] - tb[0] + 1, tb[3] - tb[1] + 1
-        if not flat:
-            assert box_inside(pred.region, window), case
+        assert box_inside(tb, window), case
+        assert reach == window, case
+        assert box_inside(pred.region, window), case
         half = cfg.search_size // 2
         seen["top"] += round((tb[0] + tb[2]) / 2) - half < 0
         seen["left"] += round((tb[1] + tb[3]) / 2) - half < 0
@@ -308,7 +381,6 @@ def test_predict_region_lies_in_reach():
         seen["wide"] += max(th, tw) > cfg.search_size
         seen["small_window"] += min(th, tw) > cfg.search_size
         seen["flat"] += flat and not pred.valid and pred.region == tb
-        seen["outside_window"] += not box_inside(pred.region, window)
     assert all(seen.values()), seen
 
 
