@@ -287,9 +287,13 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("LINEAGE_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
+        # basicConfig ignores `level` once the root logger has handlers
+        level = os.environ.get("LINEAGE_LOG") or "WARNING"
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise CliError("LINEAGE_LOG: unknown level %r" % level)
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print("lineage: error: %s" % exc, file=sys.stderr)

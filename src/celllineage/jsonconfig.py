@@ -15,10 +15,15 @@ _TYPES = (
 
 
 def load(cls, path):
-    """Instance of dataclass `cls` from the JSON object in the file at `path`."""
+    """Instance of dataclass `cls` from the JSON object in the file at `path`;
+    a NaN, Infinity or -Infinity anywhere in it raises ValueError."""
     with open(path) as f:
-        doc = json.load(f)
+        doc = json.load(f, parse_constant=lambda name: _non_finite(path, name))
     return from_doc(cls, doc, path)
+
+
+def _non_finite(path, name):
+    raise ValueError("%s: %s is not a finite number" % (path, name))
 
 
 def from_doc(cls, doc, where):

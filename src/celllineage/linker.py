@@ -119,9 +119,13 @@ def detect_collisions(cells_prev, cells_cur, backward_preds):
 
 @dataclass
 class CollisionReport:
+    """`splits` and `unresolved` name cells by the loop's working ids, not
+    the returned ones; `origin` is keyed by the returned ids."""
+
     iterations: int = 0
     splits: list = field(default_factory=list)  # (lump id, parent ids, new ids)
     unresolved: list = field(default_factory=list)  # (lump id, parent ids, reason)
+    origin: dict = field(default_factory=dict)  # piece id -> previous ids its splits used
 
 
 def resolve_collisions(
@@ -143,7 +147,8 @@ def resolve_collisions(
     re-segmentation fails is kept whole and reported unresolved.
     `predict_backward` recomputes a backward prediction for a freshly split
     cell, or returns None for a cell that cannot be flagged. Cell ids are
-    renumbered densely (row-major) before returning.
+    renumbered densely (row-major) before returning; `origin` follows each
+    piece by its first pixel, which names one cell as the cells are disjoint.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
@@ -195,7 +200,10 @@ def resolve_collisions(
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 
-    return in_scan_order(cells.values()), report
+    out = in_scan_order(cells.values())
+    by_first = {cells[i].first: parents for i, parents in origin.items()}
+    report.origin = {c.id: by_first[c.first] for c in out if c.first in by_first}
+    return out, report
 
 
 def match_forward(cells_prev, cells_cur, forward_preds):
@@ -230,12 +238,13 @@ def classify_state(match_set):
     return Mitosis(match_set.matches)
 
 
-def update_lineage(graph, t, states, cells_cur, events=None):
-    """Apply per-cell states for the t-1 -> t transition.
+def update_lineage(graph, t, states, cells_cur):
+    """Apply per-cell states for the t-1 -> t transition; returns the step's
+    events, a list of (t, kind, track ids).
 
-    `states` maps every previous-frame cell id to its CellState. Conflicting
-    continuations resolve in favor of the lower track id; unmatched current
-    cells open parentless tracks. Appends (t, kind, track ids) to `events`.
+    `states` maps every previous-frame cell id to its Apoptosis, Continuation
+    or Mitosis. Conflicting continuations resolve in favor of the lower track
+    id; unmatched current cells open parentless tracks.
     """
     prev_assign = graph.assignments.get(t - 1, {})
     missing = set(states) - set(prev_assign)
@@ -243,34 +252,25 @@ def update_lineage(graph, t, states, cells_cur, events=None):
         raise ValueError("states given for unassigned previous cells %s" % sorted(missing))
     if set(prev_assign) - set(states):
         raise ValueError("states missing for previous cells %s" % sorted(set(prev_assign) - set(states)))
-    if events is None:
-        events = []
+    events = []
     assigned = {}
     for prev_id in sorted(states, key=lambda i: prev_assign[i]):
         tid = prev_assign[prev_id]
-        track = graph.tracks[tid]
         state = states[prev_id]
-        merged_away = False
         if isinstance(state, Continuation) and state.target in assigned:
             events.append((t, "MERGE_UNRESOLVED", (tid, assigned[state.target])))
-            state = Apoptosis()
-            merged_away = True
+            continue
         if isinstance(state, Mitosis):
             avail = tuple(j for j in state.children if j not in assigned)
-            if len(avail) == 1:
-                state = Continuation(avail[0])
-            elif not avail:
+            if not avail:
                 events.append((t, "MERGE_UNRESOLVED", (tid,)))
-                state = Apoptosis()
-                merged_away = True
-            else:
-                state = Mitosis(avail)
+                continue
+            state = Continuation(avail[0]) if len(avail) == 1 else Mitosis(avail)
         if isinstance(state, Apoptosis):
-            if not merged_away:
-                events.append((t, "APOPTOSIS", (tid,)))
+            events.append((t, "APOPTOSIS", (tid,)))
         elif isinstance(state, Continuation):
             assigned[state.target] = tid
-            track.end = t
+            graph.tracks[tid].end = t
         else:
             child_tids = []
             for j in state.children:
@@ -295,6 +295,49 @@ class LinkerConfig:
     rw_config: RWConfig = RWConfig()
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What one t-1 -> t step decided."""
+
+    cells: list  # the current cells, after collision repair
+    flagged: list  # the first detection's [(current cell id, [previous ids])]
+    report: CollisionReport
+    states: dict  # previous cell id -> Apoptosis, Continuation or Mitosis
+
+
+def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
+    """Repair the current cells' collisions, then classify each previous cell.
+    Private, so a tracer that wraps public functions sees `run_linker` call
+    `detect_collisions`."""
+    flagged, report = [], CollisionReport()
+    if config.enable_collision_resolution:
+        prev_rows, prev_cols = _centroids(cells_prev)
+
+        def predict_backward(c):
+            # every region lies in the tracker's reach, so a cell whose
+            # reach holds fewer than two previous centroids is never flagged
+            reach = tracker.reach(c, frame_cur.pixels.shape)
+            if np.count_nonzero(_in_box(reach, prev_rows, prev_cols)) < 2:
+                return None
+            return tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD)
+
+        backward_preds = {c.id: predict_backward(c) for c in cells_cur}
+        flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
+        if flagged:
+            cells_cur, report = resolve_collisions(
+                frame_cur, cells_cur, cells_prev, backward_preds, predict_backward, config.rw_config
+            )
+
+    forward_preds = {c.id: tracker.predict(frame_prev, frame_cur, c, trk.FORWARD) for c in cells_prev}
+    states = {}
+    for ms in match_forward(cells_prev, cells_cur, forward_preds):
+        state = classify_state(ms)
+        if isinstance(state, Mitosis) and not config.enable_mitosis_detection:
+            state = Continuation(state.children[0])
+        states[ms.source] = state
+    return StepRecord(cells_cur, flagged, report, states)
+
+
 def run_linker(sequence, masks, tracker, config=LinkerConfig()):
     """Process a whole sequence: returns (corrected masks, lineage, events).
 
@@ -315,53 +358,16 @@ def run_linker(sequence, masks, tracker, config=LinkerConfig()):
     graph = LineageGraph()
     events = []
     cells_by_frame = {1: cells_from_labelmask(masks[0], config.connectivity)}
-    graph.assignments[1] = {}
-    for cell in cells_by_frame[1]:
-        graph.assignments[1][cell.id] = graph.new_track(1)
+    graph.assignments[1] = {cell.id: graph.new_track(1) for cell in cells_by_frame[1]}
 
     for t in range(2, len(sequence) + 1):
-        frame_prev, frame_cur = sequence[t - 1], sequence[t]
-        cells_prev = cells_by_frame[t - 1]
         cells_cur = cells_from_labelmask(masks[t - 1], config.connectivity)
-
-        if config.enable_collision_resolution:
-            prev_rows, prev_cols = _centroids(cells_prev)
-
-            def predict_backward(c):
-                # every region lies in the tracker's reach, so a cell whose
-                # reach holds fewer than two previous centroids is never flagged
-                reach = tracker.reach(c, frame_cur.pixels.shape)
-                if np.count_nonzero(_in_box(reach, prev_rows, prev_cols)) < 2:
-                    return None
-                return tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD)
-
-            backward_preds = {c.id: predict_backward(c) for c in cells_cur}
-            flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
-            if flagged:
-                prev_assign = graph.assignments[t - 1]
-                for _, parents in flagged:
-                    events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))
-                cells_cur, _ = resolve_collisions(
-                    frame_cur,
-                    cells_cur,
-                    cells_prev,
-                    backward_preds,
-                    predict_backward,
-                    config.rw_config,
-                )
-
-        forward_preds = {
-            c.id: tracker.predict(frame_prev, frame_cur, c, trk.FORWARD) for c in cells_prev
-        }
-        match_sets = match_forward(cells_prev, cells_cur, forward_preds)
-        states = {}
-        for ms in match_sets:
-            state = classify_state(ms)
-            if isinstance(state, Mitosis) and not config.enable_mitosis_detection:
-                state = Continuation(state.children[0])
-            states[ms.source] = state
-        update_lineage(graph, t, states, cells_cur, events)
-        cells_by_frame[t] = cells_cur
+        record = _link_step(sequence[t - 1], sequence[t], cells_by_frame[t - 1], cells_cur, tracker, config)
+        prev_assign = graph.assignments[t - 1]
+        for _, parents in record.flagged:
+            events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))
+        events += update_lineage(graph, t, record.states, record.cells)
+        cells_by_frame[t] = record.cells
 
     out_masks = []
     for t in range(1, len(sequence) + 1):

@@ -135,8 +135,11 @@ class ExternalTracker:
             parts = line.split()
             if len(parts) != 7:
                 raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
-            t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
-            score = float(parts[6])
+            try:
+                t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
+                score = float(parts[6])
+            except ValueError:
+                raise ValueError("%s:%d: non-numeric field" % (path, lineno)) from None
             if t < 1 or top > bottom or left > right or top < 0 or left < 0:
                 raise ValueError("%s:%d: invalid region" % (path, lineno))
             if frame_shape is not None and (bottom >= frame_shape[0] or right >= frame_shape[1]):

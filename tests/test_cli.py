@@ -224,6 +224,21 @@ def test_track_imports_no_scipy_sparse(tmp_path, capsys):
         assert "COLLISION" in f.read()  # the random walker ran
 
 
+@pytest.mark.parametrize("level", ["verbose", "5"])
+def test_unknown_log_level_is_an_error_message(level, tmp_path):
+    """An unknown LINEAGE_LOG level is one error line, checked in a fresh
+    process: there the root logger has no handlers yet."""
+    out = str(tmp_path / "out")
+    code = "import sys\nfrom celllineage.cli import main\nsys.exit(main(['simulate', '--out', %r]))\n" % out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["LINEAGE_LOG"] = level
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "lineage: error: LINEAGE_LOG: unknown level %r\n" % level
+    assert not os.path.exists(out)
+
+
 def test_overlay(sim_dir, tmp_path, capsys):
     out = tmp_path / "ov"
     assert run(["overlay", "--in", sim_dir, "--out", str(out)]) == 0
@@ -401,6 +416,12 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"apoptosis_script": [[3, 1]], "mitosis_script": [[4, 1]]}, "mitosis scripted at t=4: cell 1 is fading"),
         ("simulate", {"apoptosis_script": [[3, 1]], "collision_script": [[12, 1, 2]]}, "t=12: cell 1 is fading"),
         ("simulate", {"collision_script": [[8, 1, 2]], "mitosis_script": [[8, 1]]}, "mitosis scripted at t=8: cell 1 is under"),
+        ("simulate", {"noise_sigma": float("nan")}, "cfg.json: NaN is not a finite number"),
+        ("simulate", {"noise_sigma": float("inf")}, "cfg.json: Infinity is not a finite number"),
+        ("simulate", {"radius_range": [float("nan"), 12.0]}, "NaN is not a finite number"),
+        ("track", {"rwalker": {"beta": float("nan")}}, "NaN is not a finite number"),
+        ("track", {"rwalker": {"epsilon": float("inf")}}, "Infinity is not a finite number"),
+        ("track", {"tracker": {"search_size": float("-inf")}}, "-Infinity is not a finite number"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

@@ -315,6 +315,7 @@ def test_resolve_collisions_splits_lump():
     assert cells[0].pixels | cells[1].pixels == lump.pixels
     assert report.iterations == 1
     assert len(report.splits) == 1
+    assert report.origin == {1: frozenset({1, 2}), 2: frozenset({1, 2})}
 
 
 def test_resolve_collisions_unresolved_on_reseg_failure():
@@ -453,9 +454,10 @@ def reference_resolve_collisions(
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 
-    # renumber densely in row-major first-pixel order
+    # renumber densely in row-major first-pixel order, origin with the cells
     ordered = sorted(cells.values(), key=lambda c: c.first)
     out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
+    report.origin = {i: origin[c.id] for i, c in enumerate(ordered, start=1) if c.id in origin}
     return out, report
 
 
@@ -639,3 +641,30 @@ def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     assert events == events_all
     assert calls < calls_all
     assert any(kind == "COLLISION" for _, kind, _ in events)
+
+
+def test_run_linker_step_records(monkeypatch):
+    """One record per frame step; its counts on the collision golden's run
+    are those the traced benchmark reads off the linker's functions."""
+    import celllineage.linker as linker
+
+    sequence, _ = simulate(from_doc(SimConfig, COLLISIONS_SIM, "sim"))
+    masks = _segment_sequence(sequence, PipelineConfig())
+    records, step = [], linker._link_step
+
+    def spy(*args):
+        records.append(step(*args))
+        return records[-1]
+
+    monkeypatch.setattr(linker, "_link_step", spy)
+    _, _, events = run_linker(sequence, masks, NCCTracker(TrackerConfig(search_size=64)))
+    assert len(records) == len(sequence) - 1 == 19
+    flagged = sum(len(r.flagged) for r in records)
+    splits = sum(len(r.report.splits) for r in records)
+    unresolved = sum(len(r.report.unresolved) for r in records)
+    pieces = sum(len(r.report.origin) for r in records)
+    assert (flagged, splits, unresolved, pieces) == (41, 41, 0, 82)
+    assert flagged == sum(kind == "COLLISION" for _, kind, _ in events)
+    for r in records:
+        assert set(r.report.origin) <= {c.id for c in r.cells}
+        assert all(len(parents) >= 2 for parents in r.report.origin.values())

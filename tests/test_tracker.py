@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -423,3 +425,7 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     bad.write_text("1 1 10 12 20 200 0.9\n")  # exceeds frame
     with pytest.raises(ValueError):
         ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
+    for line in ("2 x 0 0 5 5 0.9\n", "2 1 0 0 5 5 high\n"):
+        bad.write_text("1 1 10 12 20 22 0.9\n" + line)
+        with pytest.raises(ValueError, match=re.escape("%s:2: non-numeric field" % bad)):
+            ExternalTracker(forward_path=str(bad))
