@@ -16,6 +16,7 @@ from .imagecore import (
     Frame,
     LabelMask,
     Sequence,
+    cells_from_labelmask,
     connected_components,
     threshold_segment,
 )
@@ -131,6 +132,7 @@ def cmd_simulate(args):
 
 
 def _segment_sequence(sequence, cfg):
+    """Each frame's cells, from one labelling pass of its thresholded foreground."""
     level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
     foreground = (threshold_segment(frame, cfg.threshold_method, level).mask for frame in sequence.frames)
     return [connected_components(mask, cfg.connectivity, cfg.min_cell_size) for mask in foreground]
@@ -149,8 +151,12 @@ def cmd_track(args):
     sequence = _load_frames(cfg.input_dir)
     if cfg.segmentation == "masks":
         masks = _load_masks(cfg.input_dir, count=len(sequence))
+        for t, mask in enumerate(masks, start=1):
+            if mask.labels.shape != sequence[t].pixels.shape:
+                raise CliError("frame %d: mask dimensions do not match the frame" % t)
+        cells = [cells_from_labelmask(mask, cfg.connectivity) for mask in masks]
     else:
-        masks = _segment_sequence(sequence, cfg)
+        cells = _segment_sequence(sequence, cfg)
 
     if cfg.external_forward or cfg.external_backward:
         tracker = ExternalTracker(
@@ -163,10 +169,9 @@ def cmd_track(args):
     linker_cfg = LinkerConfig(
         enable_collision_resolution=cfg.enable_collision_resolution,
         enable_mitosis_detection=cfg.enable_mitosis_detection,
-        connectivity=cfg.connectivity,
         rw_config=cfg.rwalker,
     )
-    out_masks, graph, events = run_linker(sequence, masks, tracker, linker_cfg)
+    out_masks, graph, events = run_linker(sequence, cells, tracker, linker_cfg)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     for t, mask in enumerate(out_masks, start=1):

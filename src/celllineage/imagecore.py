@@ -135,20 +135,23 @@ def _structure(connectivity):
 
 
 def connected_components(mask, connectivity=4, min_size=1):
-    """Label maximal connected foreground regions of a binary raster.
+    """One Cell per maximal connected foreground region of a binary raster.
 
-    Regions of fewer than `min_size` pixels become background. Labels run
-    1..K in row-major first-pixel order.
+    Regions of fewer than `min_size` pixels are dropped. Cell ids run 1..K
+    in row-major first-pixel order.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
     labels = ndimage.label(mask, structure=_structure(connectivity))[0]
+    sizes = np.bincount(labels.ravel())
     # ndimage.label numbers components in row-major first-pixel order, so a
     # running count over the kept ones keeps that order
-    keep = np.bincount(labels.ravel()) >= min_size
-    keep[0] = False
-    return LabelMask(labels=(np.cumsum(keep, dtype=np.int32) * keep)[labels])
+    cells = []
+    for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        if sizes[lab] >= min_size:
+            cells.append(_cell(len(cells) + 1, labels[rows, cols] == lab, rows.start, cols.start))
+    return cells
 
 
 def cells_from_labelmask(mask, connectivity=4):

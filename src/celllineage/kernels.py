@@ -46,6 +46,20 @@ def _flat_placements(window, th, tw):
     return (rows == 0) & (cols == 0)
 
 
+def _cross_term(v, t0, out_shape):
+    """Σ t0·v over every placement, by real FFTs.
+
+    A circular correlation no smaller than the window does not wrap at valid
+    placements. The inverse is irfft2's two passes in its order, the complex
+    one over columns first, with the real pass run only over the rows that
+    hold placements; each row's result is bitwise that of irfft2.
+    """
+    size = (_fast_len(v.shape[0]), _fast_len(v.shape[1]))
+    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
+    rows = np.fft.ifft(spectrum, axis=0)[: out_shape[0]]
+    return np.fft.irfft(rows, n=size[1], axis=1)[:, : out_shape[1]]
+
+
 def ncc_map(window, template):
     """Zero-normalized cross-correlation of `template` at every placement.
 
@@ -66,12 +80,8 @@ def ncc_map(window, template):
     # NCC ignores a constant offset; centring keeps s2 - s1^2/n from
     # cancelling on bright, flat patches
     v = window - window.mean()
-    # sum(t0) == 0, so the cross term needs no patch-mean subtraction; a
-    # circular correlation no smaller than the window does not wrap at
-    # valid placements
-    size = (_fast_len(v.shape[0]), _fast_len(v.shape[1]))
-    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
-    cross = np.fft.irfft2(spectrum, s=size)[: out_shape[0], : out_shape[1]]
+    # sum(t0) == 0, so the cross term needs no patch-mean subtraction
+    cross = _cross_term(v, t0, out_shape)
     vv = v * v
     s1 = _placement_sums(v, th, tw)
     s2 = _placement_sums(vv, th, tw)

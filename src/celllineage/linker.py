@@ -6,7 +6,8 @@ backward only when the tracker's reach for it, the box every prediction
 lies in, holds two or more previous centroids. Flagged lumps are split by
 seeded random-walker re-segmentation. The pieces of each split are checked
 again, round by round, until no piece is flagged with a previous centroid
-that its earlier splits did not use. Forward predictions then match
+that its earlier splits did not use; a piece is predicted backward only
+when its reach holds such a centroid. Forward predictions then match
 previous cells to current ones and each previous cell is classified as
 apoptosis, continuation or mitosis by its match count.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tracker as trk
-from .imagecore import cells_from_labelmask, in_scan_order, mask_from_cells
+from .imagecore import in_scan_order, mask_from_cells
 from .rwalker import ResegFailure, RWConfig, reseg_cell
 
 
@@ -145,10 +146,12 @@ def resolve_collisions(
     parent sets it was split against is kept, so every re-split adds a
     parent and the rounds end within len(cells_prev). A lump whose
     re-segmentation fails is kept whole and reported unresolved.
-    `predict_backward` recomputes a backward prediction for a freshly split
-    cell, or returns None for a cell that cannot be flagged. Cell ids are
-    renumbered densely (row-major) before returning; `origin` follows each
-    piece by its first pixel, which names one cell as the cells are disjoint.
+    `predict_backward(cell, parents)` recomputes a backward prediction for
+    a freshly split cell, given the previous ids its splits used, or returns
+    None for a cell that cannot be flagged with a previous cell outside
+    them. Cell ids are renumbered densely (row-major) before returning;
+    `origin` follows each piece by its first pixel, which names one cell as
+    the cells are disjoint.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
@@ -193,7 +196,7 @@ def resolve_collisions(
             for seg in segments:
                 cell = replace(seg, id=next_id)
                 cells[next_id] = cell
-                preds[next_id] = predict_backward(cell)
+                preds[next_id] = predict_backward(cell, inherited)
                 origin[next_id] = inherited
                 new_ids.append(next_id)
                 fresh.append(cell)
@@ -291,7 +294,6 @@ def update_lineage(graph, t, states, cells_cur):
 class LinkerConfig:
     enable_collision_resolution: bool = True
     enable_mitosis_detection: bool = True
-    connectivity: int = 4
     rw_config: RWConfig = RWConfig()
 
 
@@ -305,22 +307,33 @@ class StepRecord:
     states: dict  # previous cell id -> Apoptosis, Continuation or Mitosis
 
 
+def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
+    """`predict_backward(cell, parents=frozenset())` for one frame step.
+
+    Every region lies in the tracker's reach, and detection only counts the
+    previous centroids in the region. So a cell whose reach holds fewer than
+    two previous centroids is never flagged, and a piece whose reach holds
+    only centroids of its parent set is never acted on; both get None.
+    """
+    prev_rows, prev_cols = _centroids(cells_prev)
+    prev_ids = np.array([c.id for c in cells_prev], dtype=int)
+
+    def predict_backward(cell, parents=frozenset()):
+        inside = prev_ids[_in_box(tracker.reach(cell, frame_cur.pixels.shape), prev_rows, prev_cols)]
+        if len(inside) < 2 or parents.issuperset(inside.tolist()):
+            return None
+        return tracker.predict(frame_cur, frame_prev, cell, trk.BACKWARD)
+
+    return predict_backward
+
+
 def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
     """Repair the current cells' collisions, then classify each previous cell.
     Private, so a tracer that wraps public functions sees `run_linker` call
     `detect_collisions`."""
     flagged, report = [], CollisionReport()
     if config.enable_collision_resolution:
-        prev_rows, prev_cols = _centroids(cells_prev)
-
-        def predict_backward(c):
-            # every region lies in the tracker's reach, so a cell whose
-            # reach holds fewer than two previous centroids is never flagged
-            reach = tracker.reach(c, frame_cur.pixels.shape)
-            if np.count_nonzero(_in_box(reach, prev_rows, prev_cols)) < 2:
-                return None
-            return tracker.predict(frame_cur, frame_prev, c, trk.BACKWARD)
-
+        predict_backward = _backward_predictor(frame_prev, frame_cur, cells_prev, tracker)
         backward_preds = {c.id: predict_backward(c) for c in cells_cur}
         flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
         if flagged:
@@ -338,31 +351,29 @@ def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
     return StepRecord(cells_cur, flagged, report, states)
 
 
-def run_linker(sequence, masks, tracker, config=LinkerConfig()):
+def run_linker(sequence, cells, tracker, config=LinkerConfig()):
     """Process a whole sequence: returns (corrected masks, lineage, events).
 
-    `masks` is one LabelMask per frame; the returned masks are relabeled to
+    `cells` holds one list per frame of that frame's disjoint cells, with
+    ids 1..K in row-major first-pixel order, as `connected_components` and
+    `cells_from_labelmask` give them; the returned masks are labelled with
     track ids. `tracker` provides `predict(frame_src, frame_dst, cell,
     direction)` and `reach(cell, shape)`, the inclusive box that every
     region it predicts for the cell lies in. With collision resolution off,
-    masks pass through unchanged; with mitosis detection off, multi-match
+    cells pass through unchanged; with mitosis detection off, multi-match
     cells continue into their first match and parent links are never
     created.
     """
-    if len(masks) != len(sequence):
-        raise ValueError("expected %d masks, got %d" % (len(sequence), len(masks)))
-    for t in range(1, len(sequence) + 1):
-        if masks[t - 1].labels.shape != sequence[t].pixels.shape:
-            raise ValueError("frame %d: mask dimensions do not match the frame" % t)
+    if len(cells) != len(sequence):
+        raise ValueError("expected %d cell lists, got %d" % (len(sequence), len(cells)))
 
     graph = LineageGraph()
     events = []
-    cells_by_frame = {1: cells_from_labelmask(masks[0], config.connectivity)}
+    cells_by_frame = {1: cells[0]}
     graph.assignments[1] = {cell.id: graph.new_track(1) for cell in cells_by_frame[1]}
 
     for t in range(2, len(sequence) + 1):
-        cells_cur = cells_from_labelmask(masks[t - 1], config.connectivity)
-        record = _link_step(sequence[t - 1], sequence[t], cells_by_frame[t - 1], cells_cur, tracker, config)
+        record = _link_step(sequence[t - 1], sequence[t], cells_by_frame[t - 1], cells[t - 1], tracker, config)
         prev_assign = graph.assignments[t - 1]
         for _, parents in record.flagged:
             events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))

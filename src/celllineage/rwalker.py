@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 from scipy import linalg, ndimage
 
-from .imagecore import make_cell
+from .imagecore import _cell
 
 log = logging.getLogger("lineage")
 
@@ -125,15 +125,19 @@ def _openblas_threads():
 
 
 def _solveh_banded_one_thread(band, rhs):
-    """`linalg.solveh_banded` on one OpenBLAS thread; the caller's count comes back after."""
+    """`linalg.solveh_banded` on one OpenBLAS thread; the caller's count comes back after.
+
+    The band and right-hand side are built from finite edge weights, so
+    their entries go unchecked.
+    """
     api = _openblas_threads()
     if api is None:
-        return linalg.solveh_banded(band, rhs)
+        return linalg.solveh_banded(band, rhs, check_finite=False)
     get, set_ = api
     threads = get()
     set_(1)
     try:
-        return linalg.solveh_banded(band, rhs)
+        return linalg.solveh_banded(band, rhs, check_finite=False)
     finally:
         set_(threads)
 
@@ -178,7 +182,9 @@ def solve_probabilities(graph, seeds):
         _, lab = min(zip(dist.tolist(), seed_lab.tolist()))
         prob[members, lab - 1] = 1.0
 
-    solve_idx = np.setdiff1d(np.flatnonzero(seeded[comp]), seed_node)
+    unknown = seeded[comp]
+    unknown[seed_node] = False
+    solve_idx = np.flatnonzero(unknown)
     if solve_idx.size:
         # L_uu in symmetric upper band storage; the unknowns keep the
         # row-major node order, so no edge spans more than one box row
@@ -245,11 +251,13 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
         raise ResegFailure("two seeds snapped to the same lump pixel")
 
     graph = build_lattice(frame.normalized(lump.bbox), lump.mask, config)
-    labels = segment(graph, SeedSet(tuple(seeds)))
-    rc = graph.pixels + (top, left)
+    # the lattice's nodes are the lump's pixels in row-major order
+    raster = np.zeros(lump.mask.shape, dtype=np.int64)
+    raster[lump.mask] = segment(graph, SeedSet(tuple(seeds)))
     cells = []
-    for lab in range(1, len(seeds) + 1):
-        if not np.any(labels == lab):
+    for lab, box in enumerate(ndimage.find_objects(raster, max_label=len(seeds)), start=1):
+        if box is None:
             raise ResegFailure("segment %d is empty" % lab)
-        cells.append(make_cell(lab, rc[labels == lab]))
+        rows, cols = box
+        cells.append(_cell(lab, raster[box] == lab, top + rows.start, left + cols.start))
     return cells

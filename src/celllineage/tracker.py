@@ -128,6 +128,7 @@ class ExternalTracker:
     def _load(self, path, direction, frame_shape):
         with open(path) as f:
             lines = f.readlines()
+        first_line = {}  # (t, cell id) -> the line that gave it
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
@@ -140,12 +141,20 @@ class ExternalTracker:
                 score = float(parts[6])
             except ValueError:
                 raise ValueError("%s:%d: non-numeric field" % (path, lineno)) from None
+            if cell_id < 1:
+                raise ValueError("%s:%d: cell id must be >= 1, got %d" % (path, lineno, cell_id))
             if t < 1 or top > bottom or left > right or top < 0 or left < 0:
                 raise ValueError("%s:%d: invalid region" % (path, lineno))
             if frame_shape is not None and (bottom >= frame_shape[0] or right >= frame_shape[1]):
                 raise ValueError("%s:%d: region exceeds frame bounds" % (path, lineno))
             if not -1.0 <= score <= 1.0:
                 raise ValueError("%s:%d: score outside [-1, 1]" % (path, lineno))
+            if (t, cell_id) in first_line:
+                raise ValueError(
+                    "%s:%d: t=%d cell %d already given on line %d"
+                    % (path, lineno, t, cell_id, first_line[t, cell_id])
+                )
+            first_line[t, cell_id] = lineno
             self._preds[(t, cell_id, direction)] = (top, left, bottom, right, score)
 
     def predict(self, frame_src, frame_dst, cell, direction):

@@ -35,11 +35,11 @@ from celllineage.trackfile import format_track_file, parse_track_file
 
 def _run_pipeline(sequence, collision, mitosis):
     cfg = PipelineConfig()
-    masks = _segment_sequence(sequence, cfg)
+    cells = _segment_sequence(sequence, cfg)
     linker_cfg = LinkerConfig(
         enable_collision_resolution=collision, enable_mitosis_detection=mitosis
     )
-    return run_linker(sequence, masks, NCCTracker(TrackerConfig()), linker_cfg)
+    return run_linker(sequence, cells, NCCTracker(TrackerConfig()), linker_cfg)
 
 
 def test_criterion_01_directional_improvement():
@@ -249,7 +249,7 @@ def test_criterion_05_collision_loop_termination():
             )
             preds[c.id] = TrackerPrediction(c.id, "backward", region, 0.9, bool(rng.integers(0, 2)))
 
-        def predict_backward(cell):
+        def predict_backward(cell, parents):
             return TrackerPrediction(cell.id, "backward", cell.bbox, 0.9, True)
 
         before = sum(len(c.pixels) for c in cur)

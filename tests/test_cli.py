@@ -136,6 +136,37 @@ def test_track_masks_ingestion(sim_dir, tmp_path, capsys):
     assert scores["SEG"] == pytest.approx(1.0)
 
 
+def test_track_masks_of_another_size_is_an_error_message(sim_dir, tmp_path, capsys):
+    src, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(sim_dir, src)
+    pgm.write_pgm16(str(src / (MASK_FMT % 3)), np.zeros((64, 64), dtype=np.uint16))
+    (tmp_path / "cfg.json").write_text(json.dumps({"segmentation": "masks"}))
+    assert run(["track", "--config", str(tmp_path / "cfg.json"), "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "lineage: error: frame 3: mask dimensions do not match the frame\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ("1 0 10 12 20 22 0.9\n", "fwd.txt:1: cell id must be >= 1, got 0"),
+        ("1 2 10 12 20 22 0.9\n1 -3 10 12 20 22 0.9\n", "fwd.txt:2: cell id must be >= 1, got -3"),
+        (
+            "1 1 10 12 20 22 0.9\n2 1 0 0 5 5 0.5\n1 1 11 12 21 22 0.8\n",
+            "fwd.txt:3: t=1 cell 1 already given on line 1",
+        ),
+    ],
+    ids=["zero id", "negative id", "second line"],
+)
+def test_track_bad_external_cell_is_an_error_message(sim_dir, tmp_path, capsys, lines, expected):
+    (tmp_path / "fwd.txt").write_text(lines)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"external_forward": str(tmp_path / "fwd.txt")}))
+    assert run(["track", "--config", str(cfg_path), "--in", sim_dir, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "lineage: error: %s\n" % (tmp_path / expected)
+
+
 def edge_case_inputs(sim_dir):
     """(name, frames, masks or None): degenerate sequences built from sim_dir."""
     frames = [pgm.read_pgm8(os.path.join(sim_dir, FRAME_FMT % t)) for t in range(1, 9)]

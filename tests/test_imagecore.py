@@ -42,16 +42,19 @@ def flood_fill_labels(mask, connectivity):
     return out
 
 
+def component_labels(mask, connectivity=4, min_size=1):
+    """`connected_components`' cells as a label raster, each cell's id its label."""
+    return mask_from_cells(connected_components(mask, connectivity, min_size), *np.shape(mask)).labels
+
+
 def test_empty_mask():
-    mask = connected_components(np.zeros((5, 5), dtype=bool))
-    assert cells_from_labelmask(mask) == []
-    assert mask.labels.max() == 0
+    assert connected_components(np.zeros((5, 5), dtype=bool)) == []
 
 
 def test_single_block():
     m = np.zeros((7, 7), dtype=bool)
     m[2:5, 2:5] = True
-    cells = cells_from_labelmask(connected_components(m))
+    cells = connected_components(m)
     assert len(cells) == 1
     assert cells[0].centroid == (3.0, 3.0)
     assert cells[0].bbox == (2, 2, 4, 4)
@@ -60,13 +63,12 @@ def test_single_block():
 def test_diagonal_connectivity():
     m = np.zeros((4, 4), dtype=bool)
     m[1, 1] = m[2, 2] = True
-    cells4 = cells_from_labelmask(connected_components(m, connectivity=4), connectivity=4)
-    cells8 = cells_from_labelmask(connected_components(m, connectivity=8), connectivity=8)
+    cells4 = connected_components(m, connectivity=4)
+    cells8 = connected_components(m, connectivity=8)
     assert len(cells4) == 2 and len(cells8) == 1
     # both connectivities agree with the flood-fill oracle
     for conn in (4, 8):
-        got = connected_components(m, connectivity=conn)
-        assert np.array_equal(got.labels, flood_fill_labels(m, conn))
+        assert np.array_equal(component_labels(m, conn), flood_fill_labels(m, conn))
 
 
 @pytest.mark.parametrize("conn", [4, 8])
@@ -74,15 +76,15 @@ def test_components_match_flood_fill_oracle(conn):
     rng = np.random.default_rng(42)
     for _ in range(25):
         m = rng.random((rng.integers(1, 25), rng.integers(1, 25))) < 0.45
-        mask = connected_components(m, connectivity=conn)
-        cells = cells_from_labelmask(mask, connectivity=conn)
-        assert np.array_equal(mask.labels, flood_fill_labels(m, conn))
+        cells = connected_components(m, connectivity=conn)
+        labels = mask_from_cells(cells, *m.shape).labels
+        assert np.array_equal(labels, flood_fill_labels(m, conn))
         # partition invariants: disjoint pixel sets exactly covering foreground
         all_pixels = [p for c in cells for p in c.pixels]
         assert len(all_pixels) == len(set(all_pixels)) == int(m.sum())
         assert all(m[r, c] for r, c in all_pixels)
         # dense 1..K labels, centroid inside bbox
-        assert sorted(np.unique(mask.labels[mask.labels > 0])) == list(
+        assert sorted(np.unique(labels[labels > 0])) == list(
             range(1, len(cells) + 1)
         )
         for cell in cells:
@@ -104,8 +106,8 @@ def test_components_min_size_matches_oracle(conn):
         for k in range(1, comp.max() + 1):
             if (comp == k).sum() >= min_size:
                 kept |= comp == k
-        got = connected_components(m, connectivity=conn, min_size=min_size)
-        assert np.array_equal(got.labels, flood_fill_labels(kept, conn))
+        got = component_labels(m, conn, min_size)
+        assert np.array_equal(got, flood_fill_labels(kept, conn))
 
 
 def relabel_scan_order(raw):
@@ -137,9 +139,35 @@ def test_components_match_scan_order_relabel_on_crowded_frames(min_size):
             small = (np.bincount(raw.ravel()) < min_size)[raw]
             dropped += int(raw[small].any())
             raw[small] = 0
-            got = connected_components(fg, connectivity=conn, min_size=min_size).labels
+            got = component_labels(fg, conn, min_size)
             assert got.dtype == np.int32 and np.array_equal(got, relabel_scan_order(raw)), (frame.index, conn)
     assert dropped > 0 or min_size == 1
+
+
+def renumbered_components(mask, connectivity, min_size):
+    """The label mask that the threshold path built before it made cells in
+    its one labelling pass: ndimage.label, components below `min_size`
+    dropped, the rest renumbered 1..K by a running count."""
+    labels = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, connectivity // 4))[0]
+    keep = np.bincount(labels.ravel()) >= min_size
+    keep[0] = False
+    return LabelMask(labels=(np.cumsum(keep, dtype=np.int32) * keep)[labels])
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+def test_components_equal_the_cells_of_the_renumbered_mask(conn):
+    """The cells of one labelling pass are, id for id and bit for bit, those
+    that `cells_from_labelmask` extracts from the renumbered label mask."""
+    rng = np.random.default_rng(19)
+    dropped = 0
+    for case in range(300):
+        m = rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 40)))) < rng.uniform(0.1, 0.7)
+        min_size = int(rng.integers(1, 7))
+        want = cells_from_labelmask(renumbered_components(m, conn, min_size), conn)
+        got = connected_components(m, conn, min_size)
+        assert got == want, case
+        dropped += len(connected_components(m, conn)) > len(got)
+    assert dropped > 0
 
 
 def expected_label_cells(labels, connectivity):

@@ -1,7 +1,10 @@
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from celllineage.imagecore import Frame, LabelMask, Sequence, cells_from_labelmask, make_cell
 from celllineage.linker import (
@@ -21,12 +24,14 @@ from celllineage.linker import (
     run_linker,
     update_lineage,
 )
-from celllineage.cli import PipelineConfig, _segment_sequence
+from celllineage import kernels, linker
+from celllineage import tracker as tracker_module
+from celllineage.cli import PipelineConfig, _segment_sequence, main
 from celllineage.jsonconfig import from_doc
 from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
 from celllineage.simulator import SimConfig, script_collision_scenario, simulate
 from celllineage.tracker import BACKWARD, FORWARD, NCCTracker, TrackerConfig, TrackerPrediction
-from test_golden import COLLISIONS_SIM, CROWDED_SIM
+from test_golden import COLLISIONS_SIM, COLLISIONS_TRACK, CROWDED_SIM
 
 
 def pred(cell_id, region, direction=BACKWARD, score=0.9, valid=True):
@@ -198,7 +203,8 @@ def test_box_tables_match_reference_loops():
         if cur and rng.random() < 0.3:
             # pieces split off by resolve_collisions, renumbered in scan order
             frame = Frame(2, rng.integers(0, 256, size=(h, w)).astype(np.uint8))
-            cur, report = resolve_collisions(frame, cur, prev, back, lambda c: pred(c.id, grown(c.bbox, 2, h, w)))
+            repredict = lambda c, parents: pred(c.id, grown(c.bbox, 2, h, w))
+            cur, report = resolve_collisions(frame, cur, prev, back, repredict)
             back = _fuzz_preds(rng, cur, h, w, BACKWARD)
             split += bool(report.splits)
         want = reference_detect_collisions(prev, cur, back)
@@ -306,7 +312,7 @@ def test_resolve_collisions_splits_lump():
     prev = [square_cell(1, 13, 10), square_cell(2, 13, 24)]
     preds = {1: pred(1, lump.bbox)}
 
-    def predict_backward(cell):
+    def predict_backward(cell, parents):
         return pred(cell.id, cell.bbox)
 
     cells, report = resolve_collisions(frame, [lump], prev, preds, predict_backward)
@@ -324,7 +330,7 @@ def test_resolve_collisions_unresolved_on_reseg_failure():
     lump = make_cell(1, [(5, 5)])  # single pixel: seeds must clash
     prev = [square_cell(1, 4, 4, size=2), square_cell(2, 5, 6, size=2)]
     preds = {1: pred(1, (3, 3, 7, 7))}
-    cells, report = resolve_collisions(frame, [lump], prev, preds, lambda c: pred(c.id, c.bbox))
+    cells, report = resolve_collisions(frame, [lump], prev, preds, lambda c, parents: pred(c.id, c.bbox))
     assert len(cells) == 1 and cells[0].pixels == lump.pixels
     assert report.unresolved and report.splits == []
 
@@ -361,7 +367,7 @@ def test_resolve_collisions_conserves_pixels_fuzz():
             )
             preds[c.id] = pred(c.id, region, valid=bool(rng.integers(0, 2)))
         before = sum(len(c.pixels) for c in cur)
-        out, report = resolve_collisions(frame, cur, prev, preds, lambda c: pred(c.id, c.bbox))
+        out, report = resolve_collisions(frame, cur, prev, preds, lambda c, parents: pred(c.id, c.bbox))
         assert sum(len(c.pixels) for c in out) == before
         assert report.iterations <= max(1, len(prev))
         union = set()
@@ -383,10 +389,10 @@ def reference_resolve_collisions(
 
     Iteratively split flagged lumps until detection comes up empty.
 
-    `predict_backward` recomputes a backward prediction for a freshly split
-    cell. A lump whose re-segmentation fails, or that reappears unchanged
-    with the same parent set, is kept whole and reported unresolved. Cell
-    ids are renumbered densely (row-major) before returning.
+    `predict_backward(cell, parents)` recomputes a backward prediction for a
+    freshly split cell. A lump whose re-segmentation fails, or that
+    reappears unchanged with the same parent set, is kept whole and reported
+    unresolved. Cell ids are renumbered densely (row-major) before returning.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
@@ -448,7 +454,7 @@ def reference_resolve_collisions(
             for seg in segments:
                 cell = replace(seg, id=next_id)
                 cells[next_id] = cell
-                preds[next_id] = predict_backward(cell)
+                preds[next_id] = predict_backward(cell, inherited)
                 origin[next_id] = inherited
                 new_ids.append(next_id)
                 next_id += 1
@@ -461,11 +467,12 @@ def reference_resolve_collisions(
     return out, report
 
 
-def test_resolve_collisions_matches_reference_loop():
+def fuzzed_lumps(n=1000, h=24, w=24):
+    """(frame, current cells, previous cells, backward predictions, grow) per
+    case: disjoint squares, tiny previous cells around them, and regions
+    that pieces get by growing their box `grow` pixels."""
     rng = np.random.default_rng(7)
-    h, w = 24, 24
-    rounds2 = splits = unresolved = 0
-    for case in range(1000):
+    for _ in range(n):
         frame = Frame(2, (128 + rng.integers(-40, 41, size=(h, w))).astype(np.uint8))
         used = np.zeros((h, w), dtype=bool)
         cur = []
@@ -484,9 +491,15 @@ def test_resolve_collisions_matches_reference_loop():
         for c in cur:
             region = grown(c.bbox, int(rng.integers(0, 8)), h, w)
             preds[c.id] = pred(c.id, region, valid=bool(rng.random() < 0.8))
-        grow = int(rng.integers(0, 6))
+        yield frame, cur, prev, preds, int(rng.integers(0, 6))
 
-        def predict_backward(cell):
+
+def test_resolve_collisions_matches_reference_loop():
+    h, w = 24, 24
+    rounds2 = splits = unresolved = 0
+    for case, (frame, cur, prev, preds, grow) in enumerate(fuzzed_lumps(h=h, w=w)):
+
+        def predict_backward(cell, parents):
             return pred(cell.id, grown(cell.bbox, grow, h, w))
 
         got = resolve_collisions(frame, cur, prev, preds, predict_backward)
@@ -499,8 +512,62 @@ def test_resolve_collisions_matches_reference_loop():
     assert rounds2 and splits and unresolved
 
 
+class GrowingTracker:
+    """Backward regions are the cell's box grown `grow` pixels; the reach
+    is the box grown `grow + slack`, so every region lies in it."""
+
+    def __init__(self, grow, slack):
+        self.grow, self.slack, self.calls = grow, slack, 0
+
+    def predict(self, frame_src, frame_dst, cell, direction):
+        self.calls += 1
+        return pred(cell.id, grown(cell.bbox, self.grow, *frame_src.pixels.shape), direction)
+
+    def reach(self, cell, shape):
+        return grown(cell.bbox, self.grow + self.slack, *shape)
+
+
+def unpruned_predictor(frame_prev, frame_cur, cells_prev, tracker):
+    """The backward predictor before pieces were pruned by their parent set:
+    None only when the reach holds fewer than two previous centroids."""
+
+    def predict_backward(cell, parents=frozenset()):
+        top, left, bottom, right = tracker.reach(cell, frame_cur.pixels.shape)
+        inside = [p for p in cells_prev if top <= p.centroid[0] <= bottom and left <= p.centroid[1] <= right]
+        if len(inside) < 2:
+            return None
+        return tracker.predict(frame_cur, frame_prev, cell, BACKWARD)
+
+    return predict_backward
+
+
+def test_parent_set_prune_changes_nothing():
+    """On the fuzzed lumps, pieces whose reach holds only centroids of their
+    parent set are not predicted, and the cells, `origin` and report stay
+    those of the unpruned rule."""
+    slack = np.random.default_rng(8)
+    frame_prev = Frame(1, np.zeros((24, 24), dtype=np.uint8))
+    pruned_cases = calls = unpruned_calls = 0
+    for case, (frame, cur, prev, preds, grow) in enumerate(fuzzed_lumps()):
+        reach_slack = int(slack.integers(0, 4))
+        pruned, unpruned = GrowingTracker(grow, reach_slack), GrowingTracker(grow, reach_slack)
+        got = resolve_collisions(frame, cur, prev, preds, linker._backward_predictor(frame_prev, frame, prev, pruned))
+        want = resolve_collisions(frame, cur, prev, preds, unpruned_predictor(frame_prev, frame, prev, unpruned))
+        assert got == want, case  # the cells, and the report with its origin
+        assert pruned.calls <= unpruned.calls, case
+        pruned_cases += pruned.calls < unpruned.calls
+        calls += pruned.calls
+        unpruned_calls += unpruned.calls
+    assert pruned_cases > 0 and calls < unpruned_calls
+
+
 def make_sequence(images):
     return Sequence(frames=tuple(Frame(i + 1, img) for i, img in enumerate(images)))
+
+
+def mask_cells(*labels):
+    """run_linker's input: the cells of each label raster."""
+    return [cells_from_labelmask(LabelMask(m)) for m in labels]
 
 
 def test_run_linker_simple_continuation():
@@ -509,8 +576,7 @@ def test_run_linker_simple_continuation():
     seq = make_sequence([img, img.copy(), img.copy()])
     mask = np.zeros((20, 20), dtype=np.int32)
     mask[5:9, 5:9] = 1
-    masks = [LabelMask(mask.copy()) for _ in range(3)]
-    out, graph, events = run_linker(seq, masks, StationaryTracker())
+    out, graph, events = run_linker(seq, mask_cells(mask, mask, mask), StationaryTracker())
     assert len(graph.tracks) == 1
     tr = graph.tracks[1]
     assert (tr.birth, tr.end, tr.parent) == (1, 3, 0)
@@ -528,7 +594,7 @@ def test_run_linker_apoptosis_and_new():
     m1[5:9, 5:9] = 1
     m2 = np.zeros((20, 20), dtype=np.int32)
     m2[12:16, 12:16] = 1
-    out, graph, events = run_linker(seq, [LabelMask(m1), LabelMask(m2)], StationaryTracker())
+    out, graph, events = run_linker(seq, mask_cells(m1, m2), StationaryTracker())
     kinds = sorted(ev[1] for ev in events)
     assert kinds == ["APOPTOSIS", "NEW"]
     assert len(graph.tracks) == 2
@@ -557,15 +623,13 @@ def test_run_linker_mitosis_toggle():
                 )
             return super().predict(frame_src, frame_dst, cell, direction)
 
-    masks = [LabelMask(m1.copy()), LabelMask(m2.copy())]
-    out, graph, events = run_linker(seq, masks, WideTracker())
+    out, graph, events = run_linker(seq, mask_cells(m1, m2), WideTracker())
     assert any(ev[1] == "MITOSIS" for ev in events)
     children = [tr for tr in graph.tracks.values() if tr.parent == 1]
     assert len(children) == 2
 
-    masks = [LabelMask(m1.copy()), LabelMask(m2.copy())]
     cfg = LinkerConfig(enable_mitosis_detection=False)
-    out, graph, events = run_linker(seq, masks, WideTracker(), cfg)
+    out, graph, events = run_linker(seq, mask_cells(m1, m2), WideTracker(), cfg)
     assert not any(ev[1] == "MITOSIS" for ev in events)
     assert all(tr.parent == 0 for tr in graph.tracks.values())
 
@@ -573,14 +637,8 @@ def test_run_linker_mitosis_toggle():
 def test_run_linker_rejects_mismatched_inputs():
     img = np.zeros((10, 10), dtype=np.uint8)
     seq = make_sequence([img, img.copy()])
-    with pytest.raises(ValueError):
-        run_linker(seq, [LabelMask(np.zeros((10, 10), dtype=np.int32))], StationaryTracker())
-    with pytest.raises(ValueError):
-        run_linker(
-            seq,
-            [LabelMask(np.zeros((10, 10), dtype=np.int32)), LabelMask(np.zeros((5, 5), dtype=np.int32))],
-            StationaryTracker(),
-        )
+    with pytest.raises(ValueError, match="expected 2 cell lists, got 1"):
+        run_linker(seq, [[]], StationaryTracker())
 
 
 def test_run_linker_output_masks_use_track_ids():
@@ -591,8 +649,7 @@ def test_run_linker_output_masks_use_track_ids():
     m = np.zeros((20, 20), dtype=np.int32)
     m[2:5, 2:5] = 7
     m[10:13, 10:13] = 3
-    masks = [LabelMask(m.copy()), LabelMask(m.copy())]
-    out, graph, events = run_linker(seq, masks, StationaryTracker())
+    out, graph, events = run_linker(seq, mask_cells(m, m), StationaryTracker())
     for om in out:
         assert set(np.unique(om.labels)) == {0, 1, 2}
 
@@ -629,11 +686,11 @@ class CountingTracker:
 def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     cfg = sim if isinstance(sim, SimConfig) else from_doc(SimConfig, sim, "sim")
     sequence, _ = simulate(cfg)
-    masks = _segment_sequence(sequence, PipelineConfig())
+    cells = _segment_sequence(sequence, PipelineConfig())
     runs = []
     for whole_frame in (True, False):
         tracker = CountingTracker(TrackerConfig(search_size=search_size), whole_frame)
-        out, graph, events = run_linker(sequence, [LabelMask(m.labels.copy()) for m in masks], tracker)
+        out, graph, events = run_linker(sequence, cells, tracker)
         runs.append((tracker.backward_calls, out, graph, events))
     (calls_all, out_all, graph_all, events_all), (calls, out, graph, events) = runs
     assert all(np.array_equal(a.labels, b.labels) for a, b in zip(out, out_all))
@@ -646,10 +703,8 @@ def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
 def test_run_linker_step_records(monkeypatch):
     """One record per frame step; its counts on the collision golden's run
     are those the traced benchmark reads off the linker's functions."""
-    import celllineage.linker as linker
-
     sequence, _ = simulate(from_doc(SimConfig, COLLISIONS_SIM, "sim"))
-    masks = _segment_sequence(sequence, PipelineConfig())
+    cells = _segment_sequence(sequence, PipelineConfig())
     records, step = [], linker._link_step
 
     def spy(*args):
@@ -657,7 +712,7 @@ def test_run_linker_step_records(monkeypatch):
         return records[-1]
 
     monkeypatch.setattr(linker, "_link_step", spy)
-    _, _, events = run_linker(sequence, masks, NCCTracker(TrackerConfig(search_size=64)))
+    _, _, events = run_linker(sequence, cells, NCCTracker(TrackerConfig(search_size=64)))
     assert len(records) == len(sequence) - 1 == 19
     flagged = sum(len(r.flagged) for r in records)
     splits = sum(len(r.report.splits) for r in records)
@@ -668,3 +723,33 @@ def test_run_linker_step_records(monkeypatch):
     for r in records:
         assert set(r.report.origin) <= {c.id for c in r.cells}
         assert all(len(parents) >= 2 for parents in r.report.origin.values())
+
+
+def test_track_work_counts(tmp_path, monkeypatch, capsys):
+    """`lineage track` of the collision golden's sequence labels each frame
+    once and each split once, and predicts backward only the cells and
+    pieces that detection could act on. A second labelling pass or an
+    unpruned prediction changes these counts."""
+    for name, doc in (("sim.json", COLLISIONS_SIM), ("track.json", COLLISIONS_TRACK)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--out", sim]) == 0
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key(args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ndimage, "label", counted(lambda args: "label", ndimage.label))
+    monkeypatch.setattr(tracker_module, "predict", counted(lambda args: args[3], tracker_module.predict))
+    monkeypatch.setattr(kernels, "ncc_best", counted(lambda args: "ncc_best", kernels.ncc_best))
+    argv = ["track", "--config", str(tmp_path / "track.json"), "--in", sim, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    frames, splits = 20, 41  # the splits of test_run_linker_step_records
+    assert counts["label"] == frames + splits == 61
+    assert (counts[BACKWARD], counts[FORWARD], counts["ncc_best"]) == (52, 230, 282)
+

@@ -7,7 +7,7 @@ import pytest
 from scipy import linalg, ndimage
 
 from celllineage import rwalker
-from celllineage.imagecore import Frame, make_cell
+from celllineage.imagecore import Frame, LabelMask, cells_from_labelmask, make_cell
 from celllineage.rwalker import (
     LatticeGraph,
     ResegFailure,
@@ -345,6 +345,63 @@ def test_reseg_pixel_conservation_random():
         assert union == lump.pixels
 
 
+def make_cell_reseg(frame, lump, prev_centroids, displacement):
+    """`reseg_cell` as it was before it cut the pieces from a label raster:
+    one `make_cell` over each label's pixel list."""
+    top, left = lump.bbox[:2]
+    dr, dc = displacement
+    seeds = []
+    for k, (r, c) in enumerate(prev_centroids, start=1):
+        p = (int(round(r + dr)), int(round(c + dc)))
+        if not lump.contains(p):
+            p = _snap_to_region(p, np.argwhere(lump.mask) + (top, left))
+        seeds.append(((p[0] - top, p[1] - left), k))
+    if len({p for p, _ in seeds}) != len(seeds):
+        raise ResegFailure("two seeds snapped to the same lump pixel")
+    graph = build_lattice(frame.normalized(lump.bbox), lump.mask)
+    labels = segment(graph, SeedSet(tuple(seeds)))
+    rc = graph.pixels + (top, left)
+    cells = []
+    for lab in range(1, len(seeds) + 1):
+        if not np.any(labels == lab):
+            raise ResegFailure("segment %d is empty" % lab)
+        cells.append(make_cell(lab, rc[labels == lab]))
+    return cells
+
+
+def test_reseg_pieces_equal_make_cell_pieces():
+    """The pieces cut from the label raster equal, bit for bit, those that
+    `make_cell` builds from each label's pixels; failures fail alike."""
+    rng = np.random.default_rng(21)
+    split = failed = 0
+    for case in range(150):
+        h, w = (int(v) for v in rng.integers(8, 30, size=2))
+        img = (rng.integers(40, 90, size=(h, w)) + 120 * (rng.random((h, w)) < 0.3)).astype(np.uint8)
+        labels = np.zeros((h, w), dtype=np.int32)
+        for _ in range(int(rng.integers(1, 5))):
+            r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+            labels[r : r + int(rng.integers(2, 12)), c : c + int(rng.integers(2, 12))] = 1
+        lump = max(cells_from_labelmask(LabelMask(labels)), key=lambda cell: int(cell.mask.sum()))
+        top, left, bottom, right = lump.bbox
+        cents = [
+            (float(rng.uniform(top - 2, bottom + 2)), float(rng.uniform(left - 2, right + 2)))
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        shift = tuple(float(v) for v in rng.uniform(-3, 3, size=2))
+        args = (Frame(2, img), lump, cents, shift)
+        try:
+            want = make_cell_reseg(*args)
+        except ResegFailure as exc:
+            with pytest.raises(ResegFailure, match=str(exc)):
+                reseg_cell(*args)
+            failed += 1
+            continue
+        got = reseg_cell(*args)
+        assert got == want, case
+        split += 1
+    assert split > 100 and failed > 0
+
+
 def test_rwconfig_validation():
     with pytest.raises(ValueError):
         RWConfig(beta=-1.0)
@@ -387,11 +444,11 @@ def test_solve_restores_the_thread_count(monkeypatch):
     seen = []
     solve = linalg.solveh_banded
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(get())
-        return solve(*args)
+        return solve(*args, **kwargs)
 
-    def fail(*args):
+    def fail(*args, **kwargs):
         seen.append(get())
         raise linalg.LinAlgError("not positive definite")
 

@@ -190,6 +190,30 @@ def test_kernel_matches_brute_force():
             assert ncc_score(template, candidate) == pytest.approx(want, abs=1e-9)
 
 
+def irfft2_cross_term(v, t0, out_shape):
+    """The kernel's cross term with the inverse transform done by irfft2
+    over the whole padded size, then cropped."""
+    size = (kernels._fast_len(v.shape[0]), kernels._fast_len(v.shape[1]))
+    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
+    return np.fft.irfft2(spectrum, s=size)[: out_shape[0], : out_shape[1]]
+
+
+def test_two_pass_inverse_keeps_the_map_bitwise(monkeypatch):
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(300):
+        wh, ww = (int(v) for v in rng.integers(1, 90, size=2))
+        th, tw = int(rng.integers(1, wh + 1)), int(rng.integers(1, ww + 1))
+        window = np.round(rng.random((wh, ww)) * 255) / 255.0
+        if rng.random() < 0.2:
+            window[: wh // 2] = 0.5  # flat placements
+        cases.append((window, np.round(rng.random((th, tw)) * 255) / 255.0))
+    got = [kernels.ncc_map(w, t) for w, t in cases]
+    monkeypatch.setattr(kernels, "_cross_term", irfft2_cross_term)
+    for case, ((w, t), scores) in enumerate(zip(cases, got)):
+        assert scores.tobytes() == kernels.ncc_map(w, t).tobytes(), case
+
+
 def test_predict_stationary():
     f1 = blob_frame(1, (40, 40))
     f2 = blob_frame(2, (40, 40))
@@ -429,3 +453,25 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
         bad.write_text("1 1 10 12 20 22 0.9\n" + line)
         with pytest.raises(ValueError, match=re.escape("%s:2: non-numeric field" % bad)):
             ExternalTracker(forward_path=str(bad))
+
+
+def test_external_tracker_rejects_bad_cell_ids(tmp_path):
+    bad = tmp_path / "bad.txt"
+    for cell_id in (0, -3):
+        bad.write_text("1 1 10 12 20 22 0.9\n\n1 %d 10 12 20 22 0.9\n" % cell_id)
+        with pytest.raises(ValueError, match=re.escape("%s:3: cell id must be >= 1, got %d" % (bad, cell_id))):
+            ExternalTracker(forward_path=str(bad))
+
+
+def test_external_tracker_rejects_a_second_line_for_a_cell(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1 10 12 20 22 0.9\n1 2 10 12 20 22 0.9\n2 1 10 12 20 22 0.9\n1 1 10 12 20 22 0.5\n")
+    with pytest.raises(ValueError, match=re.escape("%s:4: t=1 cell 1 already given on line 1" % bad)):
+        ExternalTracker(forward_path=str(bad))
+    # the same (t, cell) in the forward and the backward file is no repeat
+    good = tmp_path / "good.txt"
+    good.write_text("1 1 10 12 20 22 0.9\n")
+    ext = ExternalTracker(forward_path=str(good), backward_path=str(good))
+    f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
+    cell = blob_cell(f1)
+    assert ext.predict(f1, f2, cell, FORWARD).valid and ext.predict(f1, f2, cell, BACKWARD).valid
