@@ -93,8 +93,17 @@ def _load_frames(directory):
 
 
 def _load_masks(directory, count=None):
-    read = lambda path: LabelMask(labels=pgm.read_pgm16(path).astype(np.int32))
+    read = lambda path: LabelMask(labels=pgm.read_pgm16(path))
     return _load_stack(directory, MASK_FMT, read, "masks", count)
+
+
+def _load_frame_masks(directory, sequence):
+    """The mask stack in `directory`: one mask per frame of `sequence`, each of its frame's shape."""
+    masks = _load_masks(directory, count=len(sequence))
+    for t, mask in enumerate(masks, start=1):
+        if mask.labels.shape != sequence[t].pixels.shape:
+            raise CliError("frame %d: mask dimensions do not match the frame" % t)
+    return masks
 
 
 def _write_events(path, events):
@@ -150,10 +159,7 @@ def cmd_track(args):
 
     sequence = _load_frames(cfg.input_dir)
     if cfg.segmentation == "masks":
-        masks = _load_masks(cfg.input_dir, count=len(sequence))
-        for t, mask in enumerate(masks, start=1):
-            if mask.labels.shape != sequence[t].pixels.shape:
-                raise CliError("frame %d: mask dimensions do not match the frame" % t)
+        masks = _load_frame_masks(cfg.input_dir, sequence)
         cells = [cells_from_labelmask(mask, cfg.connectivity) for mask in masks]
     else:
         cells = _segment_sequence(sequence, cfg)
@@ -207,8 +213,7 @@ def cmd_evaluate(args):
     out = args.out or args.pred
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.json"), "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -230,7 +235,7 @@ def _boundary(labels):
 
 def cmd_overlay(args):
     frames = _load_frames(args.input)
-    masks = _load_masks(args.masks or args.input, count=len(frames))
+    masks = _load_frame_masks(args.masks or args.input, frames)
     track_path = args.tracks or os.path.join(args.masks or args.input, TRACK_FILE)
     boxes = [ndimage.find_objects(mask.labels) for mask in masks]  # label - 1 -> box or None
     present = [[lab for lab, box in enumerate(frame_boxes, start=1) if box] for frame_boxes in boxes]

@@ -56,7 +56,11 @@ class Sequence:
 
 @dataclass(frozen=True)
 class LabelMask:
-    labels: np.ndarray  # non-negative int32, 0 = background
+    """A label raster: non-negative integers, 0 = background. Masks read from
+    a mask file hold uint16 labels, the width the file stores; masks that
+    `mask_from_cells` renders hold int32 ones."""
+
+    labels: np.ndarray  # non-negative integers, shape (height, width)
 
     def __post_init__(self):
         if self.labels.ndim != 2:

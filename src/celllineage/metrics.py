@@ -22,10 +22,20 @@ class MetricsError(ValueError):
 
 
 def masks_fingerprint(masks):
-    """Stable hash of a mask stack, used to pair reports over one ground truth."""
+    """Stable hash of a mask stack, used to pair reports over one ground truth.
+
+    The first 16 hex digits of the SHA-256 of each mask's labels as
+    little-endian unsigned 16-bit integers, the width of a mask file, each
+    mask followed by b"|". Equal label values hash equal whatever the
+    array's dtype; a label above 65535 is an error, since wrapping it would
+    let two different stacks share a fingerprint.
+    """
     h = hashlib.sha256()
-    for mask in masks:
-        h.update(np.ascontiguousarray(mask.labels, dtype=np.int64))
+    for t, mask in enumerate(masks, start=1):
+        labels = mask.labels
+        if not np.can_cast(labels.dtype, np.uint16) and labels.max() > 65535:
+            raise MetricsError("frame %d: label %d does not fit in 16 bits" % (t, labels.max()))
+        h.update(np.ascontiguousarray(labels, dtype="<u2"))
         h.update(b"|")
     return h.hexdigest()[:16]
 

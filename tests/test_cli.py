@@ -281,6 +281,16 @@ def test_overlay(sim_dir, tmp_path, capsys):
     assert np.any(rgb[:, :, 0] != rgb[:, :, 1])
 
 
+@pytest.mark.parametrize("side", [256, 64], ids=["larger", "smaller"])
+def test_overlay_masks_of_another_size_is_an_error_message(sim_dir, tmp_path, capsys, side):
+    src, out = tmp_path / "in", tmp_path / "ov"
+    shutil.copytree(sim_dir, src)
+    pgm.write_pgm16(str(src / (MASK_FMT % 3)), np.zeros((side, side), dtype=np.uint16))
+    assert run(["overlay", "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "lineage: error: frame 3: mask dimensions do not match the frame\n"
+    assert not out.exists()
+
+
 def sextant_palette_color(track_id):
     """The overlay palette as a hand-written HSV sextant table at full
     saturation and value: the reference for `_palette_color`."""

@@ -20,7 +20,9 @@ track` of that field, full and `--baseline`, with the 64 px window, and the
 box tables. The full-pipeline `masks` and `report` digests of both 64 px
 window cases, and the crowded `events`, were re-recorded when a search
 window narrower than its template came to be grown to hold the template
-box instead of shifted off it. A change that alters any output byte
+box instead of shifted off it. All ten `report` digests were re-recorded
+when the ground-truth fingerprint in `report.json` came to hash 16-bit
+labels, the width of a mask file. A change that alters any output byte
 fails here. To see the digests of the current code for every pinned case,
 run this file as a script.
 """
@@ -40,21 +42,21 @@ GOLDEN = {
         "masks": "2d9c49a9121a2a18e25db59b9145731b09abd4ad02d43779ced226c479855c6e",
         "res_track": "48d3681b66f54927d05c852f8f03b62106d043eda8cc9aa550d48e90d29fd649",
         "events": "4292e5c27111a372f9452e60eb4952ede542a68b8dcffdf46a1479d5d0ef7fba",
-        "report": "8a479bc69d2b9eb224a5a245b141ec6252ea28add8840256c676340b5bfd5e0d",
+        "report": "e53d70cba548c10907823c2b7bb6696f705b97843e32e5d441ca1a013484d152",
     },
     2: {
         "frames": "c04213d392dce1e102ade5910c63c5cc12910072110e2bb5411f86e6ae918dd9",
         "masks": "00fe8a9d85a8b19c812ed108785a6e4493c0f185635c1cb6290e15c476ce7187",
         "res_track": "4d2b592597d6db76dfee183f4418af4b86ba2e900fce57e3cd79ecb4c9a22669",
         "events": "7080616a1aeb965b5a48fec749d6ecd08498017cc0a52fe8fa3771221514aff2",
-        "report": "8ff221a5d8a6f8bc45069605af9c92d9c1947b3f18ff852bf805fea0743b087e",
+        "report": "e26cc4589b5c54cd0dfe2d09c8e827d65d40de4a43fb73ced65b7d56e1d40590",
     },
     3: {
         "frames": "fccaf6a49f129aa09695b356b35c313f372b14a8c165e832a8f6e5fae4ef53fa",
         "masks": "4a164716398299ab0e8ae9c57c085c449474b7cd74004a8ffe0d195b1e099009",
         "res_track": "11a747886ad09bba4b48ba096c5a368e080bdac2edabcbed106deeeb7f95ef7e",
         "events": "8fe02c720b745de8cb8b43c4885115579cbfdf8a24e415aba24fc59bef6ac1bb",
-        "report": "c4ffe0976e14fb47ce6e0dfb449268f90059226935aa70e5aa978b829aa46c34",
+        "report": "ddd575f61a1e8ec9513a0b969e6baba7de188293c74e88176a784f59bb3289fd",
     },
 }
 
@@ -64,19 +66,19 @@ BASELINE_GOLDEN = {
         "masks": "6d8d5d0f208f8019419c505b2580a2f6ea353810028dfec7d3ebc073da879d6c",
         "res_track": "999c8ceb362527eac5e2dbd53dd3fb7df21a0ee4361026fb37776b997d9ae23d",
         "events": "c3bb5a22f63a5d1f56af283bdc7d44912a5d08921aed478a444a6d94e2753084",
-        "report": "0ffd58964d5ec1e3a0095db1ce9b1c8a2adfbee739c86d054829e60af6db0f6b",
+        "report": "b3cf535d3c292bd445cadf9525adef9c3009d084115cb9769e7480ea54b012b9",
     },
     2: {
         "masks": "1b6becb121cffb4f37bbb9fc0f0770b1ce1b1fb8c5deb29cf2cf14be3552c161",
         "res_track": "69681b4e79479087495661af4e92bf295d447055d564aca3a9251330eff22225",
         "events": "fffb33a3b3f2c3f1205ed672f62406e22e46a4114b75e165ebd3d8c65c1f68b5",
-        "report": "a34e4a568e43f2b162097227a81b777b01c052b58bd08a3c30b138bff6b2475f",
+        "report": "bc289e592b953dc78db840963cf4d168d8950eb548a1c4dc82adbefe8a2d3117",
     },
     3: {
         "masks": "087018e1375ee4722aa74aca5acfe8a567ec7c2cee6b189473b4af88b8b75fdf",
         "res_track": "83fe8cdb3dfba07b68ee4744d31c4f6d2f03b9e869181ec5fa24dfd80e062955",
         "events": "d16411c7aab00231f68777550dd19e086798a424703cc844e10cc8d6bf2a0e73",
-        "report": "18332562d986064baa908f405c656be229976ce8e8b592af505dd44ad7d6a7f1",
+        "report": "074086cb65bce9c58a8d46fa29efbb545fce65a77ede8f95514875b923217105",
     },
 }
 
@@ -100,14 +102,14 @@ COLLISIONS_GOLDEN = {
         "masks": "22ad5ab219cfe12139b8d630371c06350e5cee84264e0a43b08a50704e4650ed",
         "res_track": "f4514073cb3b75691d4f184311505e6244571061b68b92eb8dc4673cf0aa17dd",
         "events": "50838b5fffaf0cbbe44d1c6f0b7834d3696034fb6fa39e008569a5b48d965063",
-        "report": "3798ae0885f44f36c841fa1b64b14ff045a3d407464df970b1311b32445d9544",
+        "report": "10715493b769717302ef4e9f0b8e20ceec8b19556e8c681e12747aff7e14f1bc",
     },
     "baseline": {
         "frames": "e5b7de078de97294b92a936c2385d1e81eb173644fc48d17bba32d34c5fd30ac",
         "masks": "25fc91d557f3f59789d08d9a04ad087b845e8c420ee665573a88ce37bb2ae5d0",
         "res_track": "2f538cfa4e6e2d048c50f706338b2c4ba61dc7eb612ab91f9fd2e2e8f2a13a16",
         "events": "eee52da49de110dc1763b506fe6c5e3d31298d1eed068a85352bdf04ad00971e",
-        "report": "34248cad36ad51a14f2ff8f0470f00d40ca4c7f58449241c58f3965cc522539e",
+        "report": "c399bb4ff0ab3aa0c5575df4f47752294b5bd97d2eea101e28d3774b22fb6423",
     },
 }
 
@@ -139,13 +141,13 @@ CROWDED_TRACK_GOLDEN = {
         "masks": "41d443ee8e1ce229b3a65a7a0b937ee3b08105e1498acfb9424d15a09499c4b1",
         "res_track": "1636234b02761f1f808dfad49a29fe1d6e314e56d5b4c63b8b8dac3729939fbd",
         "events": "9d921e4559f624164b483fd5dd4a339e689e62823765696bd99bb9973ca106cf",
-        "report": "5a4d096b232eff8e226ba2f7383931598ec4b56367448885c80ce1ff22747827",
+        "report": "d5314cf1fce4598cad76b9d905b93332f5b44960fe18f7f8b2a8e736826880aa",
     },
     "baseline": {
         "masks": "7420ccbad6e73adf8ec761680264b2b712ff978019fc23c852065d45ffec74a8",
         "res_track": "4c30d443595af5755e040fe437bbd6bcc4b0b7b6856dca0fb41fa36e6b42d84e",
         "events": "f5ea177252d43bfd2afd009db48485334e838e81d3138d2349d4d74db50b865d",
-        "report": "a9d9daafe6124def7af8e07a751ad1bfa0b234583f953c379b6c724ebdd1c74c",
+        "report": "1eb5fdd5a88598fd37e0060f8c52e1cc76cd3a3e9e96e1bfb8b8acda36620062",
     },
 }
 

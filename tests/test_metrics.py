@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,23 @@ def test_masks_fingerprint_sensitivity():
     b = [mask([[1, 0], [0, 3]])]
     assert masks_fingerprint(a) == masks_fingerprint([mask(a[0].labels.copy())])
     assert masks_fingerprint(a) != masks_fingerprint(b)
+
+
+def test_masks_fingerprint_hashes_16_bit_labels():
+    labels = [[[0, 1, 2], [300, 65535, 0]], [[7, 0, 0], [0, 0, 9]]]
+    h = hashlib.sha256()
+    for arr in labels:
+        h.update(np.array(arr, dtype="<u2").tobytes() + b"|")
+    assert masks_fingerprint([mask(arr) for arr in labels]) == h.hexdigest()[:16]
+
+
+def test_masks_fingerprint_ignores_dtype():
+    arr = [[0, 1, 2], [300, 65535, 0]]
+    wide = [LabelMask(np.array(arr, dtype=np.int32))]
+    narrow = [LabelMask(np.array(arr, dtype=np.uint16))]
+    assert masks_fingerprint(wide) == masks_fingerprint(narrow)
+
+
+def test_masks_fingerprint_rejects_labels_above_16_bits():
+    with pytest.raises(MetricsError, match="frame 2: label 65536"):
+        masks_fingerprint([mask([[1, 0]]), mask([[0, 65536]])])
