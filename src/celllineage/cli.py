@@ -69,32 +69,36 @@ class PipelineConfig:
         return jsonconfig.load(cls, path)
 
 
-def _load_stack(directory, fmt, read, noun, count=None):
-    """`read` of each file fmt % 1, fmt % 2, ... in `directory`, up to the first
+def _stack_paths(directory, fmt, noun, count=None):
+    """The files fmt % 1, fmt % 2, ... in `directory`, up to the first
     missing one; `count`, when given, is the number of files expected."""
-    stack = []
+    paths = []
     path = os.path.join(directory, fmt % 1)
     while os.path.exists(path):
-        stack.append(read(path))
-        path = os.path.join(directory, fmt % (len(stack) + 1))
-    if not stack:
+        paths.append(path)
+        path = os.path.join(directory, fmt % (len(paths) + 1))
+    if not paths:
         raise CliError("no %s (%s) found in %s" % (noun, fmt % 1, directory))
-    if count is not None and len(stack) != count:
+    if count is not None and len(paths) != count:
         raise CliError(
             "%s: found %d %s, expected %d (%s missing?)"
-            % (directory, len(stack), noun, count, fmt % (len(stack) + 1))
+            % (directory, len(paths), noun, count, fmt % (len(paths) + 1))
         )
-    return stack
+    return paths
 
 
 def _load_frames(directory):
-    stack = _load_stack(directory, FRAME_FMT, pgm.read_pgm8, "frames")
-    return Sequence(frames=tuple(Frame(index=t, pixels=p) for t, p in enumerate(stack, start=1)))
+    paths = _stack_paths(directory, FRAME_FMT, "frames")
+    return Sequence(frames=tuple(Frame(index=t, pixels=pgm.read_pgm8(p)) for t, p in enumerate(paths, start=1)))
+
+
+def _read_masks(paths):
+    """The mask in each of `paths`, read as it is asked for."""
+    return (LabelMask(labels=pgm.read_pgm16(path)) for path in paths)
 
 
 def _load_masks(directory, count=None):
-    read = lambda path: LabelMask(labels=pgm.read_pgm16(path))
-    return _load_stack(directory, MASK_FMT, read, "masks", count)
+    return list(_read_masks(_stack_paths(directory, MASK_FMT, "masks", count)))
 
 
 def _load_frame_masks(directory, sequence):
@@ -143,7 +147,7 @@ def cmd_simulate(args):
 def _segment_sequence(sequence, cfg):
     """Each frame's cells, from one labelling pass of its thresholded foreground."""
     level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
-    foreground = (threshold_segment(frame, cfg.threshold_method, level).mask for frame in sequence.frames)
+    foreground = (threshold_segment(frame, cfg.threshold_method, level) for frame in sequence.frames)
     return [connected_components(mask, cfg.connectivity, cfg.min_cell_size) for mask in foreground]
 
 
@@ -189,8 +193,9 @@ def cmd_track(args):
 
 
 def cmd_evaluate(args):
-    gt_masks = _load_masks(args.gt)
-    census = metrics.census(gt_masks, _load_masks(args.pred, count=len(gt_masks)))
+    gt_paths = _stack_paths(args.gt, MASK_FMT, "masks")
+    pred_paths = _stack_paths(args.pred, MASK_FMT, "masks", count=len(gt_paths))
+    census = metrics.census(_read_masks(gt_paths), _read_masks(pred_paths))
     gt_labels = [gt_sizes for gt_sizes, _, _, _ in census.frames]
     pred_labels = [pred_sizes for _, pred_sizes, _, _ in census.frames]
     gt_lineage = trackfile.read_track_file(os.path.join(args.gt, TRACK_FILE), gt_labels)

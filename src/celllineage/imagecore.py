@@ -182,13 +182,6 @@ def in_scan_order(cells):
     return [replace(c, id=i) for i, c in enumerate(sorted(cells, key=lambda c: c.first), start=1)]
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    mask: np.ndarray  # bool foreground raster
-    level: int  # 8-bit threshold actually applied
-    degenerate: bool  # constant-intensity frame under otsu
-
-
 def otsu_level(pixels):
     """8-bit Otsu threshold maximizing between-class variance; None when constant."""
     hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
@@ -205,23 +198,23 @@ def otsu_level(pixels):
 
 
 def threshold_segment(frame, method="otsu", level=None):
-    """Binary foreground via Otsu or a fixed normalized level in [0, 1].
+    """Boolean foreground via Otsu or a fixed normalized level in [0, 1].
 
-    Foreground is strictly-above-threshold. A constant frame under Otsu
-    yields an all-background mask with `degenerate` set.
+    Foreground is strictly-above-threshold. A constant frame has no Otsu
+    level and yields an all-background mask.
     """
     pixels = frame.pixels
     if method == "otsu":
         lvl = otsu_level(pixels)
         if lvl is None:
-            return ThresholdResult(np.zeros_like(pixels, dtype=bool), 255, True)
-        return ThresholdResult(pixels > lvl, lvl, False)
-    if method == "fixed":
+            return np.zeros_like(pixels, dtype=bool)
+    elif method == "fixed":
         if level is None or not 0.0 <= level <= 1.0:
             raise ValueError("fixed threshold needs a level in [0, 1]")
         lvl = int(round(level * 255))
-        return ThresholdResult(pixels > lvl, lvl, False)
-    raise ValueError("unknown threshold method %r" % method)
+    else:
+        raise ValueError("unknown threshold method %r" % method)
+    return pixels > lvl
 
 
 def mask_from_cells(cells, height, width):

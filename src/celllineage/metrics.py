@@ -8,6 +8,7 @@ track forest into the ground-truth one.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,25 +20,6 @@ DEFAULT_WEIGHTS = {"NS": 5.0, "FN": 10.0, "FP": 1.0, "ED": 1.0, "EA": 1.5, "EC":
 
 class MetricsError(ValueError):
     pass
-
-
-def masks_fingerprint(masks):
-    """Stable hash of a mask stack, used to pair reports over one ground truth.
-
-    The first 16 hex digits of the SHA-256 of each mask's labels as
-    little-endian unsigned 16-bit integers, the width of a mask file, each
-    mask followed by b"|". Equal label values hash equal whatever the
-    array's dtype; a label above 65535 is an error, since wrapping it would
-    let two different stacks share a fingerprint.
-    """
-    h = hashlib.sha256()
-    for t, mask in enumerate(masks, start=1):
-        labels = mask.labels
-        if not np.can_cast(labels.dtype, np.uint16) and labels.max() > 65535:
-            raise MetricsError("frame %d: label %d does not fit in 16 bits" % (t, labels.max()))
-        h.update(np.ascontiguousarray(labels, dtype="<u2"))
-        h.update(b"|")
-    return h.hexdigest()[:16]
 
 
 @dataclass
@@ -63,7 +45,12 @@ class Census:
 
 
 def census(gt_masks, pred_masks):
-    """Per-frame GT -> pred matching by the majority-overlap rule.
+    """Per-frame GT -> pred matching by the majority-overlap rule, and the
+    ground truth's fingerprint, from one pass over the two mask stacks.
+
+    `gt_masks` and `pred_masks` are any iterables of LabelMask, walked in
+    step, so a caller that reads masks as they are asked for holds only a
+    few at a time; a stack that ends before the other is an error.
 
     For each frame t = 1..T, gt_sizes and pred_sizes map the labels present
     to their pixel counts, overlaps maps (gt, pred) label pairs to
@@ -71,13 +58,26 @@ def census(gt_masks, pred_masks):
     covering > half of it (if any). All four come from one count of the
     (gt, pred) label pairs of the frame's foreground pixels: a label's size
     is the sum of its pairs' counts.
+
+    gt_fingerprint, a stable hash used to pair reports over one ground
+    truth, is the first 16 hex digits of the SHA-256 of each ground-truth
+    mask's labels as little-endian unsigned 16-bit integers, the width of a
+    mask file, each mask followed by b"|". Equal label values hash equal
+    whatever the array's dtype; a label above 65535 is an error, since
+    wrapping it would let two different stacks share a fingerprint.
     """
-    if len(gt_masks) != len(pred_masks):
-        raise MetricsError("frame count mismatch: %d vs %d" % (len(gt_masks), len(pred_masks)))
     frames = []
-    for t, (gt, pred) in enumerate(zip(gt_masks, pred_masks), start=1):
+    h = hashlib.sha256()
+    for t, (gt, pred) in enumerate(itertools.zip_longest(gt_masks, pred_masks), start=1):
+        if gt is None or pred is None:
+            short = "ground-truth" if gt is None else "predicted"
+            raise MetricsError("frame count mismatch: the %s stack ends after frame %d" % (short, t - 1))
         if gt.labels.shape != pred.labels.shape:
             raise MetricsError("frame %d: mask dimensions differ" % t)
+        if not np.can_cast(gt.labels.dtype, np.uint16) and gt.labels.max() > 65535:
+            raise MetricsError("frame %d: label %d does not fit in 16 bits" % (t, gt.labels.max()))
+        h.update(np.ascontiguousarray(gt.labels, dtype="<u2"))
+        h.update(b"|")
         fg = (gt.labels | pred.labels) != 0  # labels are non-negative
         stride = int(pred.labels.max()) + 1
         pairs = gt.labels[fg].astype(np.int64) * stride + pred.labels[fg]
@@ -93,7 +93,7 @@ def census(gt_masks, pred_masks):
                 overlaps[(g, p)] = cnt
         match = {g: p for (g, p), cnt in overlaps.items() if 2 * cnt > gt_sizes[g]}
         frames.append((gt_sizes, pred_sizes, overlaps, match))
-    return Census(frames=frames, gt_fingerprint=masks_fingerprint(gt_masks))
+    return Census(frames=frames, gt_fingerprint=h.hexdigest()[:16])
 
 
 def seg_score(census):

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -343,8 +344,8 @@ def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys
 
 
 def test_evaluate_scans_each_mask_once(sim_dir, tmp_path, monkeypatch, capsys):
-    """One evaluate counts each frame's label pairs once and fingerprints
-    the ground truth once; no other code runs np.unique over the masks."""
+    """One evaluate reads each mask file once and counts each frame's label
+    pairs once; no other code runs np.unique over the masks."""
     calls = Counter()
 
     def counted(name, fn):
@@ -354,12 +355,37 @@ def test_evaluate_scans_each_mask_once(sim_dir, tmp_path, monkeypatch, capsys):
 
         return wrapper
 
-    for name in ("census", "masks_fingerprint"):
-        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+    monkeypatch.setattr(metrics, "census", counted("census", metrics.census))
+    monkeypatch.setattr(pgm, "read_pgm16", counted("pgm.read_pgm16", pgm.read_pgm16))
     monkeypatch.setattr(np, "unique", counted("np.unique", np.unique))
     assert run(["evaluate", "--gt", sim_dir, "--pred", sim_dir, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"census": 1, "masks_fingerprint": 1, "np.unique": 8}
+    assert calls == {"census": 1, "pgm.read_pgm16": 16, "np.unique": 8}
+
+
+def test_evaluate_holds_a_few_masks_at_a_time(tmp_path, monkeypatch, capsys):
+    """Evaluate reads the two stacks a frame at a time: however long the
+    sequence, only a few of the mask arrays it has read are alive at once."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"width": 64, "height": 64, "frames": 12, "n_init": 2, "radius_range": [5.0, 6.0]}))
+    gt = str(tmp_path / "gt")
+    assert run(["simulate", "--config", str(cfg), "--out", gt]) == 0
+    read, live, peak = pgm.read_pgm16, [0], [0]
+
+    def release():
+        live[0] -= 1
+
+    def tracked(path):
+        labels = read(path)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(labels, release)  # arrays are unhashable: no WeakSet
+        return labels
+
+    monkeypatch.setattr(pgm, "read_pgm16", tracked)
+    assert run(["evaluate", "--gt", gt, "--pred", gt, "--out", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
+    assert 0 < peak[0] <= 6, peak[0]
 
 
 def test_error_paths(tmp_path, capsys):

@@ -10,6 +10,7 @@ from celllineage.imagecore import (
     connected_components,
     make_cell,
     mask_from_cells,
+    otsu_level,
     threshold_segment,
 )
 from celllineage.jsonconfig import from_doc
@@ -133,7 +134,7 @@ def test_components_match_scan_order_relabel_on_crowded_frames(min_size):
     sequence, _ = simulate(from_doc(SimConfig, CROWDED_SIM, "sim"))
     dropped = 0
     for frame in sequence.frames:
-        fg = threshold_segment(frame).mask
+        fg = threshold_segment(frame)
         for conn in (4, 8):
             raw = ndimage.label(fg, structure=ndimage.generate_binary_structure(2, conn // 4))[0]
             small = (np.bincount(raw.ravel()) < min_size)[raw]
@@ -254,32 +255,33 @@ def otsu_oracle(pixels):
 
 def test_threshold_fixed():
     frame = Frame(1, np.zeros((4, 4), dtype=np.uint8))
-    assert not threshold_segment(frame, "fixed", 0.5).mask.any()
+    assert not threshold_segment(frame, "fixed", 0.5).any()
     img = np.zeros((4, 4), dtype=np.uint8)
     img[2, 3] = 255
-    res = threshold_segment(Frame(1, img), "fixed", 0.5)
-    assert res.mask.sum() == 1 and res.mask[2, 3]
+    fg = threshold_segment(Frame(1, img), "fixed", 0.5)
+    assert fg.sum() == 1 and fg[2, 3]
 
 
 def test_threshold_otsu_bimodal():
     img = np.full((10, 10), 26, dtype=np.uint8)  # ~0.1
     img[:5] = 230  # ~0.9
-    res = threshold_segment(Frame(1, img), "otsu")
-    assert np.array_equal(res.mask, img == 230)
-    assert res.level == otsu_oracle(img)
+    assert np.array_equal(threshold_segment(Frame(1, img), "otsu"), img == 230)
+    assert otsu_level(img) == otsu_oracle(img)
 
 
 def test_threshold_otsu_random_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         img = rng.integers(0, 256, size=(12, 12), dtype=np.uint8)
-        res = threshold_segment(Frame(1, img), "otsu")
-        assert res.level == otsu_oracle(img)
+        assert otsu_level(img) == otsu_oracle(img)
+        assert np.array_equal(threshold_segment(Frame(1, img), "otsu"), img > otsu_oracle(img))
 
 
 def test_threshold_otsu_constant_degenerate():
-    res = threshold_segment(Frame(1, np.full((5, 5), 99, dtype=np.uint8)), "otsu")
-    assert res.degenerate and not res.mask.any()
+    img = np.full((5, 5), 99, dtype=np.uint8)
+    assert otsu_level(img) is None
+    fg = threshold_segment(Frame(1, img), "otsu")
+    assert fg.dtype == bool and fg.shape == img.shape and not fg.any()
 
 
 def test_cell_invariants():

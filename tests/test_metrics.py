@@ -11,10 +11,10 @@ from celllineage.metrics import (
     SegReport,
     census,
     compare_runs,
-    masks_fingerprint,
     seg_score,
     tra_score,
 )
+from celllineage.simulator import SimConfig, simulate
 
 
 def mask(arr):
@@ -262,11 +262,15 @@ def test_compare_runs_paper_table_values():
     assert tra["score"] == pytest.approx(0.034)
 
 
+def fingerprint(masks):
+    return census(masks, masks).gt_fingerprint
+
+
 def test_masks_fingerprint_sensitivity():
     a = [mask([[1, 0], [0, 2]])]
     b = [mask([[1, 0], [0, 3]])]
-    assert masks_fingerprint(a) == masks_fingerprint([mask(a[0].labels.copy())])
-    assert masks_fingerprint(a) != masks_fingerprint(b)
+    assert fingerprint(a) == fingerprint([mask(a[0].labels.copy())])
+    assert fingerprint(a) != fingerprint(b)
 
 
 def test_masks_fingerprint_hashes_16_bit_labels():
@@ -274,16 +278,38 @@ def test_masks_fingerprint_hashes_16_bit_labels():
     h = hashlib.sha256()
     for arr in labels:
         h.update(np.array(arr, dtype="<u2").tobytes() + b"|")
-    assert masks_fingerprint([mask(arr) for arr in labels]) == h.hexdigest()[:16]
+    assert fingerprint([mask(arr) for arr in labels]) == h.hexdigest()[:16]
 
 
 def test_masks_fingerprint_ignores_dtype():
     arr = [[0, 1, 2], [300, 65535, 0]]
     wide = [LabelMask(np.array(arr, dtype=np.int32))]
     narrow = [LabelMask(np.array(arr, dtype=np.uint16))]
-    assert masks_fingerprint(wide) == masks_fingerprint(narrow)
+    assert fingerprint(wide) == fingerprint(narrow)
 
 
 def test_masks_fingerprint_rejects_labels_above_16_bits():
     with pytest.raises(MetricsError, match="frame 2: label 65536"):
-        masks_fingerprint([mask([[1, 0]]), mask([[0, 65536]])])
+        fingerprint([mask([[1, 0]]), mask([[0, 65536]])])
+
+
+def simulated_stacks():
+    """A simulated ground-truth stack, and the same masks shifted 2 px right."""
+    _, gt = simulate(SimConfig(width=96, height=96, frames=6, n_init=4, radius_range=(6.0, 8.0), rng_seed=3))
+    return gt.masks, [LabelMask(np.roll(m.labels, 2, axis=1)) for m in gt.masks]
+
+
+def test_census_over_generators_equals_census_over_lists():
+    gt_masks, pred_masks = simulated_stacks()
+    want = census(gt_masks, pred_masks)
+    got = census((m for m in gt_masks), (m for m in pred_masks))
+    assert got.frames == want.frames and len(got.frames) == 6
+    assert got.gt_fingerprint == want.gt_fingerprint
+
+
+@pytest.mark.parametrize("short", ["gt", "pred"])
+def test_census_generator_stack_one_frame_short_is_an_error(short):
+    stacks = dict(zip(("gt", "pred"), simulated_stacks()))
+    stacks[short] = stacks[short][:-1]
+    with pytest.raises(MetricsError, match="frame count mismatch"):
+        census((m for m in stacks["gt"]), (m for m in stacks["pred"]))
