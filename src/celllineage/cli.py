@@ -147,7 +147,7 @@ def cmd_simulate(args):
 def _segment_sequence(sequence, cfg):
     """Each frame's cells, from one labelling pass of its thresholded foreground."""
     level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
-    foreground = (threshold_segment(frame, cfg.threshold_method, level) for frame in sequence.frames)
+    foreground = (threshold_segment(frame, level) for frame in sequence.frames)
     return [connected_components(mask, cfg.connectivity, cfg.min_cell_size) for mask in foreground]
 
 

@@ -197,23 +197,21 @@ def otsu_level(pixels):
     return int(np.argmax(sigma_b))
 
 
-def threshold_segment(frame, method="otsu", level=None):
-    """Boolean foreground via Otsu or a fixed normalized level in [0, 1].
+def threshold_segment(frame, level=None):
+    """Boolean foreground via Otsu, or via a fixed normalized `level` in [0, 1].
 
     Foreground is strictly-above-threshold. A constant frame has no Otsu
     level and yields an all-background mask.
     """
     pixels = frame.pixels
-    if method == "otsu":
+    if level is None:
         lvl = otsu_level(pixels)
         if lvl is None:
             return np.zeros_like(pixels, dtype=bool)
-    elif method == "fixed":
-        if level is None or not 0.0 <= level <= 1.0:
-            raise ValueError("fixed threshold needs a level in [0, 1]")
+    elif 0.0 <= level <= 1.0:
         lvl = int(round(level * 255))
     else:
-        raise ValueError("unknown threshold method %r" % method)
+        raise ValueError("fixed threshold needs a level in [0, 1]")
     return pixels > lvl
 
 

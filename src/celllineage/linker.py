@@ -1,14 +1,15 @@
 """Frame-to-frame linking: collision repair, state classification, lineage.
 
-Per frame step: backward predictions flag under-segmented lumps (two or more
-previous centroids inside one backward-tracked region). A cell is predicted
-backward only when the tracker's reach for it, the box every prediction
-lies in, holds two or more previous centroids. Flagged lumps are split by
-seeded random-walker re-segmentation. The pieces of each split are checked
-again, round by round, until no piece is flagged with a previous centroid
-that its earlier splits did not use; a piece is predicted backward only
-when its reach holds such a centroid. Forward predictions then match
-previous cells to current ones and each previous cell is classified as
+Per frame step t-1 -> t: backward predictions, each current cell located in
+frame t-1, flag under-segmented lumps (two or more previous centroids inside
+one backward-tracked region). A cell is predicted backward only when the
+tracker's reach for it, the box every prediction lies in, holds two or more
+previous centroids. Flagged lumps are split by seeded random-walker
+re-segmentation. The pieces of each split are checked again, round by round,
+until no piece is flagged with a previous centroid that its earlier splits
+did not use; a piece is predicted backward only when its reach holds such a
+centroid. Forward predictions, each previous cell located in frame t, then
+match previous cells to current ones and each previous cell is classified as
 apoptosis, continuation or mitosis by its match count.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tracker as trk
 from .imagecore import in_scan_order, mask_from_cells
 from .rwalker import ResegFailure, RWConfig, reseg_cell
 
@@ -322,7 +322,7 @@ def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
         inside = prev_ids[_in_box(tracker.reach(cell, frame_cur.pixels.shape), prev_rows, prev_cols)]
         if len(inside) < 2 or parents.issuperset(inside.tolist()):
             return None
-        return tracker.predict(frame_cur, frame_prev, cell, trk.BACKWARD)
+        return tracker.predict(frame_cur, frame_prev, cell)
 
     return predict_backward
 
@@ -341,7 +341,7 @@ def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
                 frame_cur, cells_cur, cells_prev, backward_preds, predict_backward, config.rw_config
             )
 
-    forward_preds = {c.id: tracker.predict(frame_prev, frame_cur, c, trk.FORWARD) for c in cells_prev}
+    forward_preds = {c.id: tracker.predict(frame_prev, frame_cur, c) for c in cells_prev}
     states = {}
     for ms in match_forward(cells_prev, cells_cur, forward_preds):
         state = classify_state(ms)
@@ -357,9 +357,10 @@ def run_linker(sequence, cells, tracker, config=LinkerConfig()):
     `cells` holds one list per frame of that frame's disjoint cells, with
     ids 1..K in row-major first-pixel order, as `connected_components` and
     `cells_from_labelmask` give them; the returned masks are labelled with
-    track ids. `tracker` provides `predict(frame_src, frame_dst, cell,
-    direction)` and `reach(cell, shape)`, the inclusive box that every
-    region it predicts for the cell lies in. With collision resolution off,
+    track ids. `tracker` provides `predict(frame_src, frame_dst, cell)`, the
+    cell of frame_src located in frame_dst (t -> t-1 backward, t-1 -> t
+    forward), and `reach(cell, shape)`, the inclusive box that every region
+    it predicts for the cell lies in. With collision resolution off,
     cells pass through unchanged; with mitosis detection off, multi-match
     cells continue into their first match and parent links are never
     created.

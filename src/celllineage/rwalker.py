@@ -211,18 +211,16 @@ def solve_probabilities(graph, seeds):
 
 
 def segment(graph, seeds):
-    """Argmax-probability label per pixel; ties and seeds resolve as specified.
+    """Argmax-probability label per pixel, the lowest label winning ties.
 
-    Returns an int array aligned with graph.pixels.
+    A seed's row is 1 at its own label and 0 elsewhere, so each seed keeps
+    its label. Returns an int array aligned with graph.pixels.
     """
     result = solve_probabilities(graph, seeds)
-    # lowest label wins ties; 1e-12 slack absorbs solver round-off
+    # 1e-12 slack absorbs solver round-off
     prob = result.probabilities
     best = prob.max(axis=1, keepdims=True)
-    labels = np.argmax(prob >= best - 1e-12, axis=1).astype(np.int64) + 1
-    for p, lab in seeds.seeds:
-        labels[graph.node[p]] = lab
-    return labels
+    return np.argmax(prob >= best - 1e-12, axis=1).astype(np.int64) + 1
 
 
 def _snap_to_region(point, pixels):

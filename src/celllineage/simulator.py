@@ -7,10 +7,9 @@ per-frame ground-truth masks (labels = track ids), the lineage and an event
 log. Everything is a pure function of the config and seed.
 """
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -95,12 +94,6 @@ class SimConfig:
     @classmethod
     def from_json(cls, path):
         return jsonconfig.load(cls, path)
-
-    def to_json(self, path):
-        doc = asdict(self)
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Forward/backward location prediction for cells via template matching.
+"""Where a cell of frame_src lies in frame_dst, via template matching.
 
 The built-in matcher does an exhaustive zero-normalized cross-correlation
-search over a fixed-size window; external predictions can be loaded from a
-text file so a learned tracker can be swapped in without code changes.
+search over a fixed-size window; external predictions can be loaded from
+text files so a learned tracker can be swapped in without code changes.
 """
 
 from dataclasses import dataclass
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 @dataclass(frozen=True)
@@ -32,9 +29,7 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerPrediction:
-    source_cell_id: int
-    direction: str
-    region: tuple  # inclusive (top, left, bottom, right) in the adjacent frame
+    region: tuple  # inclusive (top, left, bottom, right) in frame_dst
     score: float
     valid: bool
 
@@ -77,8 +72,8 @@ def search_box(tb, shape, search_size):
     return top, left, bottom, right
 
 
-def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
-    """Best placement of the cell's padded template in the adjacent frame.
+def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
+    """Best placement of the cell's padded template from frame_src in frame_dst.
 
     The placement is searched in `search_box`'s window. NCC ties break to
     the row-major earliest placement; a zero-variance template is invalid
@@ -92,12 +87,12 @@ def predict(frame_src, frame_dst, cell, direction, config=TrackerConfig()):
     tw = tb[3] - tb[1] + 1
     template = frame_src.normalized(tb)
     if np.ptp(template) == 0:
-        return TrackerPrediction(cell.id, direction, tb, 0.0, False)
+        return TrackerPrediction(tb, 0.0, False)
     wtop, wleft, wbottom, wright = search_box(tb, (h, w), config.search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, template)
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
-    return TrackerPrediction(cell.id, direction, region, score, score >= config.min_score)
+    return TrackerPrediction(region, score, score >= config.min_score)
 
 
 class NCCTracker:
@@ -106,8 +101,8 @@ class NCCTracker:
     def __init__(self, config=TrackerConfig()):
         self.config = config
 
-    def predict(self, frame_src, frame_dst, cell, direction):
-        return predict(frame_src, frame_dst, cell, direction, self.config)
+    def predict(self, frame_src, frame_dst, cell):
+        return predict(frame_src, frame_dst, cell, self.config)
 
     def reach(self, cell, shape):
         """Inclusive box that every region `predict` returns for `cell` lies in:
@@ -116,16 +111,19 @@ class NCCTracker:
 
 
 class ExternalTracker:
-    """Predictions preloaded from files; unknown (frame, cell) pairs are invalid."""
+    """Predictions preloaded from files, keyed by (source frame, destination
+    frame, cell id): a forward-file line for t gives the cell's region in
+    frame t + 1, a backward-file line in frame t - 1. Pairs with no line are
+    invalid."""
 
     def __init__(self, forward_path=None, backward_path=None, frame_shape=None):
         self._preds = {}
         if forward_path:
-            self._load(forward_path, FORWARD, frame_shape)
+            self._load(forward_path, 1, frame_shape)
         if backward_path:
-            self._load(backward_path, BACKWARD, frame_shape)
+            self._load(backward_path, -1, frame_shape)
 
-    def _load(self, path, direction, frame_shape):
+    def _load(self, path, step, frame_shape):
         with open(path) as f:
             lines = f.readlines()
         first_line = {}  # (t, cell id) -> the line that gave it
@@ -155,14 +153,14 @@ class ExternalTracker:
                     % (path, lineno, t, cell_id, first_line[t, cell_id])
                 )
             first_line[t, cell_id] = lineno
-            self._preds[(t, cell_id, direction)] = (top, left, bottom, right, score)
+            self._preds[(t, t + step, cell_id)] = (top, left, bottom, right, score)
 
-    def predict(self, frame_src, frame_dst, cell, direction):
-        rec = self._preds.get((frame_src.index, cell.id, direction))
+    def predict(self, frame_src, frame_dst, cell):
+        rec = self._preds.get((frame_src.index, frame_dst.index, cell.id))
         if rec is None:
-            return TrackerPrediction(cell.id, direction, cell.bbox, -1.0, False)
+            return TrackerPrediction(cell.bbox, -1.0, False)
         top, left, bottom, right, score = rec
-        return TrackerPrediction(cell.id, direction, (top, left, bottom, right), score, True)
+        return TrackerPrediction((top, left, bottom, right), score, True)
 
     def reach(self, cell, shape):
         """A loaded region may lie anywhere: the whole frame."""

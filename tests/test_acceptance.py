@@ -29,7 +29,7 @@ from celllineage.linker import (
 from celllineage.metrics import SegReport, census, compare_runs, seg_score, tra_score
 from celllineage.rwalker import SeedSet, build_lattice, reseg_cell, solve_probabilities
 from celllineage.simulator import script_collision_scenario, simulate
-from celllineage.tracker import FORWARD, NCCTracker, TrackerConfig, TrackerPrediction, predict
+from celllineage.tracker import NCCTracker, TrackerConfig, TrackerPrediction, predict
 from celllineage.trackfile import format_track_file, parse_track_file
 
 
@@ -247,10 +247,10 @@ def test_criterion_05_collision_loop_termination():
                 min(h - 1, c.bbox[2] + grow),
                 min(w - 1, c.bbox[3] + grow),
             )
-            preds[c.id] = TrackerPrediction(c.id, "backward", region, 0.9, bool(rng.integers(0, 2)))
+            preds[c.id] = TrackerPrediction(region, 0.9, bool(rng.integers(0, 2)))
 
         def predict_backward(cell, parents):
-            return TrackerPrediction(cell.id, "backward", cell.bbox, 0.9, True)
+            return TrackerPrediction(cell.bbox, 0.9, True)
 
         before = sum(len(c.pixels) for c in cur)
         out, report = resolve_collisions(frame, cur, prev, preds, predict_backward)
@@ -325,7 +325,7 @@ def test_criterion_07_tracker_correctness():
         dr = int(rng.integers(-65, 66))
         dc = int(rng.integers(-65, 66))
         f2 = Frame(2, blob((110 + dr, 110 + dc)).pixels)
-        pred = predict(f1, f2, cell, FORWARD)
+        pred = predict(f1, f2, cell)
         assert pred.valid
         assert pred.region[0] - (cell.bbox[0] - 2) == dr
         assert pred.region[1] - (cell.bbox[1] - 2) == dc

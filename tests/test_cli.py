@@ -256,6 +256,16 @@ def test_track_imports_no_scipy_sparse(tmp_path, capsys):
         assert "COLLISION" in f.read()  # the random walker ran
 
 
+def test_linker_imports_no_tracker():
+    """The linker reaches a tracker only through the object it is handed."""
+    code = "import sys, celllineage.linker\nprint('celllineage.tracker' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("level", ["verbose", "5"])
 def test_unknown_log_level_is_an_error_message(level, tmp_path):
     """An unknown LINEAGE_LOG level is one error line, checked in a fresh

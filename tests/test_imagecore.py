@@ -255,17 +255,17 @@ def otsu_oracle(pixels):
 
 def test_threshold_fixed():
     frame = Frame(1, np.zeros((4, 4), dtype=np.uint8))
-    assert not threshold_segment(frame, "fixed", 0.5).any()
+    assert not threshold_segment(frame, 0.5).any()
     img = np.zeros((4, 4), dtype=np.uint8)
     img[2, 3] = 255
-    fg = threshold_segment(Frame(1, img), "fixed", 0.5)
+    fg = threshold_segment(Frame(1, img), 0.5)
     assert fg.sum() == 1 and fg[2, 3]
 
 
 def test_threshold_otsu_bimodal():
     img = np.full((10, 10), 26, dtype=np.uint8)  # ~0.1
     img[:5] = 230  # ~0.9
-    assert np.array_equal(threshold_segment(Frame(1, img), "otsu"), img == 230)
+    assert np.array_equal(threshold_segment(Frame(1, img)), img == 230)
     assert otsu_level(img) == otsu_oracle(img)
 
 
@@ -274,13 +274,13 @@ def test_threshold_otsu_random_matches_oracle():
     for _ in range(10):
         img = rng.integers(0, 256, size=(12, 12), dtype=np.uint8)
         assert otsu_level(img) == otsu_oracle(img)
-        assert np.array_equal(threshold_segment(Frame(1, img), "otsu"), img > otsu_oracle(img))
+        assert np.array_equal(threshold_segment(Frame(1, img)), img > otsu_oracle(img))
 
 
 def test_threshold_otsu_constant_degenerate():
     img = np.full((5, 5), 99, dtype=np.uint8)
     assert otsu_level(img) is None
-    fg = threshold_segment(Frame(1, img), "otsu")
+    fg = threshold_segment(Frame(1, img))
     assert fg.dtype == bool and fg.shape == img.shape and not fg.any()
 
 

@@ -30,12 +30,12 @@ from celllineage.cli import PipelineConfig, _segment_sequence, main
 from celllineage.jsonconfig import from_doc
 from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
 from celllineage.simulator import SimConfig, script_collision_scenario, simulate
-from celllineage.tracker import BACKWARD, FORWARD, NCCTracker, TrackerConfig, TrackerPrediction
+from celllineage.tracker import NCCTracker, TrackerConfig, TrackerPrediction
 from test_golden import COLLISIONS_SIM, COLLISIONS_TRACK, CROWDED_SIM
 
 
-def pred(cell_id, region, direction=BACKWARD, score=0.9, valid=True):
-    return TrackerPrediction(cell_id, direction, region, score, valid)
+def pred(region, score=0.9, valid=True):
+    return TrackerPrediction(region, score, valid)
 
 
 def square_cell(cid, top, left, size=4):
@@ -51,8 +51,8 @@ def grown(bbox, by, h, w):
 class StationaryTracker:
     """Stub tracker: every prediction is the cell's own bbox, score 1."""
 
-    def predict(self, frame_src, frame_dst, cell, direction):
-        return TrackerPrediction(cell.id, direction, cell.bbox, 1.0, True)
+    def predict(self, frame_src, frame_dst, cell):
+        return TrackerPrediction(cell.bbox, 1.0, True)
 
     def reach(self, cell, shape):
         return 0, 0, shape[0] - 1, shape[1] - 1
@@ -78,7 +78,7 @@ def test_classify_state_total_property():
 def test_detect_collisions_basic():
     prev = [square_cell(1, 10, 10), square_cell(2, 10, 20), square_cell(3, 30, 30)]
     cur = [square_cell(1, 10, 10, size=14), square_cell(2, 30, 30)]
-    preds = {1: pred(1, (8, 8, 25, 25)), 2: pred(2, (28, 28, 35, 35))}
+    preds = {1: pred((8, 8, 25, 25)), 2: pred((28, 28, 35, 35))}
     flagged = detect_collisions(prev, cur, preds)
     assert flagged == [(1, [1, 2])]
 
@@ -86,14 +86,14 @@ def test_detect_collisions_basic():
 def test_detect_collisions_skips_invalid_predictions():
     prev = [square_cell(1, 10, 10), square_cell(2, 10, 20)]
     cur = [square_cell(1, 10, 10, size=14)]
-    preds = {1: pred(1, (8, 8, 25, 25), valid=False)}
+    preds = {1: pred((8, 8, 25, 25), valid=False)}
     assert detect_collisions(prev, cur, preds) == []
 
 
 def test_detect_collisions_single_centroid_not_flagged():
     prev = [square_cell(1, 10, 10)]
     cur = [square_cell(1, 10, 10)]
-    preds = {1: pred(1, (8, 8, 16, 16))}
+    preds = {1: pred((8, 8, 16, 16))}
     assert detect_collisions(prev, cur, preds) == []
 
 
@@ -101,9 +101,9 @@ def test_match_forward_rules():
     prev = [square_cell(1, 10, 10), square_cell(2, 30, 30), square_cell(3, 50, 50)]
     cur = [square_cell(1, 10, 10), square_cell(2, 30, 36)]
     preds = {
-        1: pred(1, (9, 9, 14, 14), FORWARD),  # contains cur cell 1 centroid
-        2: pred(2, (30, 34, 33, 41), FORWARD),  # center pixel (32,38) in cur cell 2
-        3: pred(3, (50, 50, 55, 55), FORWARD, valid=False),
+        1: pred((9, 9, 14, 14)),  # contains cur cell 1 centroid
+        2: pred((30, 34, 33, 41)),  # center pixel (32,38) in cur cell 2
+        3: pred((50, 50, 55, 55), valid=False),
     }
     sets = match_forward(prev, cur, preds)
     assert sets[0] == MatchSet(1, (1,))
@@ -114,7 +114,7 @@ def test_match_forward_rules():
 def test_match_forward_multiple_matches():
     prev = [square_cell(1, 10, 10)]
     cur = [square_cell(1, 8, 8), square_cell(2, 8, 16)]
-    preds = {1: pred(1, (6, 6, 23, 23), FORWARD)}
+    preds = {1: pred((6, 6, 23, 23))}
     assert match_forward(prev, cur, preds)[0].matches == (1, 2)
 
 
@@ -172,7 +172,7 @@ def _fuzz_cells(rng, h, w):
     return cells_from_labelmask(LabelMask(labels), int(rng.choice([4, 8])))
 
 
-def _fuzz_preds(rng, cells, h, w, direction):
+def _fuzz_preds(rng, cells, h, w):
     """Per cell: no entry, None, an invalid prediction, or a region around,
     beside or half off the frame, clipped to the frame edge half the time."""
     preds = {}
@@ -189,7 +189,7 @@ def _fuzz_preds(rng, cells, h, w, direction):
             region = (max(0, region[0]), max(0, region[1]), min(h - 1, region[2]), min(w - 1, region[3]))
         if rng.random() < 0.3:
             region = grown(c.bbox, int(rng.integers(0, 6)), h, w)
-        preds[c.id] = pred(c.id, region, direction, valid=bool(rng.random() < 0.85))
+        preds[c.id] = pred(region, valid=bool(rng.random() < 0.85))
     return preds
 
 
@@ -199,13 +199,13 @@ def test_box_tables_match_reference_loops():
     for case in range(1500):
         h, w = (int(v) for v in rng.integers(6, 33, size=2))
         prev, cur = _fuzz_cells(rng, h, w), _fuzz_cells(rng, h, w)
-        back, fwd = _fuzz_preds(rng, cur, h, w, BACKWARD), _fuzz_preds(rng, prev, h, w, FORWARD)
+        back, fwd = _fuzz_preds(rng, cur, h, w), _fuzz_preds(rng, prev, h, w)
         if cur and rng.random() < 0.3:
             # pieces split off by resolve_collisions, renumbered in scan order
             frame = Frame(2, rng.integers(0, 256, size=(h, w)).astype(np.uint8))
-            repredict = lambda c, parents: pred(c.id, grown(c.bbox, 2, h, w))
+            repredict = lambda c, parents: pred(grown(c.bbox, 2, h, w))
             cur, report = resolve_collisions(frame, cur, prev, back, repredict)
-            back = _fuzz_preds(rng, cur, h, w, BACKWARD)
+            back = _fuzz_preds(rng, cur, h, w)
             split += bool(report.splits)
         want = reference_detect_collisions(prev, cur, back)
         assert detect_collisions(prev, cur, back) == want, case
@@ -310,10 +310,10 @@ def test_resolve_collisions_splits_lump():
     lump_pixels = [tuple(p) for p in np.argwhere(frame.pixels > 60)]
     lump = make_cell(1, lump_pixels)
     prev = [square_cell(1, 13, 10), square_cell(2, 13, 24)]
-    preds = {1: pred(1, lump.bbox)}
+    preds = {1: pred(lump.bbox)}
 
     def predict_backward(cell, parents):
-        return pred(cell.id, cell.bbox)
+        return pred(cell.bbox)
 
     cells, report = resolve_collisions(frame, [lump], prev, preds, predict_backward)
     assert len(cells) == 2
@@ -329,8 +329,8 @@ def test_resolve_collisions_unresolved_on_reseg_failure():
     frame = Frame(2, img)
     lump = make_cell(1, [(5, 5)])  # single pixel: seeds must clash
     prev = [square_cell(1, 4, 4, size=2), square_cell(2, 5, 6, size=2)]
-    preds = {1: pred(1, (3, 3, 7, 7))}
-    cells, report = resolve_collisions(frame, [lump], prev, preds, lambda c, parents: pred(c.id, c.bbox))
+    preds = {1: pred((3, 3, 7, 7))}
+    cells, report = resolve_collisions(frame, [lump], prev, preds, lambda c, parents: pred(c.bbox))
     assert len(cells) == 1 and cells[0].pixels == lump.pixels
     assert report.unresolved and report.splits == []
 
@@ -365,9 +365,9 @@ def test_resolve_collisions_conserves_pixels_fuzz():
                 min(h - 1, c.bbox[2] + grow),
                 min(w - 1, c.bbox[3] + grow),
             )
-            preds[c.id] = pred(c.id, region, valid=bool(rng.integers(0, 2)))
+            preds[c.id] = pred(region, valid=bool(rng.integers(0, 2)))
         before = sum(len(c.pixels) for c in cur)
-        out, report = resolve_collisions(frame, cur, prev, preds, lambda c, parents: pred(c.id, c.bbox))
+        out, report = resolve_collisions(frame, cur, prev, preds, lambda c, parents: pred(c.bbox))
         assert sum(len(c.pixels) for c in out) == before
         assert report.iterations <= max(1, len(prev))
         union = set()
@@ -490,7 +490,7 @@ def fuzzed_lumps(n=1000, h=24, w=24):
         preds = {}
         for c in cur:
             region = grown(c.bbox, int(rng.integers(0, 8)), h, w)
-            preds[c.id] = pred(c.id, region, valid=bool(rng.random() < 0.8))
+            preds[c.id] = pred(region, valid=bool(rng.random() < 0.8))
         yield frame, cur, prev, preds, int(rng.integers(0, 6))
 
 
@@ -500,7 +500,7 @@ def test_resolve_collisions_matches_reference_loop():
     for case, (frame, cur, prev, preds, grow) in enumerate(fuzzed_lumps(h=h, w=w)):
 
         def predict_backward(cell, parents):
-            return pred(cell.id, grown(cell.bbox, grow, h, w))
+            return pred(grown(cell.bbox, grow, h, w))
 
         got = resolve_collisions(frame, cur, prev, preds, predict_backward)
         want = reference_resolve_collisions(frame, cur, prev, preds, predict_backward)
@@ -519,9 +519,9 @@ class GrowingTracker:
     def __init__(self, grow, slack):
         self.grow, self.slack, self.calls = grow, slack, 0
 
-    def predict(self, frame_src, frame_dst, cell, direction):
+    def predict(self, frame_src, frame_dst, cell):
         self.calls += 1
-        return pred(cell.id, grown(cell.bbox, self.grow, *frame_src.pixels.shape), direction)
+        return pred(grown(cell.bbox, self.grow, *frame_src.pixels.shape))
 
     def reach(self, cell, shape):
         return grown(cell.bbox, self.grow + self.slack, *shape)
@@ -536,7 +536,7 @@ def unpruned_predictor(frame_prev, frame_cur, cells_prev, tracker):
         inside = [p for p in cells_prev if top <= p.centroid[0] <= bottom and left <= p.centroid[1] <= right]
         if len(inside) < 2:
             return None
-        return tracker.predict(frame_cur, frame_prev, cell, BACKWARD)
+        return tracker.predict(frame_cur, frame_prev, cell)
 
     return predict_backward
 
@@ -615,13 +615,11 @@ def test_run_linker_mitosis_toggle():
     m2[8:12, 18:22] = 2
 
     class WideTracker(StationaryTracker):
-        def predict(self, frame_src, frame_dst, cell, direction):
-            if direction == FORWARD:
+        def predict(self, frame_src, frame_dst, cell):
+            if frame_dst.index > frame_src.index:  # forward
                 top, left, bottom, right = cell.bbox
-                return TrackerPrediction(
-                    cell.id, direction, (top, max(0, left - 8), bottom, right + 8), 1.0, True
-                )
-            return super().predict(frame_src, frame_dst, cell, direction)
+                return TrackerPrediction((top, max(0, left - 8), bottom, right + 8), 1.0, True)
+            return super().predict(frame_src, frame_dst, cell)
 
     out, graph, events = run_linker(seq, mask_cells(m1, m2), WideTracker())
     assert any(ev[1] == "MITOSIS" for ev in events)
@@ -663,9 +661,9 @@ class CountingTracker:
         self.whole_frame = whole_frame
         self.backward_calls = 0
 
-    def predict(self, frame_src, frame_dst, cell, direction):
-        self.backward_calls += direction == BACKWARD
-        return self.inner.predict(frame_src, frame_dst, cell, direction)
+    def predict(self, frame_src, frame_dst, cell):
+        self.backward_calls += frame_dst.index < frame_src.index
+        return self.inner.predict(frame_src, frame_dst, cell)
 
     def reach(self, cell, shape):
         if self.whole_frame:
@@ -744,12 +742,13 @@ def test_track_work_counts(tmp_path, monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(ndimage, "label", counted(lambda args: "label", ndimage.label))
-    monkeypatch.setattr(tracker_module, "predict", counted(lambda args: args[3], tracker_module.predict))
+    order = lambda args: "backward" if args[1].index < args[0].index else "forward"
+    monkeypatch.setattr(tracker_module, "predict", counted(order, tracker_module.predict))
     monkeypatch.setattr(kernels, "ncc_best", counted(lambda args: "ncc_best", kernels.ncc_best))
     argv = ["track", "--config", str(tmp_path / "track.json"), "--in", sim, "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     capsys.readouterr()
     frames, splits = 20, 41  # the splits of test_run_linker_step_records
     assert counts["label"] == frames + splits == 61
-    assert (counts[BACKWARD], counts[FORWARD], counts["ncc_best"]) == (52, 230, 282)
+    assert (counts["backward"], counts["forward"], counts["ncc_best"]) == (52, 230, 282)
 

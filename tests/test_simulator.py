@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 import logging
 import math
 
@@ -56,7 +58,7 @@ def test_largest_radius_that_fits_simulates():
 def test_config_json_round_trip(tmp_path):
     cfg = script_collision_scenario(seed=3)
     path = tmp_path / "sim.json"
-    cfg.to_json(str(path))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert SimConfig.from_json(str(path)) == cfg
 
 

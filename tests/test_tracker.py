@@ -6,11 +6,10 @@ import pytest
 from celllineage import kernels
 from celllineage.imagecore import Frame, make_cell
 from celllineage.tracker import (
-    BACKWARD,
-    FORWARD,
     ExternalTracker,
     NCCTracker,
     TrackerConfig,
+    TrackerPrediction,
     ncc_score,
     predict,
     search_box,
@@ -218,7 +217,7 @@ def test_predict_stationary():
     f1 = blob_frame(1, (40, 40))
     f2 = blob_frame(2, (40, 40))
     cell = blob_cell(f1)
-    pred = predict(f1, f2, cell, FORWARD)
+    pred = predict(f1, f2, cell)
     top, left, bottom, right = cell.bbox
     assert pred.region == (top - 2, left - 2, bottom + 2, right + 2)
     assert pred.score == pytest.approx(1.0, abs=1e-9)
@@ -234,7 +233,7 @@ def test_predict_stationary_in_any_window(search_size):
     cell = make_cell(1, [(r, c) for r in range(30, 46) for c in range(30, 46)])
     tb = (28, 28, 47, 47)
     cfg = TrackerConfig(search_size=search_size)
-    pred = predict(Frame(1, img), Frame(2, img.copy()), cell, FORWARD, cfg)
+    pred = predict(Frame(1, img), Frame(2, img.copy()), cell, cfg)
     assert pred.region == tb
     assert pred.score == pytest.approx(1.0, abs=1e-9)
     assert pred.valid
@@ -251,7 +250,7 @@ def test_predict_translated_blob_exact_offset():
         f1 = blob_frame(1, (40, 40))
         f2 = blob_frame(2, (40 + dr, 40 + dc))
         cell = blob_cell(f1)
-        pred = predict(f1, f2, cell, FORWARD)
+        pred = predict(f1, f2, cell)
         assert pred.valid
         assert pred.region[0] - (cell.bbox[0] - 2) == dr
         assert pred.region[1] - (cell.bbox[1] - 2) == dc
@@ -265,7 +264,7 @@ def test_predict_matches_exhaustive_oracle():
         img2 = rng.integers(0, 256, size=(50, 50), dtype=np.uint8)
         f1, f2 = Frame(1, img1), Frame(2, img2)
         cell = make_cell(1, [(r, c) for r in range(20, 26) for c in range(22, 27)])
-        pred = predict(f1, f2, cell, FORWARD, cfg)
+        pred = predict(f1, f2, cell, cfg)
         # oracle: brute-force NCC over the same clipped window
         tb = (cell.bbox[0] - 2, cell.bbox[1] - 2, cell.bbox[2] + 2, cell.bbox[3] + 2)
         template = f1.normalized()[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
@@ -281,7 +280,7 @@ def test_predict_matches_exhaustive_oracle():
 def test_predict_out_of_window_invalid():
     f1 = blob_frame(1, (40, 40), shape=(400, 400))
     f2 = blob_frame(2, (340, 40), shape=(400, 400))  # 300 px away
-    pred = predict(f1, f2, blob_cell(f1), FORWARD)
+    pred = predict(f1, f2, blob_cell(f1))
     assert not pred.valid
 
 
@@ -289,7 +288,7 @@ def test_predict_degenerate_template_invalid():
     img = np.full((50, 50), 100, dtype=np.uint8)
     f1, f2 = Frame(1, img), Frame(2, img.copy())
     cell = make_cell(1, [(10, 10), (10, 11)])
-    pred = predict(f1, f2, cell, FORWARD)
+    pred = predict(f1, f2, cell)
     assert not pred.valid and pred.score == 0.0
 
 
@@ -299,7 +298,7 @@ def test_predict_rejects_mismatched_frames():
     dst = Frame(2, rng.integers(0, 256, size=(5, 5), dtype=np.uint8))
     cell = make_cell(1, [(r, c) for r in range(10) for c in range(10)])
     with pytest.raises(ValueError):
-        predict(src, dst, cell, FORWARD)
+        predict(src, dst, cell)
 
 
 def test_predict_region_within_bounds():
@@ -309,7 +308,7 @@ def test_predict_region_within_bounds():
         img2 = rng.integers(0, 256, size=(40, 40), dtype=np.uint8)
         r0, c0 = int(rng.integers(0, 35)), int(rng.integers(0, 35))
         cell = make_cell(1, [(r0 + dr, c0 + dc) for dr in range(4) for dc in range(4)])
-        pred = predict(Frame(1, img1), Frame(2, img2), cell, BACKWARD)
+        pred = predict(Frame(1, img1), Frame(2, img2), cell)
         top, left, bottom, right = pred.region
         assert 0 <= top <= bottom < 40 and 0 <= left <= right < 40
 
@@ -387,7 +386,7 @@ def test_predict_region_lies_in_reach():
         flat = rng.random() < 0.2
         src = np.full((h, w), 90, dtype=np.uint8) if flat else rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         dst = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-        pred = tracker.predict(Frame(1, src), Frame(2, dst), cell, BACKWARD)
+        pred = tracker.predict(Frame(1, src), Frame(2, dst), cell)
         reach = tracker.reach(cell, (h, w))
         assert box_inside(pred.region, reach), case
         assert box_inside(reach, (0, 0, h - 1, w - 1)), case
@@ -424,8 +423,8 @@ def test_predict_deterministic():
     img1 = rng.integers(0, 256, size=(60, 60), dtype=np.uint8)
     img2 = rng.integers(0, 256, size=(60, 60), dtype=np.uint8)
     cell = make_cell(1, [(r, c) for r in range(10, 16) for c in range(10, 16)])
-    a = predict(Frame(1, img1), Frame(2, img2), cell, FORWARD)
-    b = predict(Frame(1, img1), Frame(2, img2), cell, FORWARD)
+    a = predict(Frame(1, img1), Frame(2, img2), cell)
+    b = predict(Frame(1, img1), Frame(2, img2), cell)
     assert a == b
 
 
@@ -435,9 +434,9 @@ def test_external_tracker(tmp_path):
     f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
     ext = ExternalTracker(forward_path=str(path), frame_shape=(80, 80))
     cell = blob_cell(f1)
-    pred = ext.predict(f1, f2, cell, FORWARD)
+    pred = ext.predict(f1, f2, cell)
     assert pred.valid and pred.region == (10, 12, 20, 22) and pred.score == 0.9
-    missing = ext.predict(f2, f1, cell, BACKWARD)
+    missing = ext.predict(f2, f1, cell)
     assert not missing.valid
 
 
@@ -470,8 +469,23 @@ def test_external_tracker_rejects_a_second_line_for_a_cell(tmp_path):
         ExternalTracker(forward_path=str(bad))
     # the same (t, cell) in the forward and the backward file is no repeat
     good = tmp_path / "good.txt"
-    good.write_text("1 1 10 12 20 22 0.9\n")
+    good.write_text("2 1 10 12 20 22 0.9\n")
     ext = ExternalTracker(forward_path=str(good), backward_path=str(good))
-    f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
-    cell = blob_cell(f1)
-    assert ext.predict(f1, f2, cell, FORWARD).valid and ext.predict(f1, f2, cell, BACKWARD).valid
+    f1, f2, f3 = (blob_frame(t, (40, 40)) for t in (1, 2, 3))
+    cell = blob_cell(f2)
+    assert ext.predict(f2, f3, cell).valid and ext.predict(f2, f1, cell).valid
+
+
+def test_external_lines_are_served_by_their_frame_pair(tmp_path):
+    # a forward line for t locates the cell in t+1, a backward line in t-1;
+    # the reversed pairs and a pair two frames apart have no line
+    fwd, bwd = tmp_path / "fwd.txt", tmp_path / "bwd.txt"
+    fwd.write_text("2 1 10 12 20 22 0.9\n")
+    bwd.write_text("2 1 30 32 40 42 0.7\n")
+    ext = ExternalTracker(forward_path=str(fwd), backward_path=str(bwd))
+    f1, f2, f3 = (blob_frame(t, (40, 40)) for t in (1, 2, 3))
+    cell = blob_cell(f2)
+    assert ext.predict(f2, f3, cell) == TrackerPrediction((10, 12, 20, 22), 0.9, True)
+    assert ext.predict(f2, f1, cell) == TrackerPrediction((30, 32, 40, 42), 0.7, True)
+    for src, dst in ((f3, f2), (f1, f2), (f1, f3), (f3, f1), (f2, f2)):
+        assert not ext.predict(src, dst, cell).valid, (src.index, dst.index)
