@@ -64,10 +64,6 @@ class PipelineConfig:
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
 
-    @classmethod
-    def from_json(cls, path):
-        return jsonconfig.load(cls, path)
-
 
 def _stack_paths(directory, fmt, noun, count=None):
     """The files fmt % 1, fmt % 2, ... in `directory`, up to the first
@@ -80,10 +76,11 @@ def _stack_paths(directory, fmt, noun, count=None):
     if not paths:
         raise CliError("no %s (%s) found in %s" % (noun, fmt % 1, directory))
     if count is not None and len(paths) != count:
-        raise CliError(
-            "%s: found %d %s, expected %d (%s missing?)"
-            % (directory, len(paths), noun, count, fmt % (len(paths) + 1))
-        )
+        if len(paths) < count:
+            hint = "%s missing?" % (fmt % (len(paths) + 1))
+        else:
+            hint = "%s is past the last frame" % (fmt % (count + 1))
+        raise CliError("%s: found %d %s, expected %d (%s)" % (directory, len(paths), noun, count, hint))
     return paths
 
 
@@ -97,13 +94,9 @@ def _read_masks(paths):
     return (LabelMask(labels=pgm.read_pgm16(path)) for path in paths)
 
 
-def _load_masks(directory, count=None):
-    return list(_read_masks(_stack_paths(directory, MASK_FMT, "masks", count)))
-
-
 def _load_frame_masks(directory, sequence):
     """The mask stack in `directory`: one mask per frame of `sequence`, each of its frame's shape."""
-    masks = _load_masks(directory, count=len(sequence))
+    masks = list(_read_masks(_stack_paths(directory, MASK_FMT, "masks", count=len(sequence))))
     for t, mask in enumerate(masks, start=1):
         if mask.labels.shape != sequence[t].pixels.shape:
             raise CliError("frame %d: mask dimensions do not match the frame" % t)
@@ -118,7 +111,7 @@ def _write_events(path, events):
 
 def cmd_simulate(args):
     if args.config:
-        cfg = simulator.SimConfig.from_json(args.config)
+        cfg = jsonconfig.load(simulator.SimConfig, args.config)
     else:
         cfg = simulator.script_collision_scenario()
     if args.seed is not None:
@@ -152,7 +145,7 @@ def _segment_sequence(sequence, cfg):
 
 
 def cmd_track(args):
-    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    cfg = jsonconfig.load(PipelineConfig, args.config) if args.config else PipelineConfig()
     if args.input:
         cfg.input_dir = args.input
     if args.out:

@@ -6,48 +6,16 @@ import re
 import numpy as np
 
 
-# a header token: a run of bytes that are neither whitespace nor '#'
-_TOKEN = re.compile(rb"[^\s#]+")
+# a header field: a run of bytes that are neither whitespace nor '#', after
+# any run of whitespace and '#'-to-newline comments; the lookahead ends a field
+# only at whitespace, '#' or the end of the data, so a failed match cannot
+# backtrack into a field and split it in two
+_FIELD = rb"(?:\s|#[^\n]*\n)*([^\s#]+)(?![^\s#])"
+_HEADER = re.compile(_FIELD * 4)  # magic, width, height, maxval
 
 
 class PnmError(ValueError):
     pass
-
-
-def _read_header(data, expected_magic):
-    """Parse a binary netpbm header, returning (width, height, maxval, offset)."""
-    # Header = magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed; raster starts after the single whitespace
-    # byte that terminates maxval.
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise PnmError("truncated header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            eol = data.find(b"\n", pos)
-            if eol < 0:
-                raise PnmError("unterminated comment")
-            pos = eol + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            m = _TOKEN.match(data, pos)
-            tokens.append(m.group(0))
-            pos += len(m.group(0))
-    if tokens[0] != expected_magic:
-        raise PnmError("bad magic %r, expected %r" % (tokens[0], expected_magic))
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise PnmError("non-numeric header field in %r" % (tokens,))
-    if width <= 0 or height <= 0:
-        raise PnmError("non-positive dimensions %dx%d" % (width, height))
-    # exactly one whitespace byte separates maxval from the raster
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PnmError("missing raster separator")
-    return width, height, maxval, pos + 1
 
 
 def _read(path, magic, maxval, dtype, shape_tail=()):
@@ -55,7 +23,22 @@ def _read(path, magic, maxval, dtype, shape_tail=()):
     array of shape (height, width) + `shape_tail`; `dtype` is the file's sample type."""
     with open(path, "rb") as f:
         data = f.read()
-    width, height, got, off = _read_header(data, magic)
+    header = _HEADER.match(data)
+    if header is None:
+        raise PnmError("%s: truncated header or unterminated comment" % path)
+    tokens = header.groups()
+    if tokens[0] != magic:
+        raise PnmError("%s: bad magic %r, expected %r" % (path, tokens[0], magic))
+    try:
+        width, height, got = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise PnmError("%s: non-numeric header field in %r" % (path, list(tokens))) from None
+    if width <= 0 or height <= 0:
+        raise PnmError("%s: non-positive dimensions %dx%d" % (path, width, height))
+    # exactly one whitespace byte separates maxval from the raster
+    off = header.end() + 1
+    if not data[off - 1 : off].isspace():
+        raise PnmError("%s: missing raster separator" % path)
     if got != maxval:
         raise PnmError("%s: expected maxval %d, got %d" % (path, maxval, got))
     dtype = np.dtype(dtype)

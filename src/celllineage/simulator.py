@@ -14,9 +14,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from . import jsonconfig
 from .imagecore import Frame, LabelMask, Sequence
-from .linker import LineageGraph, Track
+from .linker import LineageGraph
 
 log = logging.getLogger("lineage")
 
@@ -90,10 +89,6 @@ class SimConfig:
         if rmin <= 0 or rmax < rmin or 2 * (rmax + 4) > side:
             raise ValueError("radius_range must be positive, ascending and leave a 4 px margin:"
                              " 2 * (rmax + 4) <= min(width, height) = %d, got %r" % (side, self.radius_range))
-
-    @classmethod
-    def from_json(cls, path):
-        return jsonconfig.load(cls, path)
 
 
 @dataclass

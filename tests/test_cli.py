@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 import celllineage
-from celllineage import metrics, pgm, trackfile
+from celllineage import jsonconfig, metrics, pgm, trackfile
 from celllineage.cli import (
     FRAME_FMT,
     MASK_FMT,
     TRACK_FILE,
     PipelineConfig,
-    _load_masks,
     _palette_color,
+    _read_masks,
+    _stack_paths,
     build_parser,
     main,
 )
@@ -156,8 +157,10 @@ def test_track_masks_of_another_size_is_an_error_message(sim_dir, tmp_path, caps
             "1 1 10 12 20 22 0.9\n2 1 0 0 5 5 0.5\n1 1 11 12 21 22 0.8\n",
             "fwd.txt:3: t=1 cell 1 already given on line 1",
         ),
+        ("1 1 10 12 20 22 0.9\n1 2 10 12 20 22\n", "fwd.txt:2: expected 7 fields, got 6"),
+        ("1 1 10 12 20 22 1.5\n", "fwd.txt:1: score outside [-1, 1]"),
     ],
-    ids=["zero id", "negative id", "second line"],
+    ids=["zero id", "negative id", "second line", "six fields", "score 1.5"],
 )
 def test_track_bad_external_cell_is_an_error_message(sim_dir, tmp_path, capsys, lines, expected):
     (tmp_path / "fwd.txt").write_text(lines)
@@ -426,6 +429,23 @@ def test_missing_stack_is_an_exact_error_message(stack, sim_dir, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "track"])
+def test_extra_mask_names_the_first_file_past_the_last_frame(command, sim_dir, tmp_path, capsys):
+    d = str(tmp_path / "in")
+    shutil.copytree(sim_dir, d)
+    shutil.copy(os.path.join(d, MASK_FMT % 8), os.path.join(d, MASK_FMT % 9))
+    if command == "evaluate":
+        argv = ["evaluate", "--gt", sim_dir, "--pred", d]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"segmentation": "masks"}))
+        argv = ["track", "--config", str(cfg_path), "--in", d]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    expected = "%s: found 9 masks, expected 8 (mask009.pgm is past the last frame)" % d
+    assert capsys.readouterr().err == "lineage: error: %s\n" % expected
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_config_from_json(tmp_path):
     doc = {
         "segmentation": "threshold",
@@ -436,7 +456,7 @@ def test_pipeline_config_from_json(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    cfg = PipelineConfig.from_json(str(path))
+    cfg = jsonconfig.load(PipelineConfig, str(path))
     assert cfg.threshold_method == "fixed"
     assert cfg.tracker.search_size == 100
     assert cfg.rwalker.beta == 90.0
@@ -518,7 +538,7 @@ def test_config_value_types(tmp_path):
     path = tmp_path / "cfg.json"
     doc = {"threshold_level": 1, "enable_mitosis_detection": False, "rwalker": {"beta": 90}}
     path.write_text(json.dumps(doc))
-    cfg = PipelineConfig.from_json(str(path))  # an integer is a number
+    cfg = jsonconfig.load(PipelineConfig, str(path))  # an integer is a number
     assert (cfg.threshold_level, cfg.enable_mitosis_detection, cfg.rwalker.beta) == (1, False, 90)
     for bad, expected in (
         ({"threshold_level": False}, "threshold_level: expected a number, got false"),
@@ -529,9 +549,9 @@ def test_config_value_types(tmp_path):
     ):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=re.escape(expected)):
-            PipelineConfig.from_json(str(path))
+            jsonconfig.load(PipelineConfig, str(path))
     path.write_text(json.dumps({"radius_range": [4, 6], "collision_script": [[3, 1, 2]]}))
-    sim = SimConfig.from_json(str(path))
+    sim = jsonconfig.load(SimConfig, str(path))
     assert sim.radius_range == (4, 6) and sim.collision_script == ((3, 1, 2),)
 
 
@@ -539,10 +559,10 @@ def test_config_loaders_name_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"tracker": {"search_sise": 64}}))
     with pytest.raises(ValueError, match="tracker: unknown key 'search_sise'"):
-        PipelineConfig.from_json(str(path))
+        jsonconfig.load(PipelineConfig, str(path))
     path.write_text(json.dumps({"frames": 5, "fps": 3, "colour": 1}))
     with pytest.raises(ValueError, match="unknown key 'colour', 'fps'"):
-        SimConfig.from_json(str(path))
+        jsonconfig.load(SimConfig, str(path))
 
 
 def test_readers_close_their_files(sim_dir, tmp_path):
@@ -560,8 +580,8 @@ def test_readers_close_their_files(sim_dir, tmp_path):
         pgm.read_pgm8(os.path.join(sim_dir, "t001.pgm"))
         pgm.read_ppm(str(ppm_path))
         trackfile.read_track_file(os.path.join(sim_dir, "res_track.txt"))
-        PipelineConfig.from_json(str(cfg_path))
-        SimConfig.from_json(str(sim_path))
+        jsonconfig.load(PipelineConfig, str(cfg_path))
+        jsonconfig.load(SimConfig, str(sim_path))
         ExternalTracker(forward_path=str(pred_path))
         del masks
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -643,7 +663,7 @@ def _run_checked(argv, capsys):
 
 def _checked_lineage(directory):
     """The tree's lineage, checked by LineageGraph.validate() against its masks' labels."""
-    present = [np.unique(mask.labels) for mask in _load_masks(directory)]
+    present = [np.unique(mask.labels) for mask in _read_masks(_stack_paths(directory, MASK_FMT, "masks"))]
     return trackfile.read_track_file(os.path.join(directory, TRACK_FILE), present)
 
 

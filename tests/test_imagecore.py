@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -6,6 +8,7 @@ from test_golden import CROWDED_SIM
 from celllineage.imagecore import (
     Frame,
     LabelMask,
+    Sequence,
     cells_from_labelmask,
     connected_components,
     make_cell,
@@ -356,3 +359,49 @@ def test_normalized_region_matches_slice():
         top, left, bottom, right = region
         part = frame.normalized(region)
         assert np.array_equal(part, full[top : bottom + 1, left : right + 1])
+
+
+@pytest.mark.parametrize(
+    "index, pixels, message",
+    [
+        (0, np.zeros((2, 2), dtype=np.uint8), "frame index must be >= 1, got 0"),
+        (1, np.zeros((2, 2, 1), dtype=np.uint8), "frame pixels must be a 2-D uint8 array"),
+        (1, np.zeros((2, 2), dtype=np.uint16), "frame pixels must be a 2-D uint8 array"),
+    ],
+    ids=["index-0", "3-D", "uint16"],
+)
+def test_frame_validation(index, pixels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Frame(index, pixels)
+
+
+def test_sequence_validation_and_indexing():
+    frame = lambda t, shape=(2, 3): Frame(t, np.zeros(shape, dtype=np.uint8))
+    with pytest.raises(ValueError, match="frame indices must be 1..T consecutive"):
+        Sequence((frame(1), frame(3)))
+    with pytest.raises(ValueError, match="all frames must share dimensions"):
+        Sequence((frame(1), frame(2, (3, 2))))
+    sequence = Sequence((frame(1), frame(2)))
+    assert sequence[2].index == 2
+    for t in (0, 3):
+        with pytest.raises(IndexError, match=r"frame index %d out of range 1\.\.2" % t):
+            sequence[t]
+
+
+def test_label_mask_validation():
+    with pytest.raises(ValueError, match="label mask must be 2-D"):
+        LabelMask(np.zeros((2, 2, 2), dtype=np.int32))
+    with pytest.raises(ValueError, match="labels must be non-negative"):
+        LabelMask(np.array([[0, -1]], dtype=np.int32))
+
+
+def test_components_reject_bad_connectivity_and_empty_raster():
+    with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+        connected_components(np.ones((3, 3), dtype=bool), connectivity=6)
+    with pytest.raises(ValueError, match="mask dimensions must be positive"):
+        connected_components(np.zeros((0, 4), dtype=bool))
+
+
+def test_fixed_threshold_outside_unit_interval():
+    with pytest.raises(ValueError, match=re.escape("fixed threshold needs a level in [0, 1]")):
+        threshold_segment(Frame(1, np.zeros((2, 2), dtype=np.uint8)), 1.5)

@@ -177,6 +177,13 @@ def test_tra_empty_prediction():
     assert report.aogm0 == 10.0 * 5 + 1.5 * 3
 
 
+def test_tra_requires_ground_truth_cells():
+    empty = [mask(np.zeros((4, 4))), mask(np.zeros((4, 4)))]
+    pred = [mask(np.ones((4, 4))), mask(np.zeros((4, 4)))]
+    with pytest.raises(MetricsError, match="ground truth contains no cells"):
+        tra_score(LineageGraph(), lineage([(1, 1, 1, 0)], {1: {1: 1}}), census(empty, pred))
+
+
 def test_tra_missing_node_costs_fn_and_ea():
     lg, masks = micro_dataset()
     pred = [mask(masks[0].labels.copy()), mask(masks[1].labels.copy())]

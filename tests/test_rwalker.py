@@ -1,13 +1,17 @@
+import ctypes
 import dataclasses
 import glob
 import logging
+import os
 
 import numpy as np
 import pytest
+import scipy
 from scipy import linalg, ndimage
 
 from celllineage import rwalker
 from celllineage.imagecore import Frame, LabelMask, cells_from_labelmask, make_cell
+from celllineage.linker import resolve_collisions
 from celllineage.rwalker import (
     LatticeGraph,
     ResegFailure,
@@ -19,6 +23,7 @@ from celllineage.rwalker import (
     segment,
     solve_probabilities,
 )
+from celllineage.tracker import TrackerPrediction
 
 
 def dense_dirichlet(graph, seeds):
@@ -477,5 +482,45 @@ def test_missing_openblas_is_logged_once(monkeypatch, caplog):
                 assert solve_probabilities(graph, seeds).probabilities.tobytes() == want.tobytes()
     finally:
         rwalker._openblas_threads.cache_clear()
+    records = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "lineage"]
+    assert records == [(logging.DEBUG, "banded solves use OpenBLAS's default thread count")]
+
+
+def test_empty_segment_is_a_reseg_failure_and_leaves_the_lump_whole(monkeypatch):
+    # a solve whose probabilities are NaN rows would give every pixel label 1
+    monkeypatch.setattr(rwalker, "segment", lambda graph, seeds: np.ones(len(graph.pixels), dtype=np.int64))
+    img = np.full((30, 40), 25, dtype=np.uint8)
+    lump = make_cell(1, [(r, c) for r in range(10, 20) for c in range(8, 30)])
+    centroids = [(15.0, 12.0), (15.0, 26.0)]
+    with pytest.raises(ResegFailure, match="^segment 2 is empty$"):
+        reseg_cell(Frame(2, img), lump, centroids, (0.0, 0.0))
+    prev = [make_cell(k, [(int(r) + dr, int(c) + dc) for dr in range(2) for dc in range(2)])
+            for k, (r, c) in enumerate(centroids, start=1)]
+    preds = {1: TrackerPrediction(lump.bbox, 0.9, True)}
+    cells, report = resolve_collisions(Frame(2, img), [lump], prev, preds, lambda c, parents: None)
+    assert len(cells) == 1 and cells[0].pixels == lump.pixels
+    assert report.splits == [] and report.unresolved == [(1, [1, 2], "segment 2 is empty")]
+
+
+def test_unloadable_openblas_is_skipped_and_logged_once(monkeypatch, caplog):
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs",
+                                         "libscipy_openblas*.so")))
+    if not libs:
+        pytest.skip("scipy's bundled OpenBLAS is not found")
+    tried = []
+
+    def cannot_load(path):
+        tried.append(path)
+        raise OSError("cannot load %s" % path)
+
+    monkeypatch.setattr(ctypes, "CDLL", cannot_load)
+    rwalker._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="lineage"):
+            assert rwalker._openblas_threads() is None
+            assert rwalker._openblas_threads() is None
+    finally:
+        rwalker._openblas_threads.cache_clear()
+    assert tried == libs
     records = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "lineage"]
     assert records == [(logging.DEBUG, "banded solves use OpenBLAS's default thread count")]

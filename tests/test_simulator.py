@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from celllineage import jsonconfig
 from celllineage.imagecore import LabelMask
 from celllineage.simulator import (
     _REACH,
@@ -20,6 +21,7 @@ from celllineage.simulator import (
     _clearance,
     _initial_positions,
     _preposition_partner,
+    _reflect,
     _render,
     script_collision_scenario,
     simulate,
@@ -59,7 +61,7 @@ def test_config_json_round_trip(tmp_path):
     cfg = script_collision_scenario(seed=3)
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(dataclasses.asdict(cfg)))
-    assert SimConfig.from_json(str(path)) == cfg
+    assert jsonconfig.load(SimConfig, str(path)) == cfg
 
 
 def test_crowded_start_keeps_the_clearest_draw(caplog):
@@ -464,3 +466,9 @@ def test_clearance_equals_per_cell_norms_bit_for_bit():
         radius, radii, factor = rng.uniform(1, 30), rng.uniform(1, 30, n), float(rng.choice([2.0, 2.2]))
         want = min((np.linalg.norm(pos - q) - factor * (radius + rq) for q, rq in zip(centres, radii)), default=math.inf)
         assert _clearance(pos, radius, centres, radii, factor) == want, case
+
+
+def test_reflect_into_an_empty_span_is_its_low_end():
+    for hi in (3.0, 2.5):  # hi == lo and hi < lo
+        assert _reflect(7.25, 3.0, hi) == 3.0
+    assert _reflect(5.0, 3.0, 4.0) == 3.0  # a span of one folds back and forth

@@ -489,3 +489,20 @@ def test_external_lines_are_served_by_their_frame_pair(tmp_path):
     assert ext.predict(f2, f1, cell) == TrackerPrediction((30, 32, 40, 42), 0.7, True)
     for src, dst in ((f3, f2), (f1, f2), (f1, f3), (f3, f1), (f2, f2)):
         assert not ext.predict(src, dst, cell).valid, (src.index, dst.index)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"template_pad": -1}, "template_pad must be >= 0"), ({"min_score": 1.5}, "min_score must lie in [-1, 1]")],
+)
+def test_tracker_config_validation(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrackerConfig(**kwargs)
+
+
+def test_external_score_never_decides_validity(tmp_path):
+    path = tmp_path / "fwd.txt"
+    path.write_text("1 1 10 12 20 22 -1.0\n")
+    f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
+    pred = ExternalTracker(forward_path=str(path)).predict(f1, f2, blob_cell(f1))
+    assert pred.valid and pred.score == -1.0 < TrackerConfig().min_score
