@@ -38,8 +38,6 @@ class CliError(Exception):
 
 @dataclass
 class PipelineConfig:
-    input_dir: str = "."
-    output_dir: str = "out"
     segmentation: str = "threshold"  # "threshold" or "masks"
     threshold_method: str = "otsu"
     threshold_level: float = 0.5
@@ -95,12 +93,13 @@ def _read_masks(paths):
 
 
 def _load_frame_masks(directory, sequence):
-    """The mask stack in `directory`: one mask per frame of `sequence`, each of its frame's shape."""
-    masks = list(_read_masks(_stack_paths(directory, MASK_FMT, "masks", count=len(sequence))))
-    for t, mask in enumerate(masks, start=1):
+    """The mask stack in `directory`, read as it is asked for: one mask per
+    frame of `sequence`, each checked against its frame's shape."""
+    paths = _stack_paths(directory, MASK_FMT, "masks", count=len(sequence))
+    for t, mask in enumerate(_read_masks(paths), start=1):
         if mask.labels.shape != sequence[t].pixels.shape:
             raise CliError("frame %d: mask dimensions do not match the frame" % t)
-    return masks
+        yield mask
 
 
 def _write_events(path, events):
@@ -146,17 +145,13 @@ def _segment_sequence(sequence, cfg):
 
 def cmd_track(args):
     cfg = jsonconfig.load(PipelineConfig, args.config) if args.config else PipelineConfig()
-    if args.input:
-        cfg.input_dir = args.input
-    if args.out:
-        cfg.output_dir = args.out
     if args.baseline:
         cfg.enable_collision_resolution = False
         cfg.enable_mitosis_detection = False
 
-    sequence = _load_frames(cfg.input_dir)
+    sequence = _load_frames(args.input)
     if cfg.segmentation == "masks":
-        masks = _load_frame_masks(cfg.input_dir, sequence)
+        masks = _load_frame_masks(args.input, sequence)
         cells = [cells_from_labelmask(mask, cfg.connectivity) for mask in masks]
     else:
         cells = _segment_sequence(sequence, cfg)
@@ -176,11 +171,11 @@ def cmd_track(args):
     )
     out_masks, graph, events = run_linker(sequence, cells, tracker, linker_cfg)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for t, mask in enumerate(out_masks, start=1):
-        pgm.write_pgm16(os.path.join(cfg.output_dir, MASK_FMT % t), mask.labels)
-    trackfile.write_track_file(os.path.join(cfg.output_dir, TRACK_FILE), graph)
-    _write_events(os.path.join(cfg.output_dir, EVENT_FILE), events)
+        pgm.write_pgm16(os.path.join(args.out, MASK_FMT % t), mask.labels)
+    trackfile.write_track_file(os.path.join(args.out, TRACK_FILE), graph)
+    _write_events(os.path.join(args.out, EVENT_FILE), events)
     print("tracked %d frames into %d tracks (%d events)" % (len(sequence), len(graph.tracks), len(events)))
     return 0
 
@@ -233,7 +228,7 @@ def _boundary(labels):
 
 def cmd_overlay(args):
     frames = _load_frames(args.input)
-    masks = _load_frame_masks(args.masks or args.input, frames)
+    masks = list(_load_frame_masks(args.masks or args.input, frames))
     track_path = args.tracks or os.path.join(args.masks or args.input, TRACK_FILE)
     boxes = [ndimage.find_objects(mask.labels) for mask in masks]  # label - 1 -> box or None
     present = [[lab for lab, box in enumerate(frame_boxes, start=1) if box] for frame_boxes in boxes]
@@ -274,8 +269,8 @@ def build_parser():
 
     p = sub.add_parser("track", help="segment/ingest masks and link cells over time")
     p.add_argument("--config", help="PipelineConfig JSON")
-    p.add_argument("--in", dest="input", help="input directory (overrides config)")
-    p.add_argument("--out", help="output directory (overrides config)")
+    p.add_argument("--in", dest="input", default=".", help="input directory (default: .)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
     p.add_argument("--baseline", action="store_true", help="disable collision and mitosis handling")
     p.set_defaults(func=cmd_track)
 

@@ -184,7 +184,12 @@ def in_scan_order(cells):
 
 def otsu_level(pixels):
     """8-bit Otsu threshold maximizing between-class variance; None when constant."""
-    hist = np.bincount(pixels.ravel(), minlength=256).astype(np.float64)
+    return _otsu(np.bincount(pixels.ravel(), minlength=256))
+
+
+def _otsu(hist):
+    """`otsu_level` of the frame whose 256-bin histogram is `hist`."""
+    hist = hist.astype(np.float64)
     total = hist.sum()
     omega = np.cumsum(hist) / total
     mu = np.cumsum(hist * np.arange(256)) / total
@@ -197,17 +202,35 @@ def otsu_level(pixels):
     return int(np.argmax(sigma_b))
 
 
+NOISE_FLOOR_SIGMAS = 5
+
+
+def _noise_floor(hist):
+    """The background's mode plus NOISE_FLOOR_SIGMAS times its spread, the
+    RMS distance from the mode of the pixels at or below it, rounded down:
+    an integer level cuts integer pixels alike, and an 8-bit frame compares
+    with it without a float copy."""
+    mode = int(np.argmax(hist))
+    below = hist[: mode + 1]
+    spread = np.sqrt(np.dot(below, (np.arange(mode + 1) - mode) ** 2) / below.sum())
+    return int(mode + NOISE_FLOOR_SIGMAS * spread)
+
+
 def threshold_segment(frame, level=None):
     """Boolean foreground via Otsu, or via a fixed normalized `level` in [0, 1].
 
-    Foreground is strictly-above-threshold. A constant frame has no Otsu
-    level and yields an all-background mask.
+    Foreground is strictly-above-threshold. The Otsu level is raised to the
+    noise floor when it lies below it, so a frame of background noise alone
+    has no foreground. A constant frame has no Otsu level and yields an
+    all-background mask.
     """
     pixels = frame.pixels
     if level is None:
-        lvl = otsu_level(pixels)
+        hist = np.bincount(pixels.ravel(), minlength=256)
+        lvl = _otsu(hist)
         if lvl is None:
             return np.zeros_like(pixels, dtype=bool)
+        lvl = max(lvl, _noise_floor(hist))
     elif 0.0 <= level <= 1.0:
         lvl = int(round(level * 255))
     else:

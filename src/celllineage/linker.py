@@ -121,12 +121,11 @@ def detect_collisions(cells_prev, cells_cur, backward_preds):
 @dataclass
 class CollisionReport:
     """`splits` and `unresolved` name cells by the loop's working ids, not
-    the returned ones; `origin` is keyed by the returned ids."""
+    the returned ones."""
 
     iterations: int = 0
     splits: list = field(default_factory=list)  # (lump id, parent ids, new ids)
     unresolved: list = field(default_factory=list)  # (lump id, parent ids, reason)
-    origin: dict = field(default_factory=dict)  # piece id -> previous ids its splits used
 
 
 def resolve_collisions(
@@ -149,9 +148,7 @@ def resolve_collisions(
     `predict_backward(cell, parents)` recomputes a backward prediction for
     a freshly split cell, given the previous ids its splits used, or returns
     None for a cell that cannot be flagged with a previous cell outside
-    them. Cell ids are renumbered densely (row-major) before returning;
-    `origin` follows each piece by its first pixel, which names one cell as
-    the cells are disjoint.
+    them. Cell ids are renumbered densely (row-major) before returning.
     """
     report = CollisionReport()
     cells = {c.id: c for c in cells_cur}
@@ -203,10 +200,7 @@ def resolve_collisions(
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 
-    out = in_scan_order(cells.values())
-    by_first = {cells[i].first: parents for i, parents in origin.items()}
-    report.origin = {c.id: by_first[c.first] for c in out if c.first in by_first}
-    return out, report
+    return in_scan_order(cells.values()), report
 
 
 def match_forward(cells_prev, cells_cur, forward_preds):
@@ -356,14 +350,15 @@ def run_linker(sequence, cells, tracker, config=LinkerConfig()):
 
     `cells` holds one list per frame of that frame's disjoint cells, with
     ids 1..K in row-major first-pixel order, as `connected_components` and
-    `cells_from_labelmask` give them; the returned masks are labelled with
-    track ids. `tracker` provides `predict(frame_src, frame_dst, cell)`, the
-    cell of frame_src located in frame_dst (t -> t-1 backward, t-1 -> t
-    forward), and `reach(cell, shape)`, the inclusive box that every region
-    it predicts for the cell lies in. With collision resolution off,
-    cells pass through unchanged; with mitosis detection off, multi-match
-    cells continue into their first match and parent links are never
-    created.
+    `cells_from_labelmask` give them. The lineage is complete and validated
+    on return. The masks, labelled with track ids, are a generator: frame
+    t's mask is rendered when iteration reaches it, once. `tracker`
+    provides `predict(frame_src, frame_dst, cell)`, the cell of frame_src
+    located in frame_dst (t -> t-1 backward, t-1 -> t forward), and
+    `reach(cell, shape)`, the inclusive box that every region it predicts
+    for the cell lies in. With collision resolution off, cells pass through
+    unchanged; with mitosis detection off, multi-match cells continue into
+    their first match and parent links are never created.
     """
     if len(cells) != len(sequence):
         raise ValueError("expected %d cell lists, got %d" % (len(sequence), len(cells)))
@@ -380,12 +375,11 @@ def run_linker(sequence, cells, tracker, config=LinkerConfig()):
             events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))
         events += update_lineage(graph, t, record.states, record.cells)
         cells_by_frame[t] = record.cells
-
-    out_masks = []
-    for t in range(1, len(sequence) + 1):
-        assign = graph.assignments[t]
-        relabeled = [replace(c, id=assign[c.id]) for c in cells_by_frame[t]]
-        h, w = sequence[t].pixels.shape
-        out_masks.append(mask_from_cells(relabeled, h, w))
     graph.validate()
-    return out_masks, graph, events
+
+    h, w = sequence[1].pixels.shape
+    masks = (
+        mask_from_cells([replace(c, id=graph.assignments[t][c.id]) for c in cells_by_frame[t]], h, w)
+        for t in range(1, len(sequence) + 1)
+    )
+    return masks, graph, events

@@ -18,6 +18,19 @@ class PnmError(ValueError):
     pass
 
 
+_QUOTE = 20  # bytes of a bad header field that an error message quotes
+
+
+def _number(path, name, token):
+    """The value of header field `name`, which is plain ASCII decimal digits."""
+    if token.isdigit():  # bytes.isdigit: ASCII 0-9 only; int() also takes a sign and '_'
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PnmError("%s: non-numeric header field %s %r" % (path, name, token[:_QUOTE]))
+
+
 def _read(path, magic, maxval, dtype, shape_tail=()):
     """Raster of the binary netpbm file at `path` as a new, writable native-order
     array of shape (height, width) + `shape_tail`; `dtype` is the file's sample type."""
@@ -28,11 +41,8 @@ def _read(path, magic, maxval, dtype, shape_tail=()):
         raise PnmError("%s: truncated header or unterminated comment" % path)
     tokens = header.groups()
     if tokens[0] != magic:
-        raise PnmError("%s: bad magic %r, expected %r" % (path, tokens[0], magic))
-    try:
-        width, height, got = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise PnmError("%s: non-numeric header field in %r" % (path, list(tokens))) from None
+        raise PnmError("%s: bad magic %r, expected %r" % (path, tokens[0][:_QUOTE], magic))
+    width, height, got = (_number(path, name, t) for name, t in zip(("width", "height", "maxval"), tokens[1:]))
     if width <= 0 or height <= 0:
         raise PnmError("%s: non-positive dimensions %dx%d" % (path, width, height))
     # exactly one whitespace byte separates maxval from the raster

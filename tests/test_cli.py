@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import celllineage
-from celllineage import jsonconfig, metrics, pgm, trackfile
+from celllineage import jsonconfig, linker, metrics, pgm, trackfile
 from celllineage.cli import (
     FRAME_FMT,
     MASK_FMT,
@@ -401,6 +401,50 @@ def test_evaluate_holds_a_few_masks_at_a_time(tmp_path, monkeypatch, capsys):
     assert 0 < peak[0] <= 6, peak[0]
 
 
+@pytest.mark.parametrize("segmentation", ["threshold", "masks"])
+def test_track_holds_a_few_masks_at_a_time(segmentation, tmp_path, monkeypatch, capsys):
+    """Track renders each output mask as it writes it, and in masks mode
+    cuts each input mask into cells as it reads it: however long the
+    sequence, only a few of the label arrays it makes are alive at once."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"width": 64, "height": 64, "frames": 12, "n_init": 2, "radius_range": [5.0, 6.0]}))
+    sim = str(tmp_path / "sim")
+    assert run(["simulate", "--config", str(cfg), "--out", sim]) == 0
+    live, peak = Counter(), Counter()
+
+    def tracked(source, fn, labels_of):
+        def wrapper(*args):
+            result = fn(*args)
+            live[source] += 1
+            peak[source] = max(peak[source], live[source])
+            weakref.finalize(labels_of(result), live.subtract, [source])  # arrays are unhashable: no WeakSet
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(linker, "mask_from_cells", tracked("render", linker.mask_from_cells, lambda m: m.labels))
+    monkeypatch.setattr(pgm, "read_pgm16", tracked("read", pgm.read_pgm16, lambda labels: labels))
+    (tmp_path / "track.json").write_text(json.dumps({"segmentation": segmentation}))
+    argv = ["track", "--config", str(tmp_path / "track.json"), "--in", sim, "--out", str(tmp_path / "out")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert 0 < peak["render"] <= 3, peak
+    if segmentation == "masks":
+        assert 0 < peak["read"] <= 3, peak
+
+
+def test_track_of_noise_alone_finds_no_cell(tmp_path, capsys):
+    """A sequence with no cells is background noise: no frame has foreground."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"frames": 4, "n_init": 0}))
+    sim, out = str(tmp_path / "sim"), tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", sim]) == 0
+    assert run(["track", "--in", sim, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("tracked 4 frames into 0 tracks (0 events)\n")
+    assert (out / TRACK_FILE).read_text() == ""
+    assert not any(pgm.read_pgm16(str(out / (MASK_FMT % t))).any() for t in range(1, 5))
+
+
 def test_error_paths(tmp_path, capsys):
     missing = tmp_path / "nothing"
     missing.mkdir()
@@ -519,6 +563,8 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"rwalker": {"beta": float("nan")}}, "NaN is not a finite number"),
         ("track", {"rwalker": {"epsilon": float("inf")}}, "Infinity is not a finite number"),
         ("track", {"tracker": {"search_size": float("-inf")}}, "-Infinity is not a finite number"),
+        ("track", {"input_dir": "."}, "unknown key 'input_dir'"),
+        ("track", {"output_dir": "out"}, "unknown key 'output_dir'"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):

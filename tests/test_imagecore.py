@@ -272,12 +272,32 @@ def test_threshold_otsu_bimodal():
     assert otsu_level(img) == otsu_oracle(img)
 
 
+def noise_floor_oracle(pixels):
+    """The most common value plus 5 times the RMS distance from it of the
+    values at or below it."""
+    mode = int(np.bincount(pixels.ravel()).argmax())
+    below = pixels[pixels <= mode].astype(float)
+    return mode + 5 * np.sqrt(np.mean((below - mode) ** 2))
+
+
 def test_threshold_otsu_random_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         img = rng.integers(0, 256, size=(12, 12), dtype=np.uint8)
         assert otsu_level(img) == otsu_oracle(img)
-        assert np.array_equal(threshold_segment(Frame(1, img)), img > otsu_oracle(img))
+        level = max(otsu_oracle(img), noise_floor_oracle(img))
+        assert np.array_equal(threshold_segment(Frame(1, img)), img > level)
+
+
+def test_threshold_noise_alone_is_background(monkeypatch):
+    """A frame of background noise has no foreground, from one histogram."""
+    rng = np.random.default_rng(3)
+    img = np.clip(np.round(rng.normal(25, 5, size=(128, 128))), 0, 255).astype(np.uint8)
+    assert img[img > otsu_oracle(img)].size > img.size // 4  # Otsu alone cuts the noise in two
+    calls, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    assert not threshold_segment(Frame(1, img)).any()
+    assert len(calls) == 1
 
 
 def test_threshold_otsu_constant_degenerate():

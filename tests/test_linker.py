@@ -320,8 +320,7 @@ def test_resolve_collisions_splits_lump():
     assert [c.id for c in cells] == [1, 2]
     assert cells[0].pixels | cells[1].pixels == lump.pixels
     assert report.iterations == 1
-    assert len(report.splits) == 1
-    assert report.origin == {1: frozenset({1, 2}), 2: frozenset({1, 2})}
+    assert report.splits == [(1, [1, 2], [2, 3])]
 
 
 def test_resolve_collisions_unresolved_on_reseg_failure():
@@ -460,10 +459,9 @@ def reference_resolve_collisions(
                 next_id += 1
             report.splits.append((lump_id, parents, new_ids))
 
-    # renumber densely in row-major first-pixel order, origin with the cells
+    # renumber densely in row-major first-pixel order
     ordered = sorted(cells.values(), key=lambda c: c.first)
     out = [replace(c, id=i) for i, c in enumerate(ordered, start=1)]
-    report.origin = {i: origin[c.id] for i, c in enumerate(ordered, start=1) if c.id in origin}
     return out, report
 
 
@@ -543,8 +541,8 @@ def unpruned_predictor(frame_prev, frame_cur, cells_prev, tracker):
 
 def test_parent_set_prune_changes_nothing():
     """On the fuzzed lumps, pieces whose reach holds only centroids of their
-    parent set are not predicted, and the cells, `origin` and report stay
-    those of the unpruned rule."""
+    parent set are not predicted, and the cells and report stay those of the
+    unpruned rule."""
     slack = np.random.default_rng(8)
     frame_prev = Frame(1, np.zeros((24, 24), dtype=np.uint8))
     pruned_cases = calls = unpruned_calls = 0
@@ -553,7 +551,7 @@ def test_parent_set_prune_changes_nothing():
         pruned, unpruned = GrowingTracker(grow, reach_slack), GrowingTracker(grow, reach_slack)
         got = resolve_collisions(frame, cur, prev, preds, linker._backward_predictor(frame_prev, frame, prev, pruned))
         want = resolve_collisions(frame, cur, prev, preds, unpruned_predictor(frame_prev, frame, prev, unpruned))
-        assert got == want, case  # the cells, and the report with its origin
+        assert got == want, case  # the cells and the report
         assert pruned.calls <= unpruned.calls, case
         pruned_cases += pruned.calls < unpruned.calls
         calls += pruned.calls
@@ -580,6 +578,8 @@ def test_run_linker_simple_continuation():
     assert len(graph.tracks) == 1
     tr = graph.tracks[1]
     assert (tr.birth, tr.end, tr.parent) == (1, 3, 0)
+    out = list(out)
+    assert len(out) == 3
     assert all(np.array_equal(m.labels, mask) for m in out)
     assert events == []
 
@@ -689,8 +689,9 @@ def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     for whole_frame in (True, False):
         tracker = CountingTracker(TrackerConfig(search_size=search_size), whole_frame)
         out, graph, events = run_linker(sequence, cells, tracker)
-        runs.append((tracker.backward_calls, out, graph, events))
+        runs.append((tracker.backward_calls, list(out), graph, events))
     (calls_all, out_all, graph_all, events_all), (calls, out, graph, events) = runs
+    assert len(out) == len(out_all) == len(sequence)
     assert all(np.array_equal(a.labels, b.labels) for a, b in zip(out, out_all))
     assert graph == graph_all
     assert events == events_all
@@ -715,12 +716,10 @@ def test_run_linker_step_records(monkeypatch):
     flagged = sum(len(r.flagged) for r in records)
     splits = sum(len(r.report.splits) for r in records)
     unresolved = sum(len(r.report.unresolved) for r in records)
-    pieces = sum(len(r.report.origin) for r in records)
+    pieces = sum(len(new_ids) for r in records for _, _, new_ids in r.report.splits)
     assert (flagged, splits, unresolved, pieces) == (41, 41, 0, 82)
     assert flagged == sum(kind == "COLLISION" for _, kind, _ in events)
-    for r in records:
-        assert set(r.report.origin) <= {c.id for c in r.cells}
-        assert all(len(parents) >= 2 for parents in r.report.origin.values())
+    assert all(len(parents) >= 2 for r in records for _, parents, _ in r.report.splits)
 
 
 def test_track_work_counts(tmp_path, monkeypatch, capsys):

@@ -143,6 +143,28 @@ def test_header_errors_name_the_file(tmp_path, payload, message):
     assert str(info.value).startswith(path + ": ")
 
 
+@pytest.mark.parametrize(
+    "header, field, quoted",
+    [
+        (b"P5 +1_0 1 0_255\n", "width", b"+1_0"),
+        (b"P5 2 -1 255\n", "height", b"-1"),
+        (b"P5 2 1 0_255\n", "maxval", b"0_255"),
+        (b"P5 2 \xd9\xa1 255\n", "height", b"\xd9\xa1"),  # Arabic-Indic one: int() reads it as 1
+        (b"P5 " + b"9" * (1 << 20) + b" 1 255\n", "width", b"9" * 20),  # past int()'s digit limit
+    ],
+    ids=["sign-and-underscore", "negative", "underscore", "non-ascii-digit", "megabyte-of-digits"],
+)
+def test_header_fields_are_ascii_decimal(tmp_path, header, field, quoted):
+    """Width, height and maxval are runs of ASCII 0-9; anything else is a
+    short message naming the field and quoting at most 20 bytes of it."""
+    path = str(tmp_path / "bad.pgm")
+    with open(path, "wb") as f:
+        f.write(header + b"\x00" * 10)
+    with pytest.raises(pgm.PnmError) as info:
+        pgm.read_pgm8(path)
+    assert str(info.value) == "%s: non-numeric header field %s %r" % (path, field, quoted)
+
+
 def _oracle_header(data, expected_magic):
     """The byte-at-a-time header tokenizer that `pgm._HEADER` replaced, kept as
     the grammar's oracle: (width, height, maxval, raster offset) or PnmError."""
@@ -165,10 +187,9 @@ def _oracle_header(data, expected_magic):
             pos += len(m.group(0))
     if tokens[0] != expected_magic:
         raise pgm.PnmError("bad magic")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
+    if not all(re.fullmatch(rb"[0-9]+", t) for t in tokens[1:]):
         raise pgm.PnmError("non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width <= 0 or height <= 0:
         raise pgm.PnmError("non-positive dimensions")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
@@ -187,7 +208,7 @@ def _assert_header_parity(path, data):
         for mv in (255, 65535):  # a header error, whatever maxval is asked for
             with pytest.raises(pgm.PnmError, match="^" + re.escape(path) + ": ") as info:
                 pgm._read(path, b"P5", mv, np.uint8)
-            assert "maxval" not in str(info.value) and "raster has" not in str(info.value), data
+            assert "expected maxval" not in str(info.value) and "raster has" not in str(info.value), data
         return False
     with pytest.raises(pgm.PnmError, match="expected maxval"):
         pgm._read(path, b"P5", maxval + 1, np.uint8)

@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import celllineage
 
 MODULES = sorted(Path(celllineage.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -19,3 +22,30 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted("%s (line %d)" % (name, line) for name, line in imported.items() if name not in used)
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
+
+
+def test_every_span_perfbench_reads_is_a_public_function():
+    """perfbench's tracer wraps the public functions of each module, and its
+    hooks and layer metrics read spans by name: a name that no longer
+    resolves would read 0 without an error."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    spans = set(tracing.HOOKS)
+    spans |= {name for _, _, (how, what) in tracing.LAYER_METRICS if how != "count" for name in what}
+    spans |= {
+        "%s.%s.%s" % (layer, cls, method)
+        for layer, classes in tracing.METHODS.items()
+        for cls, methods in classes.items()
+        for method in methods
+    }
+    missing = []
+    for span in sorted(spans):
+        layer, *path = span.split(".")
+        module = importlib.import_module("celllineage." + layer)
+        target = module
+        for attr in path:
+            target = getattr(target, attr, None) if not attr.startswith("_") else None
+        if not (inspect.isfunction(target) and target.__module__ == module.__name__):
+            missing.append(span)
+    assert len(spans) > 20 and not missing, missing
