@@ -12,14 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import jsonconfig, metrics, pgm, simulator, trackfile
-from .imagecore import (
-    Frame,
-    LabelMask,
-    Sequence,
-    cells_from_labelmask,
-    connected_components,
-    threshold_segment,
-)
+from .imagecore import Frame, LabelMask, cells_from_labelmask, connected_components, threshold_segment
 from .linker import LinkerConfig, run_linker
 from .rwalker import RWConfig
 from .tracker import ExternalTracker, NCCTracker, TrackerConfig
@@ -82,9 +75,16 @@ def _stack_paths(directory, fmt, noun, count=None):
     return paths
 
 
-def _load_frames(directory):
-    paths = _stack_paths(directory, FRAME_FMT, "frames")
-    return Sequence(frames=tuple(Frame(index=t, pixels=pgm.read_pgm8(p)) for t, p in enumerate(paths, start=1)))
+def _read_frames(paths):
+    """Frame t from the t-th of `paths`, read as it is asked for; every
+    frame must have frame 1's dimensions."""
+    shape = None
+    for t, path in enumerate(paths, start=1):
+        frame = Frame(index=t, pixels=pgm.read_pgm8(path))
+        shape = shape or frame.pixels.shape
+        if frame.pixels.shape != shape:
+            raise CliError("frame %d: all frames must share dimensions" % t)
+        yield frame
 
 
 def _read_masks(paths):
@@ -92,14 +92,13 @@ def _read_masks(paths):
     return (LabelMask(labels=pgm.read_pgm16(path)) for path in paths)
 
 
-def _load_frame_masks(directory, sequence):
-    """The mask stack in `directory`, read as it is asked for: one mask per
-    frame of `sequence`, each checked against its frame's shape."""
-    paths = _stack_paths(directory, MASK_FMT, "masks", count=len(sequence))
-    for t, mask in enumerate(_read_masks(paths), start=1):
-        if mask.labels.shape != sequence[t].pixels.shape:
-            raise CliError("frame %d: mask dimensions do not match the frame" % t)
-        yield mask
+def _with_masks(frames, paths):
+    """Each of `frames` paired with the mask read from its entry of `paths`,
+    read as it is asked for and checked against its frame's shape."""
+    for frame, mask in zip(frames, _read_masks(paths)):
+        if mask.labels.shape != frame.pixels.shape:
+            raise CliError("frame %d: mask dimensions do not match the frame" % frame.index)
+        yield frame, mask
 
 
 def _write_events(path, events):
@@ -115,18 +114,18 @@ def cmd_simulate(args):
         cfg = simulator.script_collision_scenario()
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
-    sequence, gt = simulator.simulate(cfg)
+    frames, gt = simulator.simulate(cfg)
     os.makedirs(args.out, exist_ok=True)
-    for t in range(1, len(sequence) + 1):
-        pgm.write_pgm8(os.path.join(args.out, FRAME_FMT % t), sequence[t].pixels)
-        pgm.write_pgm16(os.path.join(args.out, MASK_FMT % t), gt.masks[t - 1].labels)
+    for frame, mask in zip(frames, gt.masks):
+        pgm.write_pgm8(os.path.join(args.out, FRAME_FMT % frame.index), frame.pixels)
+        pgm.write_pgm16(os.path.join(args.out, MASK_FMT % frame.index), mask.labels)
     trackfile.write_track_file(os.path.join(args.out, TRACK_FILE), gt.lineage)
     _write_events(os.path.join(args.out, EVENT_FILE), gt.events)
     kinds = [e[1] for e in gt.events]
     print(
         "simulated %d frames, %d tracks, %d collisions, %d mitoses, %d apoptoses"
         % (
-            len(sequence),
+            len(frames),
             len(gt.lineage.tracks),
             kinds.count("COLLISION"),
             kinds.count("MITOSIS"),
@@ -136,11 +135,13 @@ def cmd_simulate(args):
     return 0
 
 
-def _segment_sequence(sequence, cfg):
-    """Each frame's cells, from one labelling pass of its thresholded foreground."""
+def _segment_sequence(frames, cfg):
+    """Each frame with its cells, from one labelling pass of its thresholded
+    foreground, made as it is asked for."""
     level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
-    foreground = (threshold_segment(frame, level) for frame in sequence.frames)
-    return [connected_components(mask, cfg.connectivity, cfg.min_cell_size) for mask in foreground]
+    for frame in frames:
+        foreground = threshold_segment(frame, level)
+        yield frame, connected_components(foreground, cfg.connectivity, cfg.min_cell_size)
 
 
 def cmd_track(args):
@@ -149,18 +150,19 @@ def cmd_track(args):
         cfg.enable_collision_resolution = False
         cfg.enable_mitosis_detection = False
 
-    sequence = _load_frames(args.input)
+    paths = _stack_paths(args.input, FRAME_FMT, "frames")
+    frames = _read_frames(paths)
     if cfg.segmentation == "masks":
-        masks = _load_frame_masks(args.input, sequence)
-        cells = [cells_from_labelmask(mask, cfg.connectivity) for mask in masks]
+        masks = _with_masks(frames, _stack_paths(args.input, MASK_FMT, "masks", count=len(paths)))
+        steps = ((frame, cells_from_labelmask(mask, cfg.connectivity)) for frame, mask in masks)
     else:
-        cells = _segment_sequence(sequence, cfg)
+        steps = _segment_sequence(frames, cfg)
 
     if cfg.external_forward or cfg.external_backward:
         tracker = ExternalTracker(
             cfg.external_forward or None,
             cfg.external_backward or None,
-            frame_shape=sequence[1].pixels.shape,
+            frame_shape=pgm.read_pgm8(paths[0]).shape,
         )
     else:
         tracker = NCCTracker(cfg.tracker)
@@ -169,14 +171,14 @@ def cmd_track(args):
         enable_mitosis_detection=cfg.enable_mitosis_detection,
         rw_config=cfg.rwalker,
     )
-    out_masks, graph, events = run_linker(sequence, cells, tracker, linker_cfg)
+    out_masks, graph, events = run_linker(steps, tracker, linker_cfg)
 
     os.makedirs(args.out, exist_ok=True)
     for t, mask in enumerate(out_masks, start=1):
         pgm.write_pgm16(os.path.join(args.out, MASK_FMT % t), mask.labels)
     trackfile.write_track_file(os.path.join(args.out, TRACK_FILE), graph)
     _write_events(os.path.join(args.out, EVENT_FILE), events)
-    print("tracked %d frames into %d tracks (%d events)" % (len(sequence), len(graph.tracks), len(events)))
+    print("tracked %d frames into %d tracks (%d events)" % (len(paths), len(graph.tracks), len(events)))
     return 0
 
 
@@ -227,10 +229,11 @@ def _boundary(labels):
 
 
 def cmd_overlay(args):
-    frames = _load_frames(args.input)
-    masks = list(_load_frame_masks(args.masks or args.input, frames))
+    paths = _stack_paths(args.input, FRAME_FMT, "frames")
+    mask_paths = _stack_paths(args.masks or args.input, MASK_FMT, "masks", count=len(paths))
+    pairs = list(_with_masks(_read_frames(paths), mask_paths))
     track_path = args.tracks or os.path.join(args.masks or args.input, TRACK_FILE)
-    boxes = [ndimage.find_objects(mask.labels) for mask in masks]  # label - 1 -> box or None
+    boxes = [ndimage.find_objects(mask.labels) for _, mask in pairs]  # label - 1 -> box or None
     present = [[lab for lab, box in enumerate(frame_boxes, start=1) if box] for frame_boxes in boxes]
     lineage = trackfile.read_track_file(track_path, present)
     mitosis_marks = set()  # (t, track id): a dividing cell's last frame, its children's first
@@ -239,12 +242,11 @@ def cmd_overlay(args):
             mitosis_marks.update({(tr.birth, tr.id), (tr.birth - 1, tr.parent)})
 
     os.makedirs(args.out, exist_ok=True)
-    for t in range(1, len(frames) + 1):
-        gray = frames[t].pixels
-        rgb = np.repeat(gray[:, :, None], 3, axis=2).astype(np.uint8)
-        labels = masks[t - 1].labels
+    for (frame, mask), frame_boxes in zip(pairs, boxes):
+        t, labels = frame.index, mask.labels
+        rgb = np.repeat(frame.pixels[:, :, None], 3, axis=2).astype(np.uint8)
         boundary = _boundary(labels)
-        for lab, box in enumerate(boxes[t - 1], start=1):
+        for lab, box in enumerate(frame_boxes, start=1):
             if box is None:
                 continue
             color = _palette_color(lab)
@@ -253,7 +255,7 @@ def cmd_overlay(args):
                 r0, c0 = box[0].start, box[1].start  # the label's first row and column
                 rgb[r0 : r0 + 3, c0 : c0 + 3] = color
         pgm.write_ppm(os.path.join(args.out, "overlay%03d.ppm" % t), rgb)
-    print("wrote %d overlays to %s" % (len(frames), args.out))
+    print("wrote %d overlays to %s" % (len(pairs), args.out))
     return 0
 
 

@@ -34,27 +34,6 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class Sequence:
-    frames: tuple
-
-    def __post_init__(self):
-        for t, frame in enumerate(self.frames, start=1):
-            if frame.index != t:
-                raise ValueError("frame indices must be 1..T consecutive")
-            if frame.pixels.shape != self.frames[0].pixels.shape:
-                raise ValueError("all frames must share dimensions")
-
-    def __len__(self):
-        return len(self.frames)
-
-    def __getitem__(self, t):
-        """Frame at 1-based time step t."""
-        if not 1 <= t <= len(self.frames):
-            raise IndexError("frame index %d out of range 1..%d" % (t, len(self.frames)))
-        return self.frames[t - 1]
-
-
-@dataclass(frozen=True)
 class LabelMask:
     """A label raster: non-negative integers, 0 = background. Masks read from
     a mask file hold uint16 labels, the width the file stores; masks that

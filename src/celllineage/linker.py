@@ -345,41 +345,46 @@ def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
     return StepRecord(cells_cur, flagged, report, states)
 
 
-def run_linker(sequence, cells, tracker, config=LinkerConfig()):
-    """Process a whole sequence: returns (corrected masks, lineage, events).
+def run_linker(steps, tracker, config=LinkerConfig()):
+    """Link a stream of frames: returns (corrected masks, lineage, events).
 
-    `cells` holds one list per frame of that frame's disjoint cells, with
-    ids 1..K in row-major first-pixel order, as `connected_components` and
-    `cells_from_labelmask` give them. The lineage is complete and validated
-    on return. The masks, labelled with track ids, are a generator: frame
-    t's mask is rendered when iteration reaches it, once. `tracker`
-    provides `predict(frame_src, frame_dst, cell)`, the cell of frame_src
-    located in frame_dst (t -> t-1 backward, t-1 -> t forward), and
-    `reach(cell, shape)`, the inclusive box that every region it predicts
-    for the cell lies in. With collision resolution off, cells pass through
-    unchanged; with mitosis detection off, multi-match cells continue into
-    their first match and parent links are never created.
+    `steps` yields (frame, cells) for t = 1..T, one pair at a time: frame t
+    and its disjoint cells, with ids 1..K in row-major first-pixel order, as
+    `connected_components` and `cells_from_labelmask` give them. Only the
+    previous frame is kept, and each frame's repaired cells; an empty
+    stream is a ValueError. The lineage is complete and validated on
+    return. The masks, labelled with track ids, are a generator: frame t's
+    mask is rendered when iteration reaches it, once. `tracker` provides
+    `predict(frame_src, frame_dst, cell)`, the cell of frame_src located in
+    frame_dst (t -> t-1 backward, t-1 -> t forward), and `reach(cell,
+    shape)`, the inclusive box that every region it predicts for the cell
+    lies in. With collision resolution off, cells pass through unchanged;
+    with mitosis detection off, multi-match cells continue into their first
+    match and parent links are never created.
     """
-    if len(cells) != len(sequence):
-        raise ValueError("expected %d cell lists, got %d" % (len(sequence), len(cells)))
-
+    steps = iter(steps)
+    try:
+        frame_prev, cells = next(steps)
+    except StopIteration:
+        raise ValueError("no frames to link") from None
     graph = LineageGraph()
     events = []
-    cells_by_frame = {1: cells[0]}
-    graph.assignments[1] = {cell.id: graph.new_track(1) for cell in cells_by_frame[1]}
+    graph.assignments[1] = {cell.id: graph.new_track(1) for cell in cells}
+    cells_by_frame = [cells]
 
-    for t in range(2, len(sequence) + 1):
-        record = _link_step(sequence[t - 1], sequence[t], cells_by_frame[t - 1], cells[t - 1], tracker, config)
+    for t, (frame, cells) in enumerate(steps, start=2):
+        record = _link_step(frame_prev, frame, cells_by_frame[-1], cells, tracker, config)
         prev_assign = graph.assignments[t - 1]
         for _, parents in record.flagged:
             events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))
         events += update_lineage(graph, t, record.states, record.cells)
-        cells_by_frame[t] = record.cells
+        cells_by_frame.append(record.cells)
+        frame_prev = frame
     graph.validate()
 
-    h, w = sequence[1].pixels.shape
+    h, w = frame_prev.pixels.shape
     masks = (
-        mask_from_cells([replace(c, id=graph.assignments[t][c.id]) for c in cells_by_frame[t]], h, w)
-        for t in range(1, len(sequence) + 1)
+        mask_from_cells([replace(c, id=graph.assignments[t][c.id]) for c in cells], h, w)
+        for t, cells in enumerate(cells_by_frame, start=1)
     )
     return masks, graph, events

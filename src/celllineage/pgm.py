@@ -22,12 +22,12 @@ _QUOTE = 20  # bytes of a bad header field that an error message quotes
 
 
 def _number(path, name, token):
-    """The value of header field `name`, which is plain ASCII decimal digits."""
-    if token.isdigit():  # bytes.isdigit: ASCII 0-9 only; int() also takes a sign and '_'
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
+    """The value of header field `name`, which is plain ASCII decimal digits,
+    at most _QUOTE of them: a longer run, larger than any raster, is refused
+    like a non-numeric field, so no message prints a number of its size."""
+    # bytes.isdigit: ASCII 0-9 only; int() also takes a sign and '_'
+    if token.isdigit() and len(token) <= _QUOTE:
+        return int(token)
     raise PnmError("%s: non-numeric header field %s %r" % (path, name, token[:_QUOTE]))
 
 

@@ -14,7 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .imagecore import Frame, LabelMask, Sequence
+from .imagecore import Frame, LabelMask
 from .linker import LineageGraph
 
 log = logging.getLogger("lineage")
@@ -271,7 +271,8 @@ def _render(cells, cfg, rng):
 
 
 def simulate(cfg):
-    """Generate (Sequence, GroundTruth); bit-deterministic per (config, seed)."""
+    """Generate (frames, GroundTruth), the frames a tuple numbered 1..T;
+    bit-deterministic per (config, seed)."""
     rng = np.random.default_rng(cfg.rng_seed)
     graph = LineageGraph()
     events = []
@@ -345,8 +346,7 @@ def simulate(cfg):
                 cell.pos = _reflect_into(cell.pos + step, cell.radius + 1.0, cfg)
 
     graph.validate()
-    sequence = Sequence(frames=tuple(frames))
-    return sequence, GroundTruth(masks=gt_masks, lineage=graph, events=events)
+    return tuple(frames), GroundTruth(masks=gt_masks, lineage=graph, events=events)
 
 
 def _divide(cells, graph, tid, t, rng, cfg):

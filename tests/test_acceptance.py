@@ -35,11 +35,10 @@ from celllineage.trackfile import format_track_file, parse_track_file
 
 def _run_pipeline(sequence, collision, mitosis):
     cfg = PipelineConfig()
-    cells = _segment_sequence(sequence, cfg)
     linker_cfg = LinkerConfig(
         enable_collision_resolution=collision, enable_mitosis_detection=mitosis
     )
-    return run_linker(sequence, cells, NCCTracker(TrackerConfig()), linker_cfg)
+    return run_linker(_segment_sequence(sequence, cfg), NCCTracker(TrackerConfig()), linker_cfg)
 
 
 def test_criterion_01_directional_improvement():
@@ -192,7 +191,7 @@ def test_criterion_04_resegmentation_partition():
         lump_pts = [tuple(p) for p in np.argwhere((mask == 1) | (mask == 2))]
         lump = make_cell(1, lump_pts)
         cents = [tuple(np.argwhere(prev_mask == lab).mean(axis=0)) for lab in (1, 2)]
-        cells = reseg_cell(sequence[contact_t], lump, cents, (0.0, 0.0))
+        cells = reseg_cell(sequence[contact_t - 1], lump, cents, (0.0, 0.0))
         agree = sum(
             1
             for cell, lab in zip(cells, (1, 2))

@@ -148,6 +148,22 @@ def test_track_masks_of_another_size_is_an_error_message(sim_dir, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["track", "track-masks", "overlay"])
+def test_frame_of_another_size_is_an_error_message(command, sim_dir, tmp_path, capsys):
+    src, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(sim_dir, src)
+    pgm.write_pgm8(str(src / (FRAME_FMT % 2)), np.zeros((64, 128), dtype=np.uint8))
+    (tmp_path / "cfg.json").write_text(json.dumps({"segmentation": "masks"}))
+    argv = {
+        "track": ["track", "--in", str(src)],
+        "track-masks": ["track", "--config", str(tmp_path / "cfg.json"), "--in", str(src)],
+        "overlay": ["overlay", "--in", str(src)],
+    }[command]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "lineage: error: frame 2: all frames must share dimensions\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "lines, expected",
     [
@@ -159,8 +175,9 @@ def test_track_masks_of_another_size_is_an_error_message(sim_dir, tmp_path, caps
         ),
         ("1 1 10 12 20 22 0.9\n1 2 10 12 20 22\n", "fwd.txt:2: expected 7 fields, got 6"),
         ("1 1 10 12 20 22 1.5\n", "fwd.txt:1: score outside [-1, 1]"),
+        ("1 1 10 12 20 128 0.9\n", "fwd.txt:1: region exceeds frame bounds"),  # the frames are 128x128
     ],
-    ids=["zero id", "negative id", "second line", "six fields", "score 1.5"],
+    ids=["zero id", "negative id", "second line", "six fields", "score 1.5", "past the frame"],
 )
 def test_track_bad_external_cell_is_an_error_message(sim_dir, tmp_path, capsys, lines, expected):
     (tmp_path / "fwd.txt").write_text(lines)
@@ -403,9 +420,10 @@ def test_evaluate_holds_a_few_masks_at_a_time(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("segmentation", ["threshold", "masks"])
 def test_track_holds_a_few_masks_at_a_time(segmentation, tmp_path, monkeypatch, capsys):
-    """Track renders each output mask as it writes it, and in masks mode
-    cuts each input mask into cells as it reads it: however long the
-    sequence, only a few of the label arrays it makes are alive at once."""
+    """Track reads each frame as it links it, renders each output mask as
+    it writes it, and in masks mode cuts each input mask into cells as it
+    reads it: however long the sequence, only a few of the frame and label
+    arrays it makes are alive at once."""
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"width": 64, "height": 64, "frames": 12, "n_init": 2, "radius_range": [5.0, 6.0]}))
     sim = str(tmp_path / "sim")
@@ -424,11 +442,13 @@ def test_track_holds_a_few_masks_at_a_time(segmentation, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(linker, "mask_from_cells", tracked("render", linker.mask_from_cells, lambda m: m.labels))
     monkeypatch.setattr(pgm, "read_pgm16", tracked("read", pgm.read_pgm16, lambda labels: labels))
+    monkeypatch.setattr(pgm, "read_pgm8", tracked("frame", pgm.read_pgm8, lambda pixels: pixels))
     (tmp_path / "track.json").write_text(json.dumps({"segmentation": segmentation}))
     argv = ["track", "--config", str(tmp_path / "track.json"), "--in", sim, "--out", str(tmp_path / "out")]
     assert run(argv) == 0
     capsys.readouterr()
     assert 0 < peak["render"] <= 3, peak
+    assert 0 < peak["frame"] <= 3, peak
     if segmentation == "masks":
         assert 0 < peak["read"] <= 3, peak
 

@@ -8,7 +8,6 @@ from test_golden import CROWDED_SIM
 from celllineage.imagecore import (
     Frame,
     LabelMask,
-    Sequence,
     cells_from_labelmask,
     connected_components,
     make_cell,
@@ -134,9 +133,9 @@ def test_components_match_scan_order_relabel_on_crowded_frames(min_size):
     """Full-size thresholded frames, where the size filter leaves gaps in
     ndimage.label's numbering: the running count renumbers them exactly as
     an explicit first-pixel relabel of the filtered labels does."""
-    sequence, _ = simulate(from_doc(SimConfig, CROWDED_SIM, "sim"))
+    frames, _ = simulate(from_doc(SimConfig, CROWDED_SIM, "sim"))
     dropped = 0
-    for frame in sequence.frames:
+    for frame in frames:
         fg = threshold_segment(frame)
         for conn in (4, 8):
             raw = ndimage.label(fg, structure=ndimage.generate_binary_structure(2, conn // 4))[0]
@@ -393,19 +392,6 @@ def test_normalized_region_matches_slice():
 def test_frame_validation(index, pixels, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Frame(index, pixels)
-
-
-def test_sequence_validation_and_indexing():
-    frame = lambda t, shape=(2, 3): Frame(t, np.zeros(shape, dtype=np.uint8))
-    with pytest.raises(ValueError, match="frame indices must be 1..T consecutive"):
-        Sequence((frame(1), frame(3)))
-    with pytest.raises(ValueError, match="all frames must share dimensions"):
-        Sequence((frame(1), frame(2, (3, 2))))
-    sequence = Sequence((frame(1), frame(2)))
-    assert sequence[2].index == 2
-    for t in (0, 3):
-        with pytest.raises(IndexError, match=r"frame index %d out of range 1\.\.2" % t):
-            sequence[t]
 
 
 def test_label_mask_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from celllineage.imagecore import Frame, LabelMask, Sequence, cells_from_labelmask, make_cell
+from celllineage.imagecore import Frame, LabelMask, cells_from_labelmask, make_cell
 from celllineage.linker import (
     Apoptosis,
     CollisionReport,
@@ -559,22 +559,18 @@ def test_parent_set_prune_changes_nothing():
     assert pruned_cases > 0 and calls < unpruned_calls
 
 
-def make_sequence(images):
-    return Sequence(frames=tuple(Frame(i + 1, img) for i, img in enumerate(images)))
-
-
-def mask_cells(*labels):
-    """run_linker's input: the cells of each label raster."""
-    return [cells_from_labelmask(LabelMask(m)) for m in labels]
+def steps(images, *labels):
+    """run_linker's input: each image as frame t, with the cells of label raster t."""
+    pairs = zip(images, labels, strict=True)
+    return [(Frame(t, img), cells_from_labelmask(LabelMask(m))) for t, (img, m) in enumerate(pairs, start=1)]
 
 
 def test_run_linker_simple_continuation():
     img = np.zeros((20, 20), dtype=np.uint8)
     img[5:9, 5:9] = 200
-    seq = make_sequence([img, img.copy(), img.copy()])
     mask = np.zeros((20, 20), dtype=np.int32)
     mask[5:9, 5:9] = 1
-    out, graph, events = run_linker(seq, mask_cells(mask, mask, mask), StationaryTracker())
+    out, graph, events = run_linker(steps([img, img.copy(), img.copy()], mask, mask, mask), StationaryTracker())
     assert len(graph.tracks) == 1
     tr = graph.tracks[1]
     assert (tr.birth, tr.end, tr.parent) == (1, 3, 0)
@@ -589,12 +585,12 @@ def test_run_linker_apoptosis_and_new():
     img1[5:9, 5:9] = 200
     img2 = np.zeros((20, 20), dtype=np.uint8)
     img2[12:16, 12:16] = 200
-    seq = make_sequence([img1, img2])
     m1 = np.zeros((20, 20), dtype=np.int32)
     m1[5:9, 5:9] = 1
     m2 = np.zeros((20, 20), dtype=np.int32)
     m2[12:16, 12:16] = 1
-    out, graph, events = run_linker(seq, mask_cells(m1, m2), StationaryTracker())
+    out, graph, events = run_linker(steps([img1, img2], m1, m2), StationaryTracker())
+    assert len(list(out)) == 2
     kinds = sorted(ev[1] for ev in events)
     assert kinds == ["APOPTOSIS", "NEW"]
     assert len(graph.tracks) == 2
@@ -607,7 +603,6 @@ def test_run_linker_mitosis_toggle():
     img2 = np.zeros((20, 30), dtype=np.uint8)
     img2[8:12, 8:12] = 200
     img2[8:12, 18:22] = 200
-    seq = make_sequence([img1, img2])
     m1 = np.zeros((20, 30), dtype=np.int32)
     m1[8:12, 13:17] = 1
     m2 = np.zeros((20, 30), dtype=np.int32)
@@ -621,33 +616,34 @@ def test_run_linker_mitosis_toggle():
                 return TrackerPrediction((top, max(0, left - 8), bottom, right + 8), 1.0, True)
             return super().predict(frame_src, frame_dst, cell)
 
-    out, graph, events = run_linker(seq, mask_cells(m1, m2), WideTracker())
+    out, graph, events = run_linker(steps([img1, img2], m1, m2), WideTracker())
+    assert len(list(out)) == 2
     assert any(ev[1] == "MITOSIS" for ev in events)
     children = [tr for tr in graph.tracks.values() if tr.parent == 1]
     assert len(children) == 2
 
     cfg = LinkerConfig(enable_mitosis_detection=False)
-    out, graph, events = run_linker(seq, mask_cells(m1, m2), WideTracker(), cfg)
+    out, graph, events = run_linker(steps([img1, img2], m1, m2), WideTracker(), cfg)
+    assert len(list(out)) == 2
     assert not any(ev[1] == "MITOSIS" for ev in events)
     assert all(tr.parent == 0 for tr in graph.tracks.values())
 
 
-def test_run_linker_rejects_mismatched_inputs():
-    img = np.zeros((10, 10), dtype=np.uint8)
-    seq = make_sequence([img, img.copy()])
-    with pytest.raises(ValueError, match="expected 2 cell lists, got 1"):
-        run_linker(seq, [[]], StationaryTracker())
+def test_run_linker_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="no frames to link"):
+        run_linker(iter(()), StationaryTracker())
 
 
 def test_run_linker_output_masks_use_track_ids():
     img = np.zeros((20, 20), dtype=np.uint8)
     img[2:5, 2:5] = 200
     img[10:13, 10:13] = 180
-    seq = make_sequence([img, img.copy()])
     m = np.zeros((20, 20), dtype=np.int32)
     m[2:5, 2:5] = 7
     m[10:13, 10:13] = 3
-    out, graph, events = run_linker(seq, mask_cells(m, m), StationaryTracker())
+    out, graph, events = run_linker(steps([img, img.copy()], m, m), StationaryTracker())
+    out = list(out)
+    assert len(out) == 2
     for om in out:
         assert set(np.unique(om.labels)) == {0, 1, 2}
 
@@ -683,15 +679,15 @@ class CountingTracker:
 )
 def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     cfg = sim if isinstance(sim, SimConfig) else from_doc(SimConfig, sim, "sim")
-    sequence, _ = simulate(cfg)
-    cells = _segment_sequence(sequence, PipelineConfig())
+    frames, _ = simulate(cfg)
+    pairs = list(_segment_sequence(frames, PipelineConfig()))
     runs = []
     for whole_frame in (True, False):
         tracker = CountingTracker(TrackerConfig(search_size=search_size), whole_frame)
-        out, graph, events = run_linker(sequence, cells, tracker)
+        out, graph, events = run_linker(pairs, tracker)
         runs.append((tracker.backward_calls, list(out), graph, events))
     (calls_all, out_all, graph_all, events_all), (calls, out, graph, events) = runs
-    assert len(out) == len(out_all) == len(sequence)
+    assert len(out) == len(out_all) == len(frames)
     assert all(np.array_equal(a.labels, b.labels) for a, b in zip(out, out_all))
     assert graph == graph_all
     assert events == events_all
@@ -702,8 +698,7 @@ def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
 def test_run_linker_step_records(monkeypatch):
     """One record per frame step; its counts on the collision golden's run
     are those the traced benchmark reads off the linker's functions."""
-    sequence, _ = simulate(from_doc(SimConfig, COLLISIONS_SIM, "sim"))
-    cells = _segment_sequence(sequence, PipelineConfig())
+    frames, _ = simulate(from_doc(SimConfig, COLLISIONS_SIM, "sim"))
     records, step = [], linker._link_step
 
     def spy(*args):
@@ -711,8 +706,9 @@ def test_run_linker_step_records(monkeypatch):
         return records[-1]
 
     monkeypatch.setattr(linker, "_link_step", spy)
-    _, _, events = run_linker(sequence, cells, NCCTracker(TrackerConfig(search_size=64)))
-    assert len(records) == len(sequence) - 1 == 19
+    pairs = _segment_sequence(frames, PipelineConfig())
+    _, _, events = run_linker(pairs, NCCTracker(TrackerConfig(search_size=64)))
+    assert len(records) == len(frames) - 1 == 19
     flagged = sum(len(r.flagged) for r in records)
     splits = sum(len(r.report.splits) for r in records)
     unresolved = sum(len(r.report.unresolved) for r in records)

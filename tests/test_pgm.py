@@ -165,6 +165,21 @@ def test_header_fields_are_ascii_decimal(tmp_path, header, field, quoted):
     assert str(info.value) == "%s: non-numeric header field %s %r" % (path, field, quoted)
 
 
+@pytest.mark.parametrize("digits", [20, 21, 4000])
+def test_long_dimension_is_a_short_message(tmp_path, digits):
+    """A width of thousands of digits is refused in a message of bounded
+    length, never one that prints the width or the byte count it implies."""
+    path = str(tmp_path / "wide.pgm")
+    with open(path, "wb") as f:
+        f.write(b"P5 " + b"9" * digits + b" 1 255\n" + b"\x00" * 10)
+    with pytest.raises(pgm.PnmError) as info:
+        pgm.read_pgm8(path)
+    message = str(info.value)
+    assert "\n" not in message and len(message) <= len(path) + 80, len(message)
+    if digits > 20:
+        assert message == "%s: non-numeric header field width %r" % (path, b"9" * 20)
+
+
 def _oracle_header(data, expected_magic):
     """The byte-at-a-time header tokenizer that `pgm._HEADER` replaced, kept as
     the grammar's oracle: (width, height, maxval, raster offset) or PnmError."""

@@ -102,9 +102,10 @@ def test_simulate_shapes_and_counts():
     cfg = small_config()
     seq, gt = simulate(cfg)
     assert len(seq) == 6 and len(gt.masks) == 6
-    for t in range(1, 7):
-        assert seq[t].pixels.shape == (96, 96)
-        assert seq[t].pixels.dtype == np.uint8
+    for t, frame in enumerate(seq, start=1):
+        assert frame.index == t
+        assert frame.pixels.shape == (96, 96)
+        assert frame.pixels.dtype == np.uint8
     labels = set(np.unique(gt.masks[0].labels)) - {0}
     assert labels == {1, 2, 3}
 
@@ -114,7 +115,7 @@ def test_simulate_deterministic():
     seq_a, gt_a = simulate(cfg)
     seq_b, gt_b = simulate(cfg)
     for t in range(1, len(seq_a) + 1):
-        assert np.array_equal(seq_a[t].pixels, seq_b[t].pixels)
+        assert np.array_equal(seq_a[t - 1].pixels, seq_b[t - 1].pixels)
         assert np.array_equal(gt_a.masks[t - 1].labels, gt_b.masks[t - 1].labels)
     assert gt_a.events == gt_b.events
 
@@ -123,7 +124,7 @@ def test_simulate_seed_changes_output():
     seq_a, _ = simulate(small_config(rng_seed=1))
     seq_b, _ = simulate(small_config(rng_seed=2))
     assert any(
-        not np.array_equal(seq_a[t].pixels, seq_b[t].pixels) for t in range(1, len(seq_a) + 1)
+        not np.array_equal(a.pixels, b.pixels) for a, b in zip(seq_a, seq_b)
     )
 
 
@@ -132,7 +133,7 @@ def test_blob_intensity_profile():
     cfg = small_config(noise_sigma=0.0, drift_sigma=0.0, n_init=1, radius_range=(8.0, 8.0))
     seq, gt = simulate(cfg)
     mask = gt.masks[0].labels
-    frame = seq[1].pixels
+    frame = seq[0].pixels
     rows, cols = np.nonzero(mask == 1)
     r0 = (rows.min() + rows.max()) / 2.0
     c0 = (cols.min() + cols.max()) / 2.0
