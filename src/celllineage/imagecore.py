@@ -30,7 +30,7 @@ class Frame:
         if region is not None:
             top, left, bottom, right = region
             pixels = pixels[top : bottom + 1, left : right + 1]
-        return pixels.astype(np.float64) / 255.0
+        return pixels / 255.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def connected_components(mask, connectivity=4, min_size=1):
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
     labels = ndimage.label(mask, structure=_structure(connectivity))[0]
-    sizes = np.bincount(labels.ravel())
+    sizes = np.bincount(labels[mask])  # foreground only: label 0 is never kept
     # ndimage.label numbers components in row-major first-pixel order, so a
     # running count over the kept ones keeps that order
     cells = []

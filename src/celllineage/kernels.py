@@ -1,9 +1,11 @@
 """Exhaustive NCC placement search: FFT cross term, summed-area-table sums.
 
 The zero-mean template is correlated with the window by real FFTs, and the
-window sums Σv and Σv² of every placement come from two summed-area tables
-(J. P. Lewis, *Fast Normalized Cross-Correlation*, Vision Interface 1995).
+window sums Σv and Σv² of every placement come from one stack of two
+summed-area tables (J. P. Lewis, *Fast Normalized Cross-Correlation*, Vision Interface 1995).
 """
+
+import functools
 
 import numpy as np
 
@@ -13,6 +15,7 @@ _VAR_EPS = 1e-12
 _TIE_EPS = 1e-12
 
 
+@functools.cache
 def _fast_len(n):
     """Smallest 5-smooth length >= n; FFTs of other lengths are much slower."""
     m = n
@@ -27,12 +30,19 @@ def _fast_len(n):
 
 
 def _placement_sums(values, th, tw):
-    """Sum of `values` over every th x tw placement, from a summed-area table."""
-    h, w = values.shape
-    sat = np.zeros((h + 1, w + 1))
-    np.cumsum(values, axis=0, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    return sat[th:, tw:] - sat[: h + 1 - th, tw:] - sat[th:, : w + 1 - tw] + sat[: h + 1 - th, : w + 1 - tw]
+    """Sum over every th x tw placement of each of the last two axes of
+    `values`, from a summed-area table: (..., h, w) -> (..., h - th + 1,
+    w - tw + 1)."""
+    h, w = values.shape[-2:]
+    sat = np.zeros(values.shape[:-2] + (h + 1, w + 1))
+    np.cumsum(values, axis=-2, out=sat[..., 1:, 1:])
+    np.cumsum(sat[..., 1:, 1:], axis=-1, out=sat[..., 1:, 1:])
+    return (
+        sat[..., th:, tw:]
+        - sat[..., : h + 1 - th, tw:]
+        - sat[..., th:, : w + 1 - tw]
+        + sat[..., : h + 1 - th, : w + 1 - tw]
+    )
 
 
 def _flat_placements(window, th, tw):
@@ -46,6 +56,12 @@ def _flat_placements(window, th, tw):
     return (rows == 0) & (cols == 0)
 
 
+def _spectrum(a, size):
+    """rfft2(a, s=size), as rfft2 computes it: the real pass over rows, then
+    the complex one over columns."""
+    return np.fft.fft(np.fft.rfft(a, n=size[1], axis=1), n=size[0], axis=0)
+
+
 def _cross_term(v, t0, out_shape):
     """Σ t0·v over every placement, by real FFTs.
 
@@ -55,7 +71,7 @@ def _cross_term(v, t0, out_shape):
     hold placements; each row's result is bitwise that of irfft2.
     """
     size = (_fast_len(v.shape[0]), _fast_len(v.shape[1]))
-    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
+    spectrum = _spectrum(v, size) * np.conj(_spectrum(t0, size))
     rows = np.fft.ifft(spectrum, axis=0)[: out_shape[0]]
     return np.fft.irfft(rows, n=size[1], axis=1)[:, : out_shape[1]]
 
@@ -72,19 +88,20 @@ def ncc_map(window, template):
     if th > window.shape[0] or tw > window.shape[1]:
         raise ValueError("template larger than search window")
     n = th * tw
-    t0 = template - template.mean()
+    t0 = template - template.sum() / n
     t_ss = float(np.sum(t0 * t0))
     out_shape = (window.shape[0] - th + 1, window.shape[1] - tw + 1)
     if t_ss <= _VAR_EPS:
         return np.zeros(out_shape)
     # NCC ignores a constant offset; centring keeps s2 - s1^2/n from
     # cancelling on bright, flat patches
-    v = window - window.mean()
+    v_vv = np.empty((2,) + window.shape)  # v and v*v, summed in one table
+    v, vv = v_vv
+    np.subtract(window, window.sum() / window.size, out=v)
+    np.multiply(v, v, out=vv)
     # sum(t0) == 0, so the cross term needs no patch-mean subtraction
     cross = _cross_term(v, t0, out_shape)
-    vv = v * v
-    s1 = _placement_sums(v, th, tw)
-    s2 = _placement_sums(vv, th, tw)
+    s1, s2 = _placement_sums(v_vv, th, tw)
     var = s2 - s1 * s1 / n
     np.clip(var, 0.0, None, out=var)
     # the tables' round-off grows with the window's total; below that bound
@@ -94,9 +111,7 @@ def ncc_map(window, template):
     if low.any():
         var[low & _flat_placements(window, th, tw)] = 0.0
     denom = np.sqrt(var * t_ss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = cross / denom
-    scores[var <= _VAR_EPS] = 0.0
+    scores = np.divide(cross, denom, out=np.zeros(out_shape), where=var > _VAR_EPS)
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 

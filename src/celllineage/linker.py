@@ -2,15 +2,16 @@
 
 Per frame step t-1 -> t: backward predictions, each current cell located in
 frame t-1, flag under-segmented lumps (two or more previous centroids inside
-one backward-tracked region). A cell is predicted backward only when the
-tracker's reach for it, the box every prediction lies in, holds two or more
-previous centroids. Flagged lumps are split by seeded random-walker
-re-segmentation. The pieces of each split are checked again, round by round,
-until no piece is flagged with a previous centroid that its earlier splits
-did not use; a piece is predicted backward only when its reach holds such a
-centroid. Forward predictions, each previous cell located in frame t, then
-match previous cells to current ones and each previous cell is classified as
-apoptosis, continuation or mitosis by its match count.
+one backward-tracked region). A cell is predicted backward only when a
+box of the largest region size inside the tracker's reach for it, the box
+every prediction lies in, can hold two previous centroids. Flagged lumps
+are split by seeded random-walker re-segmentation. The pieces of each split
+are checked again, round by round, until no piece is flagged with a
+previous centroid that its earlier splits did not use; a piece is predicted
+backward only when such a box can hold two centroids, one of them outside
+its parent set. Forward predictions, each previous cell located in frame
+t, then match previous cells to current ones and each previous cell is
+classified as apoptosis, continuation or mitosis by its match count.
 """
 
 from dataclasses import dataclass, field, replace
@@ -301,20 +302,39 @@ class StepRecord:
     states: dict  # previous cell id -> Apoptosis, Continuation or Mitosis
 
 
+def _fits(ceil, floor, lo, hi, size):
+    """k x k table, one axis: some span [s, s + size - 1] of integer s,
+    inside the inclusive [lo, hi], holds coordinates a and b. A span holds
+    the real x when ceil(x) - size + 1 <= s <= floor(x)."""
+    first = np.maximum(np.maximum.outer(ceil, ceil) - size + 1, lo)
+    last = np.minimum(np.minimum.outer(floor, floor), hi - size + 1)
+    return first <= last
+
+
 def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
     """`predict_backward(cell, parents=frozenset())` for one frame step.
 
-    Every region lies in the tracker's reach, and detection only counts the
-    previous centroids in the region. So a cell whose reach holds fewer than
-    two previous centroids is never flagged, and a piece whose reach holds
-    only centroids of its parent set is never acted on; both get None.
+    Every region lies in the box of the tracker's reach and is no larger
+    than its size, and detection only counts the previous centroids in the
+    region. So a cell is flagged only if some box of that size inside the
+    reach holds two previous centroids, and a piece is acted on only if such
+    a box holds two of which one lies outside its parent set. Any other
+    cell or piece gets None.
     """
-    prev_rows, prev_cols = _centroids(cells_prev)
-    prev_ids = np.array([c.id for c in cells_prev], dtype=int)
+    centroids = _centroids(cells_prev)
+    ceil, floor = np.ceil(centroids).astype(int), np.floor(centroids).astype(int)
+    ids = np.array([c.id for c in cells_prev], dtype=int)
 
     def predict_backward(cell, parents=frozenset()):
-        inside = prev_ids[_in_box(tracker.reach(cell, frame_cur.pixels.shape), prev_rows, prev_cols)]
-        if len(inside) < 2 or parents.issuperset(inside.tolist()):
+        (top, left, bottom, right), (height, width) = tracker.reach(cell, frame_cur.pixels.shape)
+        k = np.flatnonzero(_in_box((top, left, bottom, right), *centroids))
+        if len(k) < 2:
+            return None
+        pairs = _fits(ceil[0, k], floor[0, k], top, bottom, height)
+        pairs &= _fits(ceil[1, k], floor[1, k], left, right, width)
+        np.fill_diagonal(pairs, False)
+        outside = np.array([i not in parents for i in ids[k].tolist()])
+        if not pairs[outside].any():
             return None
         return tracker.predict(frame_cur, frame_prev, cell)
 
@@ -357,10 +377,11 @@ def run_linker(steps, tracker, config=LinkerConfig()):
     mask is rendered when iteration reaches it, once. `tracker` provides
     `predict(frame_src, frame_dst, cell)`, the cell of frame_src located in
     frame_dst (t -> t-1 backward, t-1 -> t forward), and `reach(cell,
-    shape)`, the inclusive box that every region it predicts for the cell
-    lies in. With collision resolution off, cells pass through unchanged;
-    with mitosis detection off, multi-match cells continue into their first
-    match and parent links are never created.
+    shape)`, `(box, (height, width))`: every region it predicts for the
+    cell lies in the inclusive box and is at most height x width, which
+    fits in the box. With collision resolution off, cells pass through
+    unchanged; with mitosis detection off, multi-match cells continue into
+    their first match and parent links are never created.
     """
     steps = iter(steps)
     try:

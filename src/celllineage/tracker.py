@@ -5,11 +5,16 @@ search over a fixed-size window; external predictions can be loaded from
 text files so a learned tracker can be swapped in without code changes.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+
+# an integer field: an optional '-' and ASCII digits; int() would also take
+# '+', '_' and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,12 @@ def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
     tb = _template_bbox(cell, config.template_pad, h, w)
     th = tb[2] - tb[0] + 1
     tw = tb[3] - tb[1] + 1
-    template = frame_src.normalized(tb)
-    if np.ptp(template) == 0:
+    patch = frame_src.pixels[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
+    if patch.min() == patch.max():
         return TrackerPrediction(tb, 0.0, False)
     wtop, wleft, wbottom, wright = search_box(tb, (h, w), config.search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
-    r, c, score = kernels.ncc_best(window, template)
+    r, c, score = kernels.ncc_best(window, frame_src.normalized(tb))
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
     return TrackerPrediction(region, score, score >= config.min_score)
 
@@ -105,9 +110,11 @@ class NCCTracker:
         return predict(frame_src, frame_dst, cell, self.config)
 
     def reach(self, cell, shape):
-        """Inclusive box that every region `predict` returns for `cell` lies in:
-        the search window, which always holds the template box."""
-        return search_box(_template_bbox(cell, self.config.template_pad, *shape), shape, self.config.search_size)
+        """(box, (height, width)): every region `predict` returns for `cell`
+        lies in the inclusive box, the search window, and has the template
+        box's shape; the window always holds the template box."""
+        tb = _template_bbox(cell, self.config.template_pad, *shape)
+        return search_box(tb, shape, self.config.search_size), (tb[2] - tb[0] + 1, tb[3] - tb[1] + 1)
 
 
 class ExternalTracker:
@@ -135,6 +142,8 @@ class ExternalTracker:
             if len(parts) != 7:
                 raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
             try:
+                if not all(map(_INTEGER.fullmatch, parts[:6])):
+                    raise ValueError
                 t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
                 score = float(parts[6])
             except ValueError:
@@ -163,5 +172,5 @@ class ExternalTracker:
         return TrackerPrediction((top, left, bottom, right), score, True)
 
     def reach(self, cell, shape):
-        """A loaded region may lie anywhere: the whole frame."""
-        return 0, 0, shape[0] - 1, shape[1] - 1
+        """A loaded region may lie anywhere and fill the whole frame."""
+        return (0, 0, shape[0] - 1, shape[1] - 1), tuple(shape)

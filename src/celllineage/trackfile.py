@@ -1,6 +1,12 @@
 """res_track.txt lineage interchange: one `L B E P` line per track."""
 
+import re
+
 from .linker import LineageGraph, Track
+
+# an integer field: an optional '-' and ASCII digits; int() would also take
+# '+', '_' and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class TrackFileError(ValueError):
@@ -18,10 +24,9 @@ def _parse_tracks(text):
         parts = line.split()
         if len(parts) != 4:
             raise TrackFileError("line %d: expected 4 fields, got %d" % (lineno, len(parts)))
-        try:
-            label, birth, end, parent = (int(p) for p in parts)
-        except ValueError:
+        if not all(map(_INTEGER.fullmatch, parts)):
             raise TrackFileError("line %d: non-integer field" % lineno)
+        label, birth, end, parent = (int(p) for p in parts)
         if label <= 0:
             raise TrackFileError("line %d: track id must be positive" % lineno)
         if label in graph.tracks:

@@ -30,7 +30,7 @@ from celllineage.cli import PipelineConfig, _segment_sequence, main
 from celllineage.jsonconfig import from_doc
 from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
 from celllineage.simulator import SimConfig, script_collision_scenario, simulate
-from celllineage.tracker import NCCTracker, TrackerConfig, TrackerPrediction
+from celllineage.tracker import ExternalTracker, NCCTracker, TrackerConfig, TrackerPrediction
 from test_golden import COLLISIONS_SIM, COLLISIONS_TRACK, CROWDED_SIM
 
 
@@ -55,7 +55,7 @@ class StationaryTracker:
         return TrackerPrediction(cell.bbox, 1.0, True)
 
     def reach(self, cell, shape):
-        return 0, 0, shape[0] - 1, shape[1] - 1
+        return (0, 0, shape[0] - 1, shape[1] - 1), tuple(shape)
 
 
 def test_classify_state_exhaustive_sizes():
@@ -512,7 +512,8 @@ def test_resolve_collisions_matches_reference_loop():
 
 class GrowingTracker:
     """Backward regions are the cell's box grown `grow` pixels; the reach
-    is the box grown `grow + slack`, so every region lies in it."""
+    is the box grown `grow + slack`, so every region lies in it, and its
+    size is the region's."""
 
     def __init__(self, grow, slack):
         self.grow, self.slack, self.calls = grow, slack, 0
@@ -522,7 +523,8 @@ class GrowingTracker:
         return pred(grown(cell.bbox, self.grow, *frame_src.pixels.shape))
 
     def reach(self, cell, shape):
-        return grown(cell.bbox, self.grow + self.slack, *shape)
+        top, left, bottom, right = grown(cell.bbox, self.grow, *shape)
+        return grown(cell.bbox, self.grow + self.slack, *shape), (bottom - top + 1, right - left + 1)
 
 
 def unpruned_predictor(frame_prev, frame_cur, cells_prev, tracker):
@@ -530,7 +532,7 @@ def unpruned_predictor(frame_prev, frame_cur, cells_prev, tracker):
     None only when the reach holds fewer than two previous centroids."""
 
     def predict_backward(cell, parents=frozenset()):
-        top, left, bottom, right = tracker.reach(cell, frame_cur.pixels.shape)
+        (top, left, bottom, right), _ = tracker.reach(cell, frame_cur.pixels.shape)
         inside = [p for p in cells_prev if top <= p.centroid[0] <= bottom and left <= p.centroid[1] <= right]
         if len(inside) < 2:
             return None
@@ -557,6 +559,84 @@ def test_parent_set_prune_changes_nothing():
         calls += pruned.calls
         unpruned_calls += unpruned.calls
     assert pruned_cases > 0 and calls < unpruned_calls
+
+
+def sweep_finds_a_box(reach, size, centroids, ids, parents):
+    """Brute force: some size box inside the reach holds two centroids, one
+    of them outside `parents`. Every placement is swept."""
+    (top, left, bottom, right), (h, w) = reach, size
+    tops, lefts = np.meshgrid(np.arange(top, bottom - h + 2), np.arange(left, right - w + 2), indexing="ij")
+    tops, lefts = tops.reshape(-1, 1), lefts.reshape(-1, 1)
+    rows, cols = centroids
+    held = (tops <= rows) & (rows <= tops + h - 1) & (lefts <= cols) & (cols <= lefts + w - 1)
+    outside = np.array([i not in parents for i in ids], dtype=bool)
+    return bool(((held.sum(axis=1) >= 2) & (held & outside).any(axis=1)).any())
+
+
+class SlidingTracker(GrowingTracker):
+    """A GrowingTracker whose regions are slid by an offset fixed per cell
+    to anywhere in the reach, as an NCC search lands anywhere in its
+    window."""
+
+    def predict(self, frame_src, frame_dst, cell):
+        self.calls += 1
+        (top, left, bottom, right), (h, w) = self.reach(cell, frame_src.pixels.shape)
+        r = top + (7 * cell.bbox[0] + 3 * cell.bbox[1]) % (bottom - top + 2 - h)
+        c = left + (5 * cell.bbox[1] + cell.bbox[0]) % (right - left + 2 - w)
+        return pred((r, c, r + h - 1, c + w - 1))
+
+
+def test_region_size_prune_changes_nothing():
+    """A cell or piece is searched backward exactly when some box of its
+    largest region size inside its reach holds two previous centroids, one
+    outside its parent set; and the prune leaves resolve_collisions' cells
+    and report as the unpruned rule gives them."""
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for case in range(600):
+        h, w = (int(v) for v in rng.integers(6, 64, size=2))
+        frame = Frame(2, rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+        # single pixels have integer centroids, dominoes and 2x2 squares half-integer ones
+        prev = []
+        for pid in range(1, int(rng.integers(2, 9)) + 1):
+            r, c = int(rng.integers(0, h - 1)), int(rng.integers(0, w - 1))
+            dr, dc = [(0, 0), (0, 1), (1, 0), (1, 1)][int(rng.integers(0, 4))]
+            prev.append(make_cell(pid, {(r, c), (r + dr, c + dc)}))
+        ch, cw = int(rng.integers(1, h // 2 + 1)), int(rng.integers(1, w // 2 + 1))
+        top = [0, int(rng.integers(0, h - ch + 1)), h - ch][int(rng.integers(0, 3))]
+        left = [0, int(rng.integers(0, w - cw + 1)), w - cw][int(rng.integers(0, 3))]
+        cell = make_cell(1, [(top + r, left + c) for r in range(ch) for c in range(cw)])
+        if rng.random() < 0.15:
+            tracker = ExternalTracker()  # reach and size: the whole frame
+        else:
+            # a search_size under the template's side makes the window the template box
+            cfg = TrackerConfig(search_size=int(rng.integers(1, 40)), template_pad=int(rng.integers(0, 4)))
+            tracker = NCCTracker(cfg)
+        ids = [p.id for p in prev]
+        parents = frozenset(i for i in ids if rng.random() < 0.3)
+        reach, size = tracker.reach(cell, (h, w))
+        got = linker._backward_predictor(Frame(1, frame.pixels), frame, prev, tracker)(cell, parents) is not None
+        want = sweep_finds_a_box(reach, size, linker._centroids(prev), ids, parents)
+        assert got == want, case
+        in_reach = [p.id for p in prev if linker._in_box(reach, *p.centroid)]
+        seen["searched"] += got
+        seen["pruned by size"] += not got and len(in_reach) >= 2 and not parents.issuperset(in_reach)
+        seen["size fills reach"] += size == (reach[2] - reach[0] + 1, reach[3] - reach[1] + 1)
+        clipped = (reach[0] == 0, reach[1] == 0, reach[2] == h - 1, reach[3] == w - 1)
+        seen.update(border for border, hit in zip(("top", "left", "bottom", "right"), clipped) if hit)
+        seen["clear of the borders"] += not any(clipped)
+    assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+    pruned_cases = 0
+    frame_prev = Frame(1, np.zeros((24, 24), dtype=np.uint8))
+    for case, (frame, cur, prev, preds, grow) in enumerate(fuzzed_lumps()):
+        slack = case % 4
+        pruned, unpruned = SlidingTracker(grow, slack), SlidingTracker(grow, slack)
+        got = resolve_collisions(frame, cur, prev, preds, linker._backward_predictor(frame_prev, frame, prev, pruned))
+        want = resolve_collisions(frame, cur, prev, preds, unpruned_predictor(frame_prev, frame, prev, unpruned))
+        assert got == want, case  # the cells and the report
+        pruned_cases += pruned.calls < unpruned.calls
+    assert pruned_cases > 0
 
 
 def steps(images, *labels):
@@ -663,7 +743,7 @@ class CountingTracker:
 
     def reach(self, cell, shape):
         if self.whole_frame:
-            return 0, 0, shape[0] - 1, shape[1] - 1
+            return (0, 0, shape[0] - 1, shape[1] - 1), tuple(shape)
         return self.inner.reach(cell, shape)
 
 
@@ -745,5 +825,5 @@ def test_track_work_counts(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     frames, splits = 20, 41  # the splits of test_run_linker_step_records
     assert counts["label"] == frames + splits == 61
-    assert (counts["backward"], counts["forward"], counts["ncc_best"]) == (52, 230, 282)
+    assert (counts["backward"], counts["forward"], counts["ncc_best"]) == (47, 230, 277)
 

@@ -197,20 +197,96 @@ def irfft2_cross_term(v, t0, out_shape):
     return np.fft.irfft2(spectrum, s=size)[: out_shape[0], : out_shape[1]]
 
 
-def test_two_pass_inverse_keeps_the_map_bitwise(monkeypatch):
-    rng = np.random.default_rng(19)
+def fuzzed_ncc_cases(seed, n=300):
+    """(window, template) pairs on the 8-bit grid: sides from 1 px, flat
+    placements in a fifth of the windows, and flat templates, 1x1 ones
+    among them."""
+    rng = np.random.default_rng(seed)
     cases = []
-    for _ in range(300):
+    for _ in range(n):
         wh, ww = (int(v) for v in rng.integers(1, 90, size=2))
         th, tw = int(rng.integers(1, wh + 1)), int(rng.integers(1, ww + 1))
         window = np.round(rng.random((wh, ww)) * 255) / 255.0
         if rng.random() < 0.2:
             window[: wh // 2] = 0.5  # flat placements
-        cases.append((window, np.round(rng.random((th, tw)) * 255) / 255.0))
+        template = np.round(rng.random((th, tw)) * 255) / 255.0
+        if rng.random() < 0.1:
+            template[:] = template[0, 0]  # zero variance
+        cases.append((window, template))
+    return cases
+
+
+def test_two_pass_inverse_keeps_the_map_bitwise(monkeypatch):
+    cases = fuzzed_ncc_cases(19)
     got = [kernels.ncc_map(w, t) for w, t in cases]
-    monkeypatch.setattr(kernels, "_cross_term", irfft2_cross_term)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return irfft2_cross_term(*args)
+
+    monkeypatch.setattr(kernels, "_cross_term", counted)
     for case, ((w, t), scores) in enumerate(zip(cases, got)):
         assert scores.tobytes() == kernels.ncc_map(w, t).tobytes(), case
+    # the patch ran once per case whose template is not flat
+    assert len(calls) == sum(np.ptp(t) > 0 for _, t in cases) < len(cases)
+
+
+def reference_ncc_map(window, template):
+    """The kernel as it was before its summed-area tables were stacked: four
+    cumsums, irfft2's forward transforms and np.mean, for a bitwise check."""
+
+    def placement_sums(values, th, tw):
+        h, w = values.shape
+        sat = np.zeros((h + 1, w + 1))
+        np.cumsum(values, axis=0, out=sat[1:, 1:])
+        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+        return sat[th:, tw:] - sat[: h + 1 - th, tw:] - sat[th:, : w + 1 - tw] + sat[: h + 1 - th, : w + 1 - tw]
+
+    window = np.asarray(window, dtype=np.float64)
+    template = np.asarray(template, dtype=np.float64)
+    th, tw = template.shape
+    n = th * tw
+    t0 = template - template.mean()
+    t_ss = float(np.sum(t0 * t0))
+    out_shape = (window.shape[0] - th + 1, window.shape[1] - tw + 1)
+    if t_ss <= kernels._VAR_EPS:
+        return np.zeros(out_shape)
+    v = window - window.mean()
+    size = (kernels._fast_len(v.shape[0]), kernels._fast_len(v.shape[1]))
+    spectrum = np.fft.rfft2(v, s=size) * np.conj(np.fft.rfft2(t0, s=size))
+    rows = np.fft.ifft(spectrum, axis=0)[: out_shape[0]]
+    cross = np.fft.irfft(rows, n=size[1], axis=1)[:, : out_shape[1]]
+    vv = v * v
+    s1 = placement_sums(v, th, tw)
+    s2 = placement_sums(vv, th, tw)
+    var = s2 - s1 * s1 / n
+    np.clip(var, 0.0, None, out=var)
+    roundoff = 4 * sum(v.shape) * np.finfo(np.float64).eps * float(vv.sum())
+    low = var <= roundoff
+    if low.any():
+        flat_rows = placement_sums(window[1:, :] != window[:-1, :], th - 1, tw)
+        flat_cols = placement_sums(window[:, 1:] != window[:, :-1], th, tw - 1)
+        var[low & (flat_rows == 0) & (flat_cols == 0)] = 0.0
+    denom = np.sqrt(var * t_ss)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = cross / denom
+    scores[var <= kernels._VAR_EPS] = 0.0
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def test_kernel_keeps_the_reference_bits():
+    cases = fuzzed_ncc_cases(23)
+    seen = dict.fromkeys(("flat_placement", "flat_template", "one_px_side", "one_px_template"), 0)
+    for case, (w, t) in enumerate(cases):
+        got = kernels.ncc_map(w, t)
+        assert got.tobytes() == reference_ncc_map(w, t).tobytes(), case
+        flat = np.ptp(t) == 0
+        seen["flat_template"] += flat
+        seen["flat_placement"] += not flat and bool((got == 0).any())
+        seen["one_px_side"] += 1 in w.shape
+        seen["one_px_template"] += 1 in t.shape
+    assert all(seen.values()), seen
 
 
 def test_predict_stationary():
@@ -387,7 +463,7 @@ def test_predict_region_lies_in_reach():
         src = np.full((h, w), 90, dtype=np.uint8) if flat else rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         dst = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         pred = tracker.predict(Frame(1, src), Frame(2, dst), cell)
-        reach = tracker.reach(cell, (h, w))
+        reach, size = tracker.reach(cell, (h, w))
         assert box_inside(pred.region, reach), case
         assert box_inside(reach, (0, 0, h - 1, w - 1)), case
 
@@ -397,6 +473,7 @@ def test_predict_region_lies_in_reach():
         th, tw = tb[2] - tb[0] + 1, tb[3] - tb[1] + 1
         assert box_inside(tb, window), case
         assert reach == window, case
+        assert size == (th, tw) == (pred.region[2] - pred.region[0] + 1, pred.region[3] - pred.region[1] + 1), case
         assert box_inside(pred.region, window), case
         half = cfg.search_size // 2
         seen["top"] += round((tb[0] + tb[2]) / 2) - half < 0
@@ -414,8 +491,8 @@ def test_external_reach_is_the_whole_frame(tmp_path):
     path.write_text("2 1 0 0 79 79 0.5\n")
     ext = ExternalTracker(backward_path=str(path), frame_shape=(80, 80))
     cell = blob_cell(blob_frame(1, (40, 40)))
-    assert ext.reach(cell, (80, 80)) == (0, 0, 79, 79)
-    assert ext.reach(cell, (30, 50)) == (0, 0, 29, 49)
+    assert ext.reach(cell, (80, 80)) == ((0, 0, 79, 79), (80, 80))
+    assert ext.reach(cell, (30, 50)) == ((0, 0, 29, 49), (30, 50))
 
 
 def test_predict_deterministic():
@@ -448,7 +525,8 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     bad.write_text("1 1 10 12 20 200 0.9\n")  # exceeds frame
     with pytest.raises(ValueError):
         ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
-    for line in ("2 x 0 0 5 5 0.9\n", "2 1 0 0 5 5 high\n"):
+    # an integer field is '-'? [0-9]+: int() would take '_', '+' and non-ASCII digits
+    for line in ("2 x 0 0 5 5 0.9\n", "2 1 0 0 5 5 high\n", "1_0 1 0 0 5 5 0.9\n", "2 +1 0 0 5 5 0.9\n", "\u0663 1 0 0 5 5 0.9\n"):
         bad.write_text("1 1 10 12 20 22 0.9\n" + line)
         with pytest.raises(ValueError, match=re.escape("%s:2: non-numeric field" % bad)):
             ExternalTracker(forward_path=str(bad))

@@ -53,6 +53,15 @@ def test_parse_rejections():
         parse_track_file("1 1 4 0\n2 7 9 1\n")  # parent gap
 
 
+@pytest.mark.parametrize("field", ["1_0", "+2", "\u0663", "1\u0660", "--1", "-", "0x1"])
+def test_parse_takes_only_ascii_decimal_integers(field):
+    # int() takes '_', '+' and non-ASCII digits; a field is '-'? [0-9]+
+    with pytest.raises(TrackFileError, match="^line 2: non-integer field$"):
+        parse_track_file("1 1 2 0\n%s 1 2 0\n" % field)
+    with pytest.raises(TrackFileError, match="^line 1: non-integer field$"):
+        parse_track_file("1 1 2 %s\n" % field)
+
+
 def test_format_lf_endings():
     text = format_track_file(LineageGraph(tracks={1: Track(1, 1, 4, 0), 2: Track(2, 5, 6, 1)}))
     assert text == "1 1 4 0\n2 5 6 1\n"
