@@ -14,7 +14,6 @@ from scipy import ndimage
 from . import jsonconfig, metrics, pgm, simulator, trackfile
 from .imagecore import Frame, LabelMask, cells_from_labelmask, connected_components, threshold_segment
 from .linker import LinkerConfig, run_linker
-from .rwalker import RWConfig
 from .tracker import ExternalTracker, NCCTracker, TrackerConfig
 
 log = logging.getLogger("lineage")
@@ -23,6 +22,7 @@ FRAME_FMT = "t%03d.pgm"
 MASK_FMT = "mask%03d.pgm"
 TRACK_FILE = "res_track.txt"
 EVENT_FILE = "events.txt"
+MIN_CELL_SIZE = 5  # thresholded regions below this pixel count are noise speckles
 
 
 class CliError(Exception):
@@ -32,26 +32,16 @@ class CliError(Exception):
 @dataclass
 class PipelineConfig:
     segmentation: str = "threshold"  # "threshold" or "masks"
-    threshold_method: str = "otsu"
-    threshold_level: float = 0.5
-    min_cell_size: int = 5  # drop noise speckles below this pixel count
     connectivity: int = 4
     enable_collision_resolution: bool = True
     enable_mitosis_detection: bool = True
     tracker: TrackerConfig = TrackerConfig()
     external_forward: str = ""  # prediction files replace the built-in tracker
     external_backward: str = ""
-    rwalker: RWConfig = RWConfig()
 
     def __post_init__(self):
         if self.segmentation not in ("threshold", "masks"):
             raise ValueError("segmentation must be 'threshold' or 'masks', got %r" % self.segmentation)
-        if self.threshold_method not in ("otsu", "fixed"):
-            raise ValueError("threshold_method must be 'otsu' or 'fixed', got %r" % self.threshold_method)
-        if self.threshold_method == "fixed" and not 0.0 <= self.threshold_level <= 1.0:
-            raise ValueError("threshold_level must be in [0, 1] for the fixed method")
-        if self.min_cell_size < 1:
-            raise ValueError("min_cell_size must be >= 1")
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
 
@@ -138,10 +128,8 @@ def cmd_simulate(args):
 def _segment_sequence(frames, cfg):
     """Each frame with its cells, from one labelling pass of its thresholded
     foreground, made as it is asked for."""
-    level = cfg.threshold_level if cfg.threshold_method == "fixed" else None
     for frame in frames:
-        foreground = threshold_segment(frame, level)
-        yield frame, connected_components(foreground, cfg.connectivity, cfg.min_cell_size)
+        yield frame, connected_components(threshold_segment(frame), cfg.connectivity, MIN_CELL_SIZE)
 
 
 def cmd_track(args):
@@ -169,7 +157,6 @@ def cmd_track(args):
     linker_cfg = LinkerConfig(
         enable_collision_resolution=cfg.enable_collision_resolution,
         enable_mitosis_detection=cfg.enable_mitosis_detection,
-        rw_config=cfg.rwalker,
     )
     out_masks, graph, events = run_linker(steps, tracker, linker_cfg)
 
@@ -219,13 +206,12 @@ def _palette_color(track_id):
 
 
 def _boundary(labels):
-    """4-connected boundary: labeled pixels with a differing 4-neighbor."""
-    padded = np.pad(labels, 1, mode="edge")
-    core = padded[1:-1, 1:-1]
-    diff = np.zeros_like(core, dtype=bool)
-    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        diff |= core != padded[1 + dr : padded.shape[0] - 1 + dr, 1 + dc : padded.shape[1] - 1 + dc]
-    return (core > 0) & diff
+    """4-connected boundary: labeled pixels with a differing 4-neighbor; past
+    the edge, a pixel's neighbor is itself."""
+    cross = ndimage.generate_binary_structure(2, 1)
+    high = ndimage.maximum_filter(labels, footprint=cross, mode="nearest")
+    low = ndimage.minimum_filter(labels, footprint=cross, mode="nearest")
+    return (labels > 0) & (high != low)
 
 
 def cmd_overlay(args):

@@ -195,8 +195,8 @@ def _noise_floor(hist):
     return int(mode + NOISE_FLOOR_SIGMAS * spread)
 
 
-def threshold_segment(frame, level=None):
-    """Boolean foreground via Otsu, or via a fixed normalized `level` in [0, 1].
+def threshold_segment(frame):
+    """Boolean foreground via Otsu's level, raised to the noise floor.
 
     Foreground is strictly-above-threshold. The Otsu level is raised to the
     noise floor when it lies below it, so a frame of background noise alone
@@ -204,17 +204,11 @@ def threshold_segment(frame, level=None):
     all-background mask.
     """
     pixels = frame.pixels
+    hist = np.bincount(pixels.ravel(), minlength=256)
+    level = _otsu(hist)
     if level is None:
-        hist = np.bincount(pixels.ravel(), minlength=256)
-        lvl = _otsu(hist)
-        if lvl is None:
-            return np.zeros_like(pixels, dtype=bool)
-        lvl = max(lvl, _noise_floor(hist))
-    elif 0.0 <= level <= 1.0:
-        lvl = int(round(level * 255))
-    else:
-        raise ValueError("fixed threshold needs a level in [0, 1]")
-    return pixels > lvl
+        return np.zeros_like(pixels, dtype=bool)
+    return pixels > max(level, _noise_floor(hist))
 
 
 def mask_from_cells(cells, height, width):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .imagecore import in_scan_order, mask_from_cells
-from .rwalker import ResegFailure, RWConfig, reseg_cell
+from .rwalker import ResegFailure, reseg_cell
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,7 @@ class CollisionReport:
     unresolved: list = field(default_factory=list)  # (lump id, parent ids, reason)
 
 
-def resolve_collisions(
-    frame_cur,
-    cells_cur,
-    cells_prev,
-    backward_preds,
-    predict_backward,
-    rw_config=RWConfig(),
-):
+def resolve_collisions(frame_cur, cells_cur, cells_prev, backward_preds, predict_backward):
     """Split flagged lumps in rounds until a round has nothing left to split.
 
     Round 1 checks every current cell. Each later round checks only the
@@ -177,13 +170,7 @@ def resolve_collisions(
             br, bc = _bbox_center(pred.region)
             displacement = (lr - br, lc - bc)
             try:
-                segments = reseg_cell(
-                    frame_cur,
-                    lump,
-                    [prev_centroid[p] for p in parents],
-                    displacement,
-                    rw_config,
-                )
+                segments = reseg_cell(frame_cur, lump, [prev_centroid[p] for p in parents], displacement)
             except ResegFailure as exc:
                 report.unresolved.append((lump_id, parents, str(exc)))
                 continue
@@ -289,7 +276,6 @@ def update_lineage(graph, t, states, cells_cur):
 class LinkerConfig:
     enable_collision_resolution: bool = True
     enable_mitosis_detection: bool = True
-    rw_config: RWConfig = RWConfig()
 
 
 @dataclass(frozen=True)
@@ -351,9 +337,7 @@ def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
         backward_preds = {c.id: predict_backward(c) for c in cells_cur}
         flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
         if flagged:
-            cells_cur, report = resolve_collisions(
-                frame_cur, cells_cur, cells_prev, backward_preds, predict_backward, config.rw_config
-            )
+            cells_cur, report = resolve_collisions(frame_cur, cells_cur, cells_prev, backward_preds, predict_backward)
 
     forward_preds = {c.id: tracker.predict(frame_prev, frame_cur, c) for c in cells_prev}
     states = {}

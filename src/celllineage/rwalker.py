@@ -21,6 +21,9 @@ from .imagecore import _cell
 
 log = logging.getLogger("lineage")
 
+BETA = 130.0  # edge-weight sharpness on [0,1] intensities
+EPSILON = 1e-6  # weight floor, keeps the Laplacian block SPD
+
 
 class ResegFailure(Exception):
     """Re-segmentation could not produce the requested partition.
@@ -28,16 +31,6 @@ class ResegFailure(Exception):
     A first-class outcome: the collision loop keeps the lump whole and
     marks it unresolved.
     """
-
-
-@dataclass(frozen=True)
-class RWConfig:
-    beta: float = 130.0  # edge-weight sharpness on [0,1] intensities
-    epsilon: float = 1e-6  # weight floor, keeps the Laplacian block SPD
-
-    def __post_init__(self):
-        if self.beta < 0 or self.epsilon <= 0:
-            raise ValueError("invalid random-walker config")
 
 
 @dataclass(frozen=True)
@@ -69,11 +62,11 @@ class SeedSet:
                 raise ValueError("seed %r outside the region" % ((r, c),))
 
 
-def build_lattice(patch, inside, config=RWConfig()):
+def build_lattice(patch, inside):
     """4-neighbor graph over the `inside` pixels with Gaussian intensity edge weights.
 
     `patch` holds normalized intensities in [0, 1], in the shape of `inside`;
-    w = exp(-beta (gi-gj)^2) + epsilon per edge.
+    w = exp(-BETA (gi-gj)^2) + EPSILON per edge.
     """
     patch = np.asarray(patch, dtype=np.float64)
     inside = np.asarray(inside, dtype=bool)
@@ -92,7 +85,7 @@ def build_lattice(patch, inside, config=RWConfig()):
     keep = nbr >= 0
     edges = np.column_stack((src[keep], nbr[keep]))
     g = patch[rows, cols]
-    weights = np.exp(-config.beta * (g[edges[:, 0]] - g[edges[:, 1]]) ** 2) + config.epsilon
+    weights = np.exp(-BETA * (g[edges[:, 0]] - g[edges[:, 1]]) ** 2) + EPSILON
     return LatticeGraph(np.column_stack((rows, cols)), node[:-1, :-1], edges, weights)
 
 
@@ -228,7 +221,7 @@ def _snap_to_region(point, pixels):
     return tuple(pixels[np.argmin(((pixels - point) ** 2).sum(axis=1))].tolist())
 
 
-def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
+def reseg_cell(frame, lump, prev_centroids, displacement):
     """Split a lump into one segment per previous-frame centroid.
 
     Seeds are the previous centroids shifted by `displacement`, rounded and
@@ -248,7 +241,7 @@ def reseg_cell(frame, lump, prev_centroids, displacement, config=RWConfig()):
     if len({p for p, _ in seeds}) != len(seeds):
         raise ResegFailure("two seeds snapped to the same lump pixel")
 
-    graph = build_lattice(frame.normalized(lump.bbox), lump.mask, config)
+    graph = build_lattice(frame.normalized(lump.bbox), lump.mask)
     # the lattice's nodes are the lump's pixels in row-major order
     raster = np.zeros(lump.mask.shape, dtype=np.int64)
     raster[lump.mask] = segment(graph, SeedSet(tuple(seeds)))

@@ -15,21 +15,21 @@ from . import kernels
 # an integer field: an optional '-' and ASCII digits; int() would also take
 # '+', '_' and non-ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
+# the score field: an ASCII decimal, optionally with an exponent; float()
+# would also take '+', '_', non-ASCII digits, 'nan' and 'inf'
+_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+TEMPLATE_PAD = 2  # padding around the cell bbox, pixels
+MIN_SCORE = 0.2  # below this the prediction is "no match"
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
     search_size: int = 150  # square search window side, pixels
-    template_pad: int = 2  # padding around the cell bbox
-    min_score: float = 0.2  # below this the prediction is "no match"
 
     def __post_init__(self):
         if self.search_size < 1:
             raise ValueError("search_size must be >= 1")
-        if self.template_pad < 0:
-            raise ValueError("template_pad must be >= 0")
-        if not -1.0 <= self.min_score <= 1.0:
-            raise ValueError("min_score must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,13 @@ def ncc_score(template, candidate):
     return float(kernels.ncc_map(candidate, template)[0, 0])
 
 
-def _template_bbox(cell, pad, height, width):
+def _template_bbox(cell, height, width):
     top, left, bottom, right = cell.bbox
     return (
-        max(0, top - pad),
-        max(0, left - pad),
-        min(height - 1, bottom + pad),
-        min(width - 1, right + pad),
+        max(0, top - TEMPLATE_PAD),
+        max(0, left - TEMPLATE_PAD),
+        min(height - 1, bottom + TEMPLATE_PAD),
+        min(width - 1, right + TEMPLATE_PAD),
     )
 
 
@@ -87,7 +87,7 @@ def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
     h, w = frame_src.pixels.shape
     if frame_dst.pixels.shape != (h, w):
         raise ValueError("source and destination frames differ in size")
-    tb = _template_bbox(cell, config.template_pad, h, w)
+    tb = _template_bbox(cell, h, w)
     th = tb[2] - tb[0] + 1
     tw = tb[3] - tb[1] + 1
     patch = frame_src.pixels[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
@@ -97,7 +97,7 @@ def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, frame_src.normalized(tb))
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
-    return TrackerPrediction(region, score, score >= config.min_score)
+    return TrackerPrediction(region, score, score >= MIN_SCORE)
 
 
 class NCCTracker:
@@ -113,7 +113,7 @@ class NCCTracker:
         """(box, (height, width)): every region `predict` returns for `cell`
         lies in the inclusive box, the search window, and has the template
         box's shape; the window always holds the template box."""
-        tb = _template_bbox(cell, self.config.template_pad, *shape)
+        tb = _template_bbox(cell, *shape)
         return search_box(tb, shape, self.config.search_size), (tb[2] - tb[0] + 1, tb[3] - tb[1] + 1)
 
 
@@ -142,7 +142,7 @@ class ExternalTracker:
             if len(parts) != 7:
                 raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
             try:
-                if not all(map(_INTEGER.fullmatch, parts[:6])):
+                if not all(map(_INTEGER.fullmatch, parts[:6])) or not _DECIMAL.fullmatch(parts[6]):
                     raise ValueError
                 t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
                 score = float(parts[6])

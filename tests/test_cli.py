@@ -20,6 +20,7 @@ from celllineage.cli import (
     MASK_FMT,
     TRACK_FILE,
     PipelineConfig,
+    _boundary,
     _palette_color,
     _read_masks,
     _stack_paths,
@@ -341,6 +342,31 @@ def test_palette_matches_sextant_table():
     assert mismatched == []
 
 
+def loop_boundary(labels):
+    """Labeled pixels with a differing 4-neighbor, the edge padded with
+    itself, one neighbor direction at a time: the reference for `_boundary`."""
+    padded = np.pad(labels, 1, mode="edge")
+    core = padded[1:-1, 1:-1]
+    diff = np.zeros_like(core, dtype=bool)
+    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        diff |= core != padded[1 + dr : padded.shape[0] - 1 + dr, 1 + dc : padded.shape[1] - 1 + dc]
+    return (core > 0) & diff
+
+
+def test_boundary_matches_neighbor_loop():
+    rng = np.random.default_rng(3)
+    for case in range(600):
+        dtype = (np.int32, np.uint16)[case % 2]
+        shape = tuple(int(v) for v in rng.integers(1, 20, size=2))
+        labels = rng.integers(0, int(rng.integers(1, 7)), size=shape).astype(dtype)
+        if case % 3 == 0:  # blocky labels, so most pixels are interior
+            labels = np.repeat(np.repeat(labels, 3, axis=0), 3, axis=1)[: shape[0], : shape[1]]
+        got = _boundary(labels)
+        assert got.dtype == bool and np.array_equal(got, loop_boundary(labels)), case
+    # the frame's edge is no boundary: a label that fills the frame has none
+    assert not _boundary(np.full((3, 3), 7, dtype=np.uint16)).any()
+
+
 def _end_track_at_birth(directory):
     """Cut a childless track of the track file in `directory` back to its
     first frame; returns (track id, a later frame whose mask holds it)."""
@@ -514,25 +540,22 @@ def test_extra_mask_names_the_first_file_past_the_last_frame(command, sim_dir, t
 
 def test_pipeline_config_from_json(tmp_path):
     doc = {
-        "segmentation": "threshold",
-        "threshold_method": "fixed",
-        "threshold_level": 0.4,
+        "segmentation": "masks",
+        "connectivity": 8,
         "tracker": {"search_size": 100},
-        "rwalker": {"beta": 90.0},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = jsonconfig.load(PipelineConfig, str(path))
-    assert cfg.threshold_method == "fixed"
+    assert (cfg.segmentation, cfg.connectivity) == ("masks", 8)
     assert cfg.tracker.search_size == 100
-    assert cfg.rwalker.beta == 90.0
 
 
 @pytest.mark.parametrize(
     "command, doc, key",
     [
         ("track", {"tracker": {"search_sise": 64}}, "search_sise"),
-        ("track", {"rwalker": {"beta": 90.0, "betta": 1.0}}, "betta"),
+        ("track", {"tracker": {"search_size": 64, "betta": 1.0}}, "betta"),
         ("track", {"segmentaton": "masks"}, "segmentaton"),
         ("track", {"tracker": 64}, "tracker"),
         ("track", [1, 2], "cfg.json"),
@@ -540,7 +563,7 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", [64], "cfg.json"),
         ("track", {"tracker": {"search_size": "big"}}, "search_size: expected an integer"),
         ("track", {"tracker": {"search_size": True}}, "search_size: expected an integer"),
-        ("track", {"rwalker": {"cg_tol": 1e-6}}, "rwalker: unknown key 'cg_tol'"),
+        ("track", {"rwalker": {"epsilon": 1e-6}}, "unknown key 'rwalker'"),
         ("simulate", {"frames": "3"}, "frames: expected an integer"),
         ("simulate", {"radius_range": 5}, "radius_range: expected a list"),
         ("simulate", {"radius_range": ["a", 3]}, "radius_range must be two numbers"),
@@ -561,13 +584,13 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"width": 64, "height": 200, "radius_range": [2.0, 30.0]}, "leave a 4 px margin"),
         ("track", {"tracker": {"search_size": 0}}, "search_size must be >= 1"),
         ("track", {"tracker": {"search_size": -5}}, "search_size must be >= 1"),
-        ("track", {"min_cell_size": -3}, "min_cell_size must be >= 1"),
-        ("track", {"min_cell_size": 0}, "min_cell_size must be >= 1"),
+        ("track", {"min_cell_size": 5}, "unknown key 'min_cell_size'"),
+        ("track", {"tracker": {"template_pad": 2}}, "tracker: unknown key 'template_pad'"),
         ("track", {"segmentation": "bogus"}, "segmentation must be 'threshold' or 'masks', got 'bogus'"),
-        ("track", {"segmentation": "masks", "threshold_method": "bogus"}, "threshold_method must be 'otsu' or"),
-        ("track", {"threshold_method": "Otsu"}, "threshold_method must be 'otsu' or 'fixed', got 'Otsu'"),
-        ("track", {"threshold_method": "fixed", "threshold_level": 1.5}, "threshold_level must be in [0, 1]"),
-        ("track", {"segmentation": "masks", "threshold_method": "fixed", "threshold_level": -0.1}, "threshold_level"),
+        ("track", {"segmentation": "masks", "threshold_method": "otsu"}, "unknown key 'threshold_method'"),
+        ("track", {"tracker": {"search_size": 64, "min_score": 0.2}}, "tracker: unknown key 'min_score'"),
+        ("track", {"threshold_level": 0.5}, "unknown key 'threshold_level'"),
+        ("track", {"rwalker": {"beta": 130.0}}, "unknown key 'rwalker'"),
         ("track", {"connectivity": 6}, "connectivity must be 4 or 8"),
         ("track", {"segmentation": "masks", "connectivity": 0}, "connectivity must be 4 or 8"),
         ("simulate", {"collision_script": [[8, 1, 1]]}, "collision_script: cell 1 cannot collide with itself"),
@@ -582,8 +605,8 @@ def test_pipeline_config_from_json(tmp_path):
         ("simulate", {"noise_sigma": float("nan")}, "cfg.json: NaN is not a finite number"),
         ("simulate", {"noise_sigma": float("inf")}, "cfg.json: Infinity is not a finite number"),
         ("simulate", {"radius_range": [float("nan"), 12.0]}, "NaN is not a finite number"),
-        ("track", {"rwalker": {"beta": float("nan")}}, "NaN is not a finite number"),
-        ("track", {"rwalker": {"epsilon": float("inf")}}, "Infinity is not a finite number"),
+        ("track", {"tracker": {"search_size": float("nan")}}, "NaN is not a finite number"),
+        ("track", {"tracker": {"search_size": float("inf")}}, "Infinity is not a finite number"),
         ("track", {"tracker": {"search_size": float("-inf")}}, "-Infinity is not a finite number"),
         ("track", {"input_dir": "."}, "unknown key 'input_dir'"),
         ("track", {"output_dir": "out"}, "unknown key 'output_dir'"),
@@ -604,23 +627,30 @@ def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, ca
 
 def test_config_value_types(tmp_path):
     path = tmp_path / "cfg.json"
-    doc = {"threshold_level": 1, "enable_mitosis_detection": False, "rwalker": {"beta": 90}}
-    path.write_text(json.dumps(doc))
-    cfg = jsonconfig.load(PipelineConfig, str(path))  # an integer is a number
-    assert (cfg.threshold_level, cfg.enable_mitosis_detection, cfg.rwalker.beta) == (1, False, 90)
+    path.write_text(json.dumps({"enable_mitosis_detection": False, "tracker": {"search_size": 64}}))
+    cfg = jsonconfig.load(PipelineConfig, str(path))
+    assert (cfg.enable_mitosis_detection, cfg.tracker.search_size) == (False, 64)
     for bad, expected in (
-        ({"threshold_level": False}, "threshold_level: expected a number, got false"),
         ({"connectivity": 4.0}, "connectivity: expected an integer, got 4.0"),
         ({"enable_mitosis_detection": 0}, "enable_mitosis_detection: expected true or false, got 0"),
         ({"segmentation": ["masks"]}, 'segmentation: expected a string, got ["masks"]'),
-        ({"rwalker": {"epsilon": "1e-6"}}, 'rwalker: epsilon: expected a number, got "1e-6"'),
+        ({"tracker": {"search_size": "64"}}, 'tracker: search_size: expected an integer, got "64"'),
+        ({"tracker": {"search_size": False}}, "tracker: search_size: expected an integer, got false"),
     ):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=re.escape(expected)):
             jsonconfig.load(PipelineConfig, str(path))
-    path.write_text(json.dumps({"radius_range": [4, 6], "collision_script": [[3, 1, 2]]}))
-    sim = jsonconfig.load(SimConfig, str(path))
-    assert sim.radius_range == (4, 6) and sim.collision_script == ((3, 1, 2),)
+    # PipelineConfig has no float key: SimConfig's carry the number rule
+    path.write_text(json.dumps({"drift_sigma": 2, "radius_range": [4, 6], "collision_script": [[3, 1, 2]]}))
+    sim = jsonconfig.load(SimConfig, str(path))  # an integer is a number
+    assert sim.drift_sigma == 2 and sim.radius_range == (4, 6) and sim.collision_script == ((3, 1, 2),)
+    for bad, expected in (
+        ({"drift_sigma": False}, "drift_sigma: expected a number, got false"),
+        ({"drift_sigma": "1.5"}, 'drift_sigma: expected a number, got "1.5"'),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            jsonconfig.load(SimConfig, str(path))
 
 
 def test_config_loaders_name_unknown_keys(tmp_path):
@@ -663,8 +693,7 @@ BAD_SIM_VALUES = [
     ("collision_script", [[5, 1, 2], [6, 2, 3]]),
 ]
 BAD_TRACK_VALUES = [
-    ("tracker", {"search_size": 0}), ("min_cell_size", 0), ("connectivity", 6), ("segmentation", "bogus"),
-    ("threshold_level", 1.5), ("rwalker", {"beta": -1.0}), ("tracker", {"search_sise": 64}),
+    ("tracker", {"search_size": 0}), ("connectivity", 6), ("segmentation", "bogus"), ("tracker", {"search_sise": 64}),
 ]
 REPORT_KEYS = ["seg", "tra", "aogm", "aogm0", "counts", "gt_fingerprint", "seg_rows"]
 
@@ -708,9 +737,6 @@ def _fuzz_track_doc(rng):
     """A small PipelineConfig document, sometimes with one bad value."""
     doc = {
         "segmentation": str(rng.choice(["threshold", "threshold", "masks"])),
-        "threshold_method": str(rng.choice(["otsu", "fixed"])),
-        "threshold_level": float(rng.choice([0.2, 0.3, 0.5])),
-        "min_cell_size": int(rng.choice([1, 5, 20])),
         "connectivity": int(rng.choice([4, 8])),
         "tracker": {"search_size": int(rng.choice([8, 32, 64]))},
     }

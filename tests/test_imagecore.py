@@ -255,15 +255,6 @@ def otsu_oracle(pixels):
     return best_t
 
 
-def test_threshold_fixed():
-    frame = Frame(1, np.zeros((4, 4), dtype=np.uint8))
-    assert not threshold_segment(frame, 0.5).any()
-    img = np.zeros((4, 4), dtype=np.uint8)
-    img[2, 3] = 255
-    fg = threshold_segment(Frame(1, img), 0.5)
-    assert fg.sum() == 1 and fg[2, 3]
-
-
 def test_threshold_otsu_bimodal():
     img = np.full((10, 10), 26, dtype=np.uint8)  # ~0.1
     img[:5] = 230  # ~0.9
@@ -406,8 +397,3 @@ def test_components_reject_bad_connectivity_and_empty_raster():
         connected_components(np.ones((3, 3), dtype=bool), connectivity=6)
     with pytest.raises(ValueError, match="mask dimensions must be positive"):
         connected_components(np.zeros((0, 4), dtype=bool))
-
-
-def test_fixed_threshold_outside_unit_interval():
-    with pytest.raises(ValueError, match=re.escape("fixed threshold needs a level in [0, 1]")):
-        threshold_segment(Frame(1, np.zeros((2, 2), dtype=np.uint8)), 1.5)

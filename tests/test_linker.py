@@ -28,7 +28,7 @@ from celllineage import kernels, linker
 from celllineage import tracker as tracker_module
 from celllineage.cli import PipelineConfig, _segment_sequence, main
 from celllineage.jsonconfig import from_doc
-from celllineage.rwalker import ResegFailure, RWConfig, reseg_cell
+from celllineage.rwalker import ResegFailure, reseg_cell
 from celllineage.simulator import SimConfig, script_collision_scenario, simulate
 from celllineage.tracker import ExternalTracker, NCCTracker, TrackerConfig, TrackerPrediction
 from test_golden import COLLISIONS_SIM, COLLISIONS_TRACK, CROWDED_SIM
@@ -375,14 +375,7 @@ def test_resolve_collisions_conserves_pixels_fuzz():
             union |= c.pixels
 
 
-def reference_resolve_collisions(
-    frame_cur,
-    cells_cur,
-    cells_prev,
-    backward_preds,
-    predict_backward,
-    rw_config=RWConfig(),
-):
+def reference_resolve_collisions(frame_cur, cells_cur, cells_prev, backward_preds, predict_backward):
     """Reference for `resolve_collisions`: a loop that re-detects every cell
     on each pass, guarded by `dead` and `seen` sets and an iteration cap.
 
@@ -435,13 +428,7 @@ def reference_resolve_collisions(
             br, bc = _bbox_center(pred.region)
             displacement = (lr - br, lc - bc)
             try:
-                segments = reseg_cell(
-                    frame_cur,
-                    lump,
-                    [prev_centroid[p] for p in parents],
-                    displacement,
-                    rw_config,
-                )
+                segments = reseg_cell(frame_cur, lump, [prev_centroid[p] for p in parents], displacement)
             except ResegFailure as exc:
                 dead.add(lump.key)
                 report.unresolved.append((lump_id, parents, str(exc)))
@@ -610,8 +597,7 @@ def test_region_size_prune_changes_nothing():
             tracker = ExternalTracker()  # reach and size: the whole frame
         else:
             # a search_size under the template's side makes the window the template box
-            cfg = TrackerConfig(search_size=int(rng.integers(1, 40)), template_pad=int(rng.integers(0, 4)))
-            tracker = NCCTracker(cfg)
+            tracker = NCCTracker(TrackerConfig(search_size=int(rng.integers(1, 40))))
         ids = [p.id for p in prev]
         parents = frozenset(i for i in ids if rng.random() < 0.3)
         reach, size = tracker.reach(cell, (h, w))

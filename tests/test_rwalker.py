@@ -15,7 +15,6 @@ from celllineage.linker import resolve_collisions
 from celllineage.rwalker import (
     LatticeGraph,
     ResegFailure,
-    RWConfig,
     SeedSet,
     _snap_to_region,
     build_lattice,
@@ -91,7 +90,7 @@ def test_build_lattice_weight_formula():
     assert graph.weights[0] == pytest.approx(expected, rel=1e-12)
 
 
-def per_pixel_lattice(patch, region, config=RWConfig()):
+def per_pixel_lattice(patch, region):
     """Reference lattice: node by node in row-major order, down edge before right edge."""
     pixels = tuple(sorted(region))
     index = {p: i for i, p in enumerate(pixels)}
@@ -104,7 +103,7 @@ def per_pixel_lattice(patch, region, config=RWConfig()):
                 g1 = patch[r, c]
                 g2 = patch[nb[0], nb[1]]
                 edges.append((min(i, j), max(i, j)))
-                weights.append(np.exp(-config.beta * (g1 - g2) ** 2) + config.epsilon)
+                weights.append(np.exp(-rwalker.BETA * (g1 - g2) ** 2) + rwalker.EPSILON)
     edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
     return pixels, index, edges, np.array(weights, dtype=np.float64)
 
@@ -126,21 +125,19 @@ def irregular_regions(rng):
 
 def test_build_lattice_matches_per_pixel_reference():
     rng = np.random.default_rng(11)
-    configs = [RWConfig(), RWConfig(beta=7.5, epsilon=1e-3)]
     for name, region in irregular_regions(rng):
         patch = rng.random((20, 20))
-        patch[rng.random((20, 20)) < 0.3] = 0.5  # some equal neighbours: weight 1 + epsilon
-        for config in configs:
-            pixels, index, edges, weights = per_pixel_lattice(patch, region, config)
-            graph = build_lattice(patch, as_mask(region, patch.shape), config)
-            assert pixel_list(graph) == list(pixels), name
-            node = np.full(patch.shape, -1)
-            for p, i in index.items():
-                node[p] = i
-            assert np.array_equal(graph.node, node), name
-            assert graph.edges.dtype == np.int64 and np.array_equal(graph.edges, edges), name
-            assert graph.weights.dtype == np.float64, name
-            assert np.array_equal(graph.weights, weights), name  # bit for bit
+        patch[rng.random((20, 20)) < 0.3] = 0.5  # some equal neighbours: weight 1 + EPSILON
+        pixels, index, edges, weights = per_pixel_lattice(patch, region)
+        graph = build_lattice(patch, as_mask(region, patch.shape))
+        assert pixel_list(graph) == list(pixels), name
+        node = np.full(patch.shape, -1)
+        for p, i in index.items():
+            node[p] = i
+        assert np.array_equal(graph.node, node), name
+        assert graph.edges.dtype == np.int64 and np.array_equal(graph.edges, edges), name
+        assert graph.weights.dtype == np.float64, name
+        assert np.array_equal(graph.weights, weights), name  # bit for bit
 
 
 def test_diagonal_orphans_are_separate_components():
@@ -405,14 +402,6 @@ def test_reseg_pieces_equal_make_cell_pieces():
         assert got == want, case
         split += 1
     assert split > 100 and failed > 0
-
-
-def test_rwconfig_validation():
-    with pytest.raises(ValueError):
-        RWConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        RWConfig(epsilon=0.0)
-    assert [f.name for f in dataclasses.fields(RWConfig)] == ["beta", "epsilon"]
 
 
 def three_cell_lump():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import celllineage
+from celllineage.cli import PipelineConfig
 
 MODULES = sorted(Path(celllineage.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +51,45 @@ def test_every_span_perfbench_reads_is_a_public_function():
         if not (inspect.isfunction(target) and target.__module__ == module.__name__):
             missing.append(span)
     assert len(spans) > 20 and not missing, missing
+
+
+def _leaf_keys(cls, prefix=""):
+    """Dotted names of a config dataclass's settable values, nested ones included."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield from _leaf_keys(type(f.default), prefix + f.name + ".")
+        else:
+            yield prefix + f.name
+
+
+def test_track_config_holds_only_what_a_run_varies():
+    """Every `track --config` key picks an input, an ablation toggle or a
+    value the workloads vary; single-valued numbers are module constants."""
+    assert sorted(_leaf_keys(PipelineConfig)) == [
+        "connectivity",
+        "enable_collision_resolution",
+        "enable_mitosis_detection",
+        "external_backward",
+        "external_forward",
+        "segmentation",
+        "tracker.search_size",
+    ]
+
+
+def test_the_environment_is_read_only_for_the_log_level():
+    """Options and config files set what a run does; the one environment
+    variable the program reads is LINEAGE_LOG, in `cli.main`."""
+    reads = []  # (module, innermost function, source line)
+    for path in MODULES:
+        source = path.read_text()
+        tree = ast.parse(source, filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if names & {"environ", "getenv"}:
+                inner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                reads.append((path.name, inner[-1] if inner else None, source.splitlines()[node.lineno - 1]))
+    assert [(module, function) for module, function, _ in reads] == [("cli.py", "main")], reads
+    assert "LINEAGE_LOG" in reads[0][2]

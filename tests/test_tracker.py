@@ -6,6 +6,8 @@ import pytest
 from celllineage import kernels
 from celllineage.imagecore import Frame, make_cell
 from celllineage.tracker import (
+    MIN_SCORE,
+    TEMPLATE_PAD,
     ExternalTracker,
     NCCTracker,
     TrackerConfig,
@@ -453,7 +455,7 @@ def test_predict_region_lies_in_reach():
     seen = dict.fromkeys(("top", "left", "bottom", "right", "wide", "small_window", "flat"), 0)
     for case in range(500):
         h, w = (int(v) for v in rng.integers(4, 48, size=2))
-        cfg = TrackerConfig(search_size=int(rng.integers(1, 60)), template_pad=int(rng.integers(0, 4)))
+        cfg = TrackerConfig(search_size=int(rng.integers(1, 60)))
         tracker = NCCTracker(cfg)
         ch, cw = int(rng.integers(1, h // 2 + 2)), int(rng.integers(1, w // 2 + 2))
         ch, cw = min(ch, h), min(cw, w)
@@ -467,7 +469,7 @@ def test_predict_region_lies_in_reach():
         assert box_inside(pred.region, reach), case
         assert box_inside(reach, (0, 0, h - 1, w - 1)), case
 
-        pad = cfg.template_pad
+        pad = TEMPLATE_PAD
         tb = (max(0, top - pad), max(0, left - pad), min(h - 1, top + ch - 1 + pad), min(w - 1, left + cw - 1 + pad))
         window = search_box(tb, (h, w), cfg.search_size)
         th, tw = tb[2] - tb[0] + 1, tb[3] - tb[1] + 1
@@ -525,8 +527,18 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     bad.write_text("1 1 10 12 20 200 0.9\n")  # exceeds frame
     with pytest.raises(ValueError):
         ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
-    # an integer field is '-'? [0-9]+: int() would take '_', '+' and non-ASCII digits
-    for line in ("2 x 0 0 5 5 0.9\n", "2 1 0 0 5 5 high\n", "1_0 1 0 0 5 5 0.9\n", "2 +1 0 0 5 5 0.9\n", "\u0663 1 0 0 5 5 0.9\n"):
+    # an integer field is '-'? [0-9]+ and the score an ASCII decimal: int() and
+    # float() would take '_', '+' and non-ASCII digits
+    for line in (
+        "2 x 0 0 5 5 0.9\n",
+        "2 1 0 0 5 5 high\n",
+        "1_0 1 0 0 5 5 0.9\n",
+        "2 +1 0 0 5 5 0.9\n",
+        "\u0663 1 0 0 5 5 0.9\n",
+        "2 1 0 0 5 5 0.\u0665\n",
+        "2 1 0 0 5 5 0.1_0\n",
+        "2 1 0 0 5 5 \uff10.5\n",
+    ):
         bad.write_text("1 1 10 12 20 22 0.9\n" + line)
         with pytest.raises(ValueError, match=re.escape("%s:2: non-numeric field" % bad)):
             ExternalTracker(forward_path=str(bad))
@@ -569,18 +581,9 @@ def test_external_lines_are_served_by_their_frame_pair(tmp_path):
         assert not ext.predict(src, dst, cell).valid, (src.index, dst.index)
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [({"template_pad": -1}, "template_pad must be >= 0"), ({"min_score": 1.5}, "min_score must lie in [-1, 1]")],
-)
-def test_tracker_config_validation(kwargs, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        TrackerConfig(**kwargs)
-
-
 def test_external_score_never_decides_validity(tmp_path):
     path = tmp_path / "fwd.txt"
     path.write_text("1 1 10 12 20 22 -1.0\n")
     f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
     pred = ExternalTracker(forward_path=str(path)).predict(f1, f2, blob_cell(f1))
-    assert pred.valid and pred.score == -1.0 < TrackerConfig().min_score
+    assert pred.valid and pred.score == -1.0 < MIN_SCORE
