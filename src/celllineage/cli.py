@@ -13,7 +13,7 @@ from scipy import ndimage
 
 from . import jsonconfig, metrics, pgm, simulator, trackfile
 from .imagecore import Frame, LabelMask, cells_from_labelmask, connected_components, threshold_segment
-from .linker import LinkerConfig, run_linker
+from .linker import run_linker
 from .tracker import ExternalTracker, NCCTracker, TrackerConfig
 
 log = logging.getLogger("lineage")
@@ -33,8 +33,6 @@ class CliError(Exception):
 class PipelineConfig:
     segmentation: str = "threshold"  # "threshold" or "masks"
     connectivity: int = 4
-    enable_collision_resolution: bool = True
-    enable_mitosis_detection: bool = True
     tracker: TrackerConfig = TrackerConfig()
     external_forward: str = ""  # prediction files replace the built-in tracker
     external_backward: str = ""
@@ -134,9 +132,6 @@ def _segment_sequence(frames, cfg):
 
 def cmd_track(args):
     cfg = jsonconfig.load(PipelineConfig, args.config) if args.config else PipelineConfig()
-    if args.baseline:
-        cfg.enable_collision_resolution = False
-        cfg.enable_mitosis_detection = False
 
     paths = _stack_paths(args.input, FRAME_FMT, "frames")
     frames = _read_frames(paths)
@@ -154,11 +149,7 @@ def cmd_track(args):
         )
     else:
         tracker = NCCTracker(cfg.tracker)
-    linker_cfg = LinkerConfig(
-        enable_collision_resolution=cfg.enable_collision_resolution,
-        enable_mitosis_detection=cfg.enable_mitosis_detection,
-    )
-    out_masks, graph, events = run_linker(steps, tracker, linker_cfg)
+    out_masks, graph, events = run_linker(steps, tracker, args.baseline)
 
     os.makedirs(args.out, exist_ok=True)
     for t, mask in enumerate(out_masks, start=1):
@@ -286,7 +277,7 @@ def main(argv=None):
             raise CliError("LINEAGE_LOG: unknown level %r" % level)
         logging.basicConfig(level=level.upper())
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print("lineage: error: %s" % exc, file=sys.stderr)
         return 1
 

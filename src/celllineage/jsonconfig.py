@@ -1,12 +1,13 @@
 """Config dataclasses from JSON objects, with every key and value type checked."""
 
 import json
+import math
 from dataclasses import fields, is_dataclass
+from functools import partial
 
-# (type of a field's default, JSON values it accepts, their name); bool comes
-# first because it is a subclass of int, and true/false is never a number
+# (type of a field's default, JSON values it accepts, their name); no field
+# takes true or false, though bool is a subclass of int
 _TYPES = (
-    (bool, bool, "true or false"),
     (float, (int, float), "a number"),
     (int, int, "an integer"),
     (str, str, "a string"),
@@ -16,14 +17,22 @@ _TYPES = (
 
 def load(cls, path):
     """Instance of dataclass `cls` from the JSON object in the file at `path`;
-    a NaN, Infinity or -Infinity anywhere in it raises ValueError."""
+    a NaN, Infinity or -Infinity anywhere in it, a number beyond float range
+    such as 1e400, or nesting too deep to parse raises ValueError."""
+    number = partial(_finite, path)
     with open(path) as f:
-        doc = json.load(f, parse_constant=lambda name: _non_finite(path, name))
+        try:
+            doc = json.load(f, parse_constant=number, parse_float=number, parse_int=partial(number, kind=int))
+        except RecursionError:
+            raise ValueError("%s: nested too deeply" % path) from None
     return from_doc(cls, doc, path)
 
 
-def _non_finite(path, name):
-    raise ValueError("%s: %s is not a finite number" % (path, name))
+def _finite(path, text, kind=float):
+    """The JSON number `text` as `kind`, if a float can hold it."""
+    if not math.isfinite(float(text)):
+        raise ValueError("%s: %s is not a finite number" % (path, text))
+    return kind(text)
 
 
 def from_doc(cls, doc, where):
@@ -42,7 +51,7 @@ def from_doc(cls, doc, where):
             value = from_doc(type(default), value, at)
         for kind, accepted, name in _TYPES:
             if isinstance(default, kind):
-                if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                if not isinstance(value, accepted) or isinstance(value, bool):
                     raise ValueError("%s: expected %s, got %s" % (at, name, json.dumps(value)))
                 break
         if isinstance(default, tuple):

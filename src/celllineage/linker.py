@@ -273,12 +273,6 @@ def update_lineage(graph, t, states, cells_cur):
 
 
 @dataclass(frozen=True)
-class LinkerConfig:
-    enable_collision_resolution: bool = True
-    enable_mitosis_detection: bool = True
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """What one t-1 -> t step decided."""
 
@@ -327,12 +321,12 @@ def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
     return predict_backward
 
 
-def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
-    """Repair the current cells' collisions, then classify each previous cell.
-    Private, so a tracer that wraps public functions sees `run_linker` call
+def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, baseline):
+    """Repair the current cells' collisions, unless `baseline`, then classify
+    each previous cell. Private, so a tracer that wraps public functions sees `run_linker` call
     `detect_collisions`."""
     flagged, report = [], CollisionReport()
-    if config.enable_collision_resolution:
+    if not baseline:
         predict_backward = _backward_predictor(frame_prev, frame_cur, cells_prev, tracker)
         backward_preds = {c.id: predict_backward(c) for c in cells_cur}
         flagged = detect_collisions(cells_prev, cells_cur, backward_preds)
@@ -343,13 +337,13 @@ def _link_step(frame_prev, frame_cur, cells_prev, cells_cur, tracker, config):
     states = {}
     for ms in match_forward(cells_prev, cells_cur, forward_preds):
         state = classify_state(ms)
-        if isinstance(state, Mitosis) and not config.enable_mitosis_detection:
+        if isinstance(state, Mitosis) and baseline:
             state = Continuation(state.children[0])
         states[ms.source] = state
     return StepRecord(cells_cur, flagged, report, states)
 
 
-def run_linker(steps, tracker, config=LinkerConfig()):
+def run_linker(steps, tracker, baseline=False):
     """Link a stream of frames: returns (corrected masks, lineage, events).
 
     `steps` yields (frame, cells) for t = 1..T, one pair at a time: frame t
@@ -363,9 +357,9 @@ def run_linker(steps, tracker, config=LinkerConfig()):
     frame_dst (t -> t-1 backward, t-1 -> t forward), and `reach(cell,
     shape)`, `(box, (height, width))`: every region it predicts for the
     cell lies in the inclusive box and is at most height x width, which
-    fits in the box. With collision resolution off, cells pass through
-    unchanged; with mitosis detection off, multi-match cells continue into
-    their first match and parent links are never created.
+    fits in the box. The `baseline` run repairs no collision, so cells pass
+    through unchanged, and detects no mitosis: a multi-match cell continues
+    into its first match and no parent link is made.
     """
     steps = iter(steps)
     try:
@@ -378,7 +372,7 @@ def run_linker(steps, tracker, config=LinkerConfig()):
     cells_by_frame = [cells]
 
     for t, (frame, cells) in enumerate(steps, start=2):
-        record = _link_step(frame_prev, frame, cells_by_frame[-1], cells, tracker, config)
+        record = _link_step(frame_prev, frame, cells_by_frame[-1], cells, tracker, baseline)
         prev_assign = graph.assignments[t - 1]
         for _, parents in record.flagged:
             events.append((t, "COLLISION", tuple(prev_assign[p] for p in parents)))

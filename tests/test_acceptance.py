@@ -18,7 +18,6 @@ from celllineage.linker import (
     Apoptosis,
     Continuation,
     LineageGraph,
-    LinkerConfig,
     MatchSet,
     Mitosis,
     Track,
@@ -33,12 +32,9 @@ from celllineage.tracker import NCCTracker, TrackerConfig, TrackerPrediction, pr
 from celllineage.trackfile import format_track_file, parse_track_file
 
 
-def _run_pipeline(sequence, collision, mitosis):
+def _run_pipeline(sequence, full):
     cfg = PipelineConfig()
-    linker_cfg = LinkerConfig(
-        enable_collision_resolution=collision, enable_mitosis_detection=mitosis
-    )
-    return run_linker(_segment_sequence(sequence, cfg), NCCTracker(TrackerConfig()), linker_cfg)
+    return run_linker(_segment_sequence(sequence, cfg), NCCTracker(TrackerConfig()), baseline=not full)
 
 
 def test_criterion_01_directional_improvement():
@@ -53,7 +49,7 @@ def test_criterion_01_directional_improvement():
             (True, seg_full, tra_full),
             (False, seg_base, tra_base),
         ):
-            out_masks, graph, _ = _run_pipeline(sequence, collision, collision)
+            out_masks, graph, _ = _run_pipeline(sequence, collision)
             frame_census = census(gt.masks, out_masks)
             seg_acc.append(seg_score(frame_census).score)
             tra_acc.append(tra_score(gt.lineage, graph, frame_census).score)

@@ -610,11 +610,38 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"tracker": {"search_size": float("-inf")}}, "-Infinity is not a finite number"),
         ("track", {"input_dir": "."}, "unknown key 'input_dir'"),
         ("track", {"output_dir": "out"}, "unknown key 'output_dir'"),
+        ("track", {"enable_collision_resolution": False}, "unknown key 'enable_collision_resolution'"),
+        # 8 EB, beyond any address space, so the allocation fails at once
+        ("simulate", {"width": 10**9, "height": 10**9, "frames": 2, "n_init": 1}, "Unable to allocate"),
     ],
 )
 def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, capsys):
+    _check_config_error(command, json.dumps(doc), key, sim_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        pytest.param("simulate", '{"noise_sigma": 1e400}', "cfg.json: 1e400 is not a finite number", id="1e400"),
+        pytest.param("simulate", '{"drift_sigma": 1e400}', "cfg.json: 1e400 is not a finite number", id="drift-1e400"),
+        pytest.param("simulate", '{"noise_sigma": -1e400}', "cfg.json: -1e400 is not a finite number", id="-1e400"),
+        pytest.param("simulate", '{"drift_sigma": 1%s}' % ("0" * 400), "0 is not a finite number", id="400-digits"),
+        pytest.param("simulate", '{"noise_sigma": -1%s}' % ("0" * 400), "0 is not a finite number", id="-400-digits"),
+        pytest.param("track", '{"tracker": {"search_size": 1e400}}', "1e400 is not a finite number", id="track-1e400"),
+        pytest.param("simulate", "[" * 100000 + "]" * 100000, "cfg.json: nested too deeply", id="simulate-lists"),
+        pytest.param("track", "[" * 100000 + "]" * 100000, "cfg.json: nested too deeply", id="track-lists"),
+        pytest.param("track", '{"tracker":' * 5000 + "1" + "}" * 5000, "cfg.json: nested too deeply", id="trackers"),
+    ],
+)
+def test_overflowing_or_deep_config_is_an_error_message(command, text, key, sim_dir, tmp_path, capsys):
+    _check_config_error(command, text, key, sim_dir, tmp_path, capsys)
+
+
+def _check_config_error(command, text, key, sim_dir, tmp_path, capsys):
+    """`command` with the config file `text` exits 1 with one error line
+    holding `key`, and writes no output directory."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(text)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if command == "track":
         argv += ["--in", sim_dir]
@@ -627,12 +654,12 @@ def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, ca
 
 def test_config_value_types(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"enable_mitosis_detection": False, "tracker": {"search_size": 64}}))
+    path.write_text(json.dumps({"connectivity": 8, "tracker": {"search_size": 64}}))
     cfg = jsonconfig.load(PipelineConfig, str(path))
-    assert (cfg.enable_mitosis_detection, cfg.tracker.search_size) == (False, 64)
+    assert (cfg.connectivity, cfg.tracker.search_size) == (8, 64)
     for bad, expected in (
         ({"connectivity": 4.0}, "connectivity: expected an integer, got 4.0"),
-        ({"enable_mitosis_detection": 0}, "enable_mitosis_detection: expected true or false, got 0"),
+        ({"enable_mitosis_detection": 0}, "unknown key 'enable_mitosis_detection'"),
         ({"segmentation": ["masks"]}, 'segmentation: expected a string, got ["masks"]'),
         ({"tracker": {"search_size": "64"}}, 'tracker: search_size: expected an integer, got "64"'),
         ({"tracker": {"search_size": False}}, "tracker: search_size: expected an integer, got false"),

@@ -12,7 +12,6 @@ from celllineage.linker import (
     CollisionReport,
     Continuation,
     LineageGraph,
-    LinkerConfig,
     MatchSet,
     Mitosis,
     Track,
@@ -688,8 +687,7 @@ def test_run_linker_mitosis_toggle():
     children = [tr for tr in graph.tracks.values() if tr.parent == 1]
     assert len(children) == 2
 
-    cfg = LinkerConfig(enable_mitosis_detection=False)
-    out, graph, events = run_linker(steps([img1, img2], m1, m2), WideTracker(), cfg)
+    out, graph, events = run_linker(steps([img1, img2], m1, m2), WideTracker(), baseline=True)
     assert len(list(out)) == 2
     assert not any(ev[1] == "MITOSIS" for ev in events)
     assert all(tr.parent == 0 for tr in graph.tracks.values())
