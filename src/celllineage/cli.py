@@ -12,9 +12,9 @@ import numpy as np
 from scipy import ndimage
 
 from . import jsonconfig, metrics, pgm, simulator, trackfile
-from .imagecore import Frame, LabelMask, cells_from_labelmask, connected_components, threshold_segment
+from .imagecore import CROSS, Frame, LabelMask, cells_from_labelmask, connected_components, threshold_segment
 from .linker import run_linker
-from .tracker import ExternalTracker, NCCTracker, TrackerConfig
+from .tracker import ExternalTracker, NCCTracker
 
 log = logging.getLogger("lineage")
 
@@ -32,16 +32,13 @@ class CliError(Exception):
 @dataclass
 class PipelineConfig:
     segmentation: str = "threshold"  # "threshold" or "masks"
-    connectivity: int = 4
-    tracker: TrackerConfig = TrackerConfig()
+    tracker: NCCTracker = NCCTracker()
     external_forward: str = ""  # prediction files replace the built-in tracker
     external_backward: str = ""
 
     def __post_init__(self):
         if self.segmentation not in ("threshold", "masks"):
             raise ValueError("segmentation must be 'threshold' or 'masks', got %r" % self.segmentation)
-        if self.connectivity not in (4, 8):
-            raise ValueError("connectivity must be 4 or 8")
 
 
 def _stack_paths(directory, fmt, noun, count=None):
@@ -123,11 +120,11 @@ def cmd_simulate(args):
     return 0
 
 
-def _segment_sequence(frames, cfg):
+def _segment_sequence(frames):
     """Each frame with its cells, from one labelling pass of its thresholded
     foreground, made as it is asked for."""
     for frame in frames:
-        yield frame, connected_components(threshold_segment(frame), cfg.connectivity, MIN_CELL_SIZE)
+        yield frame, connected_components(threshold_segment(frame), MIN_CELL_SIZE)
 
 
 def cmd_track(args):
@@ -137,18 +134,17 @@ def cmd_track(args):
     frames = _read_frames(paths)
     if cfg.segmentation == "masks":
         masks = _with_masks(frames, _stack_paths(args.input, MASK_FMT, "masks", count=len(paths)))
-        steps = ((frame, cells_from_labelmask(mask, cfg.connectivity)) for frame, mask in masks)
+        steps = ((frame, cells_from_labelmask(mask)) for frame, mask in masks)
     else:
-        steps = _segment_sequence(frames, cfg)
+        steps = _segment_sequence(frames)
 
+    tracker = cfg.tracker
     if cfg.external_forward or cfg.external_backward:
         tracker = ExternalTracker(
             cfg.external_forward or None,
             cfg.external_backward or None,
             frame_shape=pgm.read_pgm8(paths[0]).shape,
         )
-    else:
-        tracker = NCCTracker(cfg.tracker)
     out_masks, graph, events = run_linker(steps, tracker, args.baseline)
 
     os.makedirs(args.out, exist_ok=True)
@@ -199,9 +195,8 @@ def _palette_color(track_id):
 def _boundary(labels):
     """4-connected boundary: labeled pixels with a differing 4-neighbor; past
     the edge, a pixel's neighbor is itself."""
-    cross = ndimage.generate_binary_structure(2, 1)
-    high = ndimage.maximum_filter(labels, footprint=cross, mode="nearest")
-    low = ndimage.minimum_filter(labels, footprint=cross, mode="nearest")
+    high = ndimage.maximum_filter(labels, footprint=CROSS, mode="nearest")
+    low = ndimage.minimum_filter(labels, footprint=CROSS, mode="nearest")
     return (labels > 0) & (high != low)
 
 
@@ -273,7 +268,7 @@ def main(argv=None):
     try:
         # basicConfig ignores `level` once the root logger has handlers
         level = os.environ.get("LINEAGE_LOG") or "WARNING"
-        if not isinstance(logging.getLevelName(level.upper()), int):
+        if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
             raise CliError("LINEAGE_LOG: unknown level %r" % level)
         logging.basicConfig(level=level.upper())
         return args.func(args)

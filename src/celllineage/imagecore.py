@@ -5,6 +5,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
+# The pipeline's one pixel neighbourhood, the 4-connected cross: cells,
+# random-walker lattice components and overlay boundaries all use it.
+CROSS = ndimage.generate_binary_structure(2, 1)
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -110,15 +114,8 @@ def make_cell(cell_id, pixels):
     return _cell(cell_id, mask, top, left)
 
 
-def _structure(connectivity):
-    """ndimage structuring element: the cross for 4, the full 3x3 for 8."""
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    return ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
-
-
-def connected_components(mask, connectivity=4, min_size=1):
-    """One Cell per maximal connected foreground region of a binary raster.
+def connected_components(mask, min_size=1):
+    """One Cell per maximal 4-connected foreground region of a binary raster.
 
     Regions of fewer than `min_size` pixels are dropped. Cell ids run 1..K
     in row-major first-pixel order.
@@ -126,7 +123,7 @@ def connected_components(mask, connectivity=4, min_size=1):
     mask = np.asarray(mask, dtype=bool)
     if mask.size == 0:
         raise ValueError("mask dimensions must be positive")
-    labels = ndimage.label(mask, structure=_structure(connectivity))[0]
+    labels = ndimage.label(mask, structure=CROSS)[0]
     sizes = np.bincount(labels[mask])  # foreground only: label 0 is never kept
     # ndimage.label numbers components in row-major first-pixel order, so a
     # running count over the kept ones keeps that order
@@ -137,19 +134,19 @@ def connected_components(mask, connectivity=4, min_size=1):
     return cells
 
 
-def cells_from_labelmask(mask, connectivity=4):
-    """Extract one Cell per connected region of each nonzero label.
+def cells_from_labelmask(mask):
+    """Extract one Cell per 4-connected region of each nonzero label.
 
     A label occupying several disconnected regions yields several cells,
     each found in its label's own box. Cell ids are reassigned 1..K in
     row-major first-pixel order.
     """
-    labels, struct = mask.labels, _structure(connectivity)
+    labels = mask.labels
     cells = []
     for lab, box in enumerate(ndimage.find_objects(labels), start=1):
         if box is None:
             continue
-        comp = ndimage.label(labels[box] == lab, structure=struct)[0]
+        comp = ndimage.label(labels[box] == lab, structure=CROSS)[0]
         top, left = box[0].start, box[1].start
         for k, (rows, cols) in enumerate(ndimage.find_objects(comp), start=1):
             cells.append(_cell(0, comp[rows, cols] == k, top + rows.start, left + cols.start))

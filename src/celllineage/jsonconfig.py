@@ -13,6 +13,7 @@ _TYPES = (
     (str, str, "a string"),
     (tuple, list, "a list"),
 )
+_QUOTE = 20  # characters of a bad number that an error message quotes
 
 
 def load(cls, path):
@@ -29,9 +30,10 @@ def load(cls, path):
 
 
 def _finite(path, text, kind=float):
-    """The JSON number `text` as `kind`, if a float can hold it."""
+    """The JSON number `text` as `kind`, if a float can hold it; the error
+    message quotes at most _QUOTE characters of a number that it cannot."""
     if not math.isfinite(float(text)):
-        raise ValueError("%s: %s is not a finite number" % (path, text))
+        raise ValueError("%s: %s is not a finite number" % (path, text[:_QUOTE]))
     return kind(text)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 from scipy import linalg, ndimage
 
-from .imagecore import _cell
+from .imagecore import CROSS, _cell
 
 log = logging.getLogger("lineage")
 
@@ -92,7 +92,7 @@ def build_lattice(patch, inside):
 def _components(node):
     """4-connected component (0-based) of each lattice node, and their count."""
     inside = node >= 0
-    comp, ncomp = ndimage.label(inside)  # the default structure is the 4-connected cross
+    comp, ncomp = ndimage.label(inside, structure=CROSS)
     return comp[inside] - 1, ncomp  # row-major, as the nodes
 
 

@@ -21,15 +21,7 @@ _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 TEMPLATE_PAD = 2  # padding around the cell bbox, pixels
 MIN_SCORE = 0.2  # below this the prediction is "no match"
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    search_size: int = 150  # square search window side, pixels
-
-    def __post_init__(self):
-        if self.search_size < 1:
-            raise ValueError("search_size must be >= 1")
+SEARCH_SIZE = 150  # default square search window side, pixels
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ def search_box(tb, shape, search_size):
     return top, left, bottom, right
 
 
-def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
+def predict(frame_src, frame_dst, cell, search_size=SEARCH_SIZE):
     """Best placement of the cell's padded template from frame_src in frame_dst.
 
     The placement is searched in `search_box`'s window. NCC ties break to
@@ -93,28 +85,32 @@ def predict(frame_src, frame_dst, cell, config=TrackerConfig()):
     patch = frame_src.pixels[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
     if patch.min() == patch.max():
         return TrackerPrediction(tb, 0.0, False)
-    wtop, wleft, wbottom, wright = search_box(tb, (h, w), config.search_size)
+    wtop, wleft, wbottom, wright = search_box(tb, (h, w), search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, frame_src.normalized(tb))
     region = (wtop + r, wleft + c, wtop + r + th - 1, wleft + c + tw - 1)
     return TrackerPrediction(region, score, score >= MIN_SCORE)
 
 
+@dataclass(frozen=True)
 class NCCTracker:
-    """Built-in template-matching tracker."""
+    """Built-in template-matching tracker: `predict` in a search_size window."""
 
-    def __init__(self, config=TrackerConfig()):
-        self.config = config
+    search_size: int = SEARCH_SIZE
+
+    def __post_init__(self):
+        if self.search_size < 1:
+            raise ValueError("search_size must be >= 1")
 
     def predict(self, frame_src, frame_dst, cell):
-        return predict(frame_src, frame_dst, cell, self.config)
+        return predict(frame_src, frame_dst, cell, self.search_size)
 
     def reach(self, cell, shape):
         """(box, (height, width)): every region `predict` returns for `cell`
         lies in the inclusive box, the search window, and has the template
         box's shape; the window always holds the template box."""
         tb = _template_bbox(cell, *shape)
-        return search_box(tb, shape, self.config.search_size), (tb[2] - tb[0] + 1, tb[3] - tb[1] + 1)
+        return search_box(tb, shape, self.search_size), (tb[2] - tb[0] + 1, tb[3] - tb[1] + 1)
 
 
 class ExternalTracker:

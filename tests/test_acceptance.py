@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from celllineage import pgm
-from celllineage.cli import PipelineConfig, _segment_sequence
+from celllineage.cli import _segment_sequence
 from celllineage.imagecore import Frame, LabelMask, make_cell
 from celllineage import kernels
 from celllineage.linker import (
@@ -28,13 +28,12 @@ from celllineage.linker import (
 from celllineage.metrics import SegReport, census, compare_runs, seg_score, tra_score
 from celllineage.rwalker import SeedSet, build_lattice, reseg_cell, solve_probabilities
 from celllineage.simulator import script_collision_scenario, simulate
-from celllineage.tracker import NCCTracker, TrackerConfig, TrackerPrediction, predict
+from celllineage.tracker import NCCTracker, TrackerPrediction, predict
 from celllineage.trackfile import format_track_file, parse_track_file
 
 
 def _run_pipeline(sequence, full):
-    cfg = PipelineConfig()
-    return run_linker(_segment_sequence(sequence, cfg), NCCTracker(TrackerConfig()), baseline=not full)
+    return run_linker(_segment_sequence(sequence), NCCTracker(), baseline=not full)
 
 
 def test_criterion_01_directional_improvement():

@@ -29,11 +29,18 @@ from celllineage.cli import (
 )
 from celllineage.imagecore import Cell
 from celllineage.simulator import SimConfig
-from celllineage.tracker import ExternalTracker
+from celllineage.tracker import ExternalTracker, NCCTracker
 
 
 def run(argv):
     return main(argv)
+
+
+def source_env(**extra):
+    """The environment for a fresh interpreter that imports this package from
+    its source tree, whether or not the package is installed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
 
 
 def dir_bytes(path):
@@ -270,9 +277,7 @@ def test_track_imports_no_scipy_sparse(tmp_path, capsys):
         "assert main(['track', '--in', %r, '--out', %r]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.fft'))))\n" % (sim, out)
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     with open(os.path.join(out, "events.txt")) as f:
@@ -282,22 +287,18 @@ def test_track_imports_no_scipy_sparse(tmp_path, capsys):
 def test_linker_imports_no_tracker():
     """The linker reaches a tracker only through the object it is handed."""
     code = "import sys, celllineage.linker\nprint('celllineage.tracker' in sys.modules)\n"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("level", ["verbose", "5"])
+@pytest.mark.parametrize("level", ["verbose", "5", "warn", "fatal", "notset"])
 def test_unknown_log_level_is_an_error_message(level, tmp_path):
     """An unknown LINEAGE_LOG level is one error line, checked in a fresh
     process: there the root logger has no handlers yet."""
     out = str(tmp_path / "out")
     code = "import sys\nfrom celllineage.cli import main\nsys.exit(main(['simulate', '--out', %r]))\n" % out
-    src = os.path.dirname(os.path.dirname(os.path.abspath(celllineage.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env["LINEAGE_LOG"] = level
+    env = source_env(LINEAGE_LOG=level)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 1
     assert proc.stderr == "lineage: error: LINEAGE_LOG: unknown level %r\n" % level
@@ -541,14 +542,13 @@ def test_extra_mask_names_the_first_file_past_the_last_frame(command, sim_dir, t
 def test_pipeline_config_from_json(tmp_path):
     doc = {
         "segmentation": "masks",
-        "connectivity": 8,
         "tracker": {"search_size": 100},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = jsonconfig.load(PipelineConfig, str(path))
-    assert (cfg.segmentation, cfg.connectivity) == ("masks", 8)
-    assert cfg.tracker.search_size == 100
+    assert cfg.segmentation == "masks"
+    assert cfg.tracker == NCCTracker(search_size=100)
 
 
 @pytest.mark.parametrize(
@@ -591,8 +591,8 @@ def test_pipeline_config_from_json(tmp_path):
         ("track", {"tracker": {"search_size": 64, "min_score": 0.2}}, "tracker: unknown key 'min_score'"),
         ("track", {"threshold_level": 0.5}, "unknown key 'threshold_level'"),
         ("track", {"rwalker": {"beta": 130.0}}, "unknown key 'rwalker'"),
-        ("track", {"connectivity": 6}, "connectivity must be 4 or 8"),
-        ("track", {"segmentation": "masks", "connectivity": 0}, "connectivity must be 4 or 8"),
+        ("track", {"connectivity": 6}, "unknown key 'connectivity'"),
+        ("track", {"segmentation": "masks", "connectivity": 4}, "unknown key 'connectivity'"),
         ("simulate", {"collision_script": [[8, 1, 1]]}, "collision_script: cell 1 cannot collide with itself"),
         ("simulate", {"collision_script": [[1, 1, 2]]}, "collision_script: time 1 is before 3"),
         ("simulate", {"collision_script": [[2, 1, 2]]}, "collision_script: time 2 is before 3"),
@@ -628,13 +628,17 @@ def test_bad_config_is_an_error_message(command, doc, key, sim_dir, tmp_path, ca
         pytest.param("simulate", '{"drift_sigma": 1%s}' % ("0" * 400), "0 is not a finite number", id="400-digits"),
         pytest.param("simulate", '{"noise_sigma": -1%s}' % ("0" * 400), "0 is not a finite number", id="-400-digits"),
         pytest.param("track", '{"tracker": {"search_size": 1e400}}', "1e400 is not a finite number", id="track-1e400"),
+        pytest.param(
+            "track", '{"tracker": {"search_size": 1%s}}' % ("0" * 400), "0 is not a finite number", id="track-400-digits"
+        ),
         pytest.param("simulate", "[" * 100000 + "]" * 100000, "cfg.json: nested too deeply", id="simulate-lists"),
         pytest.param("track", "[" * 100000 + "]" * 100000, "cfg.json: nested too deeply", id="track-lists"),
         pytest.param("track", '{"tracker":' * 5000 + "1" + "}" * 5000, "cfg.json: nested too deeply", id="trackers"),
     ],
 )
 def test_overflowing_or_deep_config_is_an_error_message(command, text, key, sim_dir, tmp_path, capsys):
-    _check_config_error(command, text, key, sim_dir, tmp_path, capsys)
+    err = _check_config_error(command, text, key, sim_dir, tmp_path, capsys)
+    assert len(err.strip().replace(str(tmp_path / "cfg.json"), "")) <= 64, err  # a long number is cut short
 
 
 def _check_config_error(command, text, key, sim_dir, tmp_path, capsys):
@@ -650,15 +654,16 @@ def _check_config_error(command, text, key, sim_dir, tmp_path, capsys):
     assert err.startswith("lineage: error: ") and key in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+    return err
 
 
 def test_config_value_types(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"connectivity": 8, "tracker": {"search_size": 64}}))
+    path.write_text(json.dumps({"segmentation": "masks", "tracker": {"search_size": 64}}))
     cfg = jsonconfig.load(PipelineConfig, str(path))
-    assert (cfg.connectivity, cfg.tracker.search_size) == (8, 64)
+    assert (cfg.segmentation, cfg.tracker.search_size) == ("masks", 64)
     for bad, expected in (
-        ({"connectivity": 4.0}, "connectivity: expected an integer, got 4.0"),
+        ({"tracker": {"search_size": 64.0}}, "tracker: search_size: expected an integer, got 64.0"),
         ({"enable_mitosis_detection": 0}, "unknown key 'enable_mitosis_detection'"),
         ({"segmentation": ["masks"]}, 'segmentation: expected a string, got ["masks"]'),
         ({"tracker": {"search_size": "64"}}, 'tracker: search_size: expected an integer, got "64"'),
@@ -764,7 +769,6 @@ def _fuzz_track_doc(rng):
     """A small PipelineConfig document, sometimes with one bad value."""
     doc = {
         "segmentation": str(rng.choice(["threshold", "threshold", "masks"])),
-        "connectivity": int(rng.choice([4, 8])),
         "tracker": {"search_size": int(rng.choice([8, 32, 64]))},
     }
     if rng.random() < 0.2:
@@ -858,7 +862,7 @@ def declared_scripts():
 
 
 def run_help(cmd):
-    return subprocess.run(cmd + ["--help"], capture_output=True, text=True, timeout=120)
+    return subprocess.run(cmd + ["--help"], capture_output=True, text=True, timeout=120, env=source_env())
 
 
 def test_console_script_installed():

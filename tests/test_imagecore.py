@@ -19,14 +19,11 @@ from celllineage.jsonconfig import from_doc
 from celllineage.simulator import SimConfig, simulate
 
 
-def flood_fill_labels(mask, connectivity):
-    """Independent labeling oracle: BFS flood fill in row-major seed order."""
+def flood_fill_labels(mask):
+    """Independent labeling oracle: 4-connected flood fill in row-major seed order."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    if connectivity == 4:
-        nbrs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        nbrs = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+    nbrs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
     out = np.zeros((h, w), dtype=int)
     k = 0
     for r in range(h):
@@ -45,9 +42,9 @@ def flood_fill_labels(mask, connectivity):
     return out
 
 
-def component_labels(mask, connectivity=4, min_size=1):
+def component_labels(mask, min_size=1):
     """`connected_components`' cells as a label raster, each cell's id its label."""
-    return mask_from_cells(connected_components(mask, connectivity, min_size), *np.shape(mask)).labels
+    return mask_from_cells(connected_components(mask, min_size), *np.shape(mask)).labels
 
 
 def test_empty_mask():
@@ -66,22 +63,19 @@ def test_single_block():
 def test_diagonal_connectivity():
     m = np.zeros((4, 4), dtype=bool)
     m[1, 1] = m[2, 2] = True
-    cells4 = connected_components(m, connectivity=4)
-    cells8 = connected_components(m, connectivity=8)
-    assert len(cells4) == 2 and len(cells8) == 1
-    # both connectivities agree with the flood-fill oracle
-    for conn in (4, 8):
-        assert np.array_equal(component_labels(m, conn), flood_fill_labels(m, conn))
+    # pixels that touch only at a corner are two cells
+    assert len(connected_components(m)) == 2
+    assert np.array_equal(component_labels(m), flood_fill_labels(m))
 
 
-@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("conn", [4])  # the pipeline's one neighbourhood, the 4-connected cross
 def test_components_match_flood_fill_oracle(conn):
     rng = np.random.default_rng(42)
     for _ in range(25):
         m = rng.random((rng.integers(1, 25), rng.integers(1, 25))) < 0.45
-        cells = connected_components(m, connectivity=conn)
+        cells = connected_components(m)
         labels = mask_from_cells(cells, *m.shape).labels
-        assert np.array_equal(labels, flood_fill_labels(m, conn))
+        assert np.array_equal(labels, flood_fill_labels(m))
         # partition invariants: disjoint pixel sets exactly covering foreground
         all_pixels = [p for c in cells for p in c.pixels]
         assert len(all_pixels) == len(set(all_pixels)) == int(m.sum())
@@ -97,7 +91,7 @@ def test_components_match_flood_fill_oracle(conn):
             assert cell == make_cell(cell.id, cell.pixels)
 
 
-@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("conn", [4])  # the pipeline's one neighbourhood, the 4-connected cross
 def test_components_min_size_matches_oracle(conn):
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -105,12 +99,12 @@ def test_components_min_size_matches_oracle(conn):
         min_size = int(rng.integers(1, 6))
         # oracle: drop the flood-fill components below min_size, renumber the rest
         kept = np.zeros(m.shape, dtype=bool)
-        comp = flood_fill_labels(m, conn)
+        comp = flood_fill_labels(m)
         for k in range(1, comp.max() + 1):
             if (comp == k).sum() >= min_size:
                 kept |= comp == k
-        got = component_labels(m, conn, min_size)
-        assert np.array_equal(got, flood_fill_labels(kept, conn))
+        got = component_labels(m, min_size)
+        assert np.array_equal(got, flood_fill_labels(kept))
 
 
 def relabel_scan_order(raw):
@@ -137,27 +131,26 @@ def test_components_match_scan_order_relabel_on_crowded_frames(min_size):
     dropped = 0
     for frame in frames:
         fg = threshold_segment(frame)
-        for conn in (4, 8):
-            raw = ndimage.label(fg, structure=ndimage.generate_binary_structure(2, conn // 4))[0]
-            small = (np.bincount(raw.ravel()) < min_size)[raw]
-            dropped += int(raw[small].any())
-            raw[small] = 0
-            got = component_labels(fg, conn, min_size)
-            assert got.dtype == np.int32 and np.array_equal(got, relabel_scan_order(raw)), (frame.index, conn)
+        raw = ndimage.label(fg)[0]  # the default structure is the 4-connected cross
+        small = (np.bincount(raw.ravel()) < min_size)[raw]
+        dropped += int(raw[small].any())
+        raw[small] = 0
+        got = component_labels(fg, min_size)
+        assert got.dtype == np.int32 and np.array_equal(got, relabel_scan_order(raw)), frame.index
     assert dropped > 0 or min_size == 1
 
 
-def renumbered_components(mask, connectivity, min_size):
+def renumbered_components(mask, min_size):
     """The label mask that the threshold path built before it made cells in
     its one labelling pass: ndimage.label, components below `min_size`
     dropped, the rest renumbered 1..K by a running count."""
-    labels = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, connectivity // 4))[0]
+    labels = ndimage.label(mask)[0]
     keep = np.bincount(labels.ravel()) >= min_size
     keep[0] = False
     return LabelMask(labels=(np.cumsum(keep, dtype=np.int32) * keep)[labels])
 
 
-@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("conn", [4])  # the pipeline's one neighbourhood, the 4-connected cross
 def test_components_equal_the_cells_of_the_renumbered_mask(conn):
     """The cells of one labelling pass are, id for id and bit for bit, those
     that `cells_from_labelmask` extracts from the renumbered label mask."""
@@ -166,19 +159,19 @@ def test_components_equal_the_cells_of_the_renumbered_mask(conn):
     for case in range(300):
         m = rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 40)))) < rng.uniform(0.1, 0.7)
         min_size = int(rng.integers(1, 7))
-        want = cells_from_labelmask(renumbered_components(m, conn, min_size), conn)
-        got = connected_components(m, conn, min_size)
+        want = cells_from_labelmask(renumbered_components(m, min_size))
+        got = connected_components(m, min_size)
         assert got == want, case
-        dropped += len(connected_components(m, conn)) > len(got)
+        dropped += len(connected_components(m)) > len(got)
     assert dropped > 0
 
 
-def expected_label_cells(labels, connectivity):
+def expected_label_cells(labels):
     """Oracle cells of a label mask: flood-fill each label's own mask, then
     number all pieces 1..K by their row-major first pixel."""
     pieces = []
     for lab in np.unique(labels[labels > 0]):
-        comp = flood_fill_labels(labels == lab, connectivity)
+        comp = flood_fill_labels(labels == lab)
         for k in range(1, comp.max() + 1):
             pixels = {(int(r), int(c)) for r, c in zip(*np.nonzero(comp == k))}
             pieces.append((min(pixels), pixels))
@@ -199,12 +192,12 @@ def label_masks(rng):
         yield "random %d" % k, labels
 
 
-@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("conn", [4])  # the pipeline's one neighbourhood, the 4-connected cross
 def test_cells_from_labelmask_match_flood_fill_oracle(conn):
     rng = np.random.default_rng(7)
     for name, labels in label_masks(rng):
-        cells = cells_from_labelmask(LabelMask(labels=labels), connectivity=conn)
-        want = expected_label_cells(labels, conn)
+        cells = cells_from_labelmask(LabelMask(labels=labels))
+        want = expected_label_cells(labels)
         assert [c.id for c in cells] == list(range(1, len(want) + 1)), name
         assert [set(c.pixels) for c in cells] == want, name
         for cell, pixels in zip(cells, want):
@@ -216,13 +209,13 @@ def test_cells_from_labelmask_match_flood_fill_oracle(conn):
 
 def test_cells_from_labelmask_split_label():
     labels = np.array([[0, 3, 0, 0], [3, 3, 0, 3], [0, 0, 3, 3]], dtype=np.int32)
-    cells4 = cells_from_labelmask(LabelMask(labels=labels), connectivity=4)
-    assert [sorted(c.pixels) for c in cells4] == [
+    # the label touches itself only at the corner (1, 1)-(2, 2): two cells
+    cells = cells_from_labelmask(LabelMask(labels=labels))
+    assert [sorted(c.pixels) for c in cells] == [
         [(0, 1), (1, 0), (1, 1)],
         [(1, 3), (2, 2), (2, 3)],
     ]
-    assert cells4[1].centroid == (5 / 3, 8 / 3) and cells4[1].bbox == (1, 2, 2, 3)
-    assert len(cells_from_labelmask(LabelMask(labels=labels), connectivity=8)) == 1
+    assert cells[1].centroid == (5 / 3, 8 / 3) and cells[1].bbox == (1, 2, 2, 3)
 
 
 def test_centroid_examples():
@@ -393,7 +386,8 @@ def test_label_mask_validation():
 
 
 def test_components_reject_bad_connectivity_and_empty_raster():
-    with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
-        connected_components(np.ones((3, 3), dtype=bool), connectivity=6)
+    # the 4-connected cross is the only neighbourhood: none other can be asked for
+    with pytest.raises(TypeError, match="connectivity"):
+        connected_components(np.ones((3, 3), dtype=bool), connectivity=8)
     with pytest.raises(ValueError, match="mask dimensions must be positive"):
         connected_components(np.zeros((0, 4), dtype=bool))

@@ -25,11 +25,11 @@ from celllineage.linker import (
 )
 from celllineage import kernels, linker
 from celllineage import tracker as tracker_module
-from celllineage.cli import PipelineConfig, _segment_sequence, main
+from celllineage.cli import _segment_sequence, main
 from celllineage.jsonconfig import from_doc
 from celllineage.rwalker import ResegFailure, reseg_cell
 from celllineage.simulator import SimConfig, script_collision_scenario, simulate
-from celllineage.tracker import ExternalTracker, NCCTracker, TrackerConfig, TrackerPrediction
+from celllineage.tracker import ExternalTracker, NCCTracker, TrackerPrediction
 from test_golden import COLLISIONS_SIM, COLLISIONS_TRACK, CROWDED_SIM
 
 
@@ -168,7 +168,7 @@ def _fuzz_cells(rng, h, w):
         r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
         dr, dc = (int(v) for v in rng.integers(1, 9, size=2))
         labels[r : r + dr, c : c + dc] = rng.integers(0, 6)
-    return cells_from_labelmask(LabelMask(labels), int(rng.choice([4, 8])))
+    return cells_from_labelmask(LabelMask(labels))
 
 
 def _fuzz_preds(rng, cells, h, w):
@@ -596,7 +596,7 @@ def test_region_size_prune_changes_nothing():
             tracker = ExternalTracker()  # reach and size: the whole frame
         else:
             # a search_size under the template's side makes the window the template box
-            tracker = NCCTracker(TrackerConfig(search_size=int(rng.integers(1, 40))))
+            tracker = NCCTracker(search_size=int(rng.integers(1, 40)))
         ids = [p.id for p in prev]
         parents = frozenset(i for i in ids if rng.random() < 0.3)
         reach, size = tracker.reach(cell, (h, w))
@@ -716,8 +716,8 @@ class CountingTracker:
     """An NCCTracker that counts its backward predictions; with `whole_frame`
     its reach is the whole frame, so run_linker prunes no backward search."""
 
-    def __init__(self, config, whole_frame):
-        self.inner = NCCTracker(config)
+    def __init__(self, search_size, whole_frame):
+        self.inner = NCCTracker(search_size)
         self.whole_frame = whole_frame
         self.backward_calls = 0
 
@@ -744,10 +744,10 @@ class CountingTracker:
 def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     cfg = sim if isinstance(sim, SimConfig) else from_doc(SimConfig, sim, "sim")
     frames, _ = simulate(cfg)
-    pairs = list(_segment_sequence(frames, PipelineConfig()))
+    pairs = list(_segment_sequence(frames))
     runs = []
     for whole_frame in (True, False):
-        tracker = CountingTracker(TrackerConfig(search_size=search_size), whole_frame)
+        tracker = CountingTracker(search_size, whole_frame)
         out, graph, events = run_linker(pairs, tracker)
         runs.append((tracker.backward_calls, list(out), graph, events))
     (calls_all, out_all, graph_all, events_all), (calls, out, graph, events) = runs
@@ -770,8 +770,8 @@ def test_run_linker_step_records(monkeypatch):
         return records[-1]
 
     monkeypatch.setattr(linker, "_link_step", spy)
-    pairs = _segment_sequence(frames, PipelineConfig())
-    _, _, events = run_linker(pairs, NCCTracker(TrackerConfig(search_size=64)))
+    pairs = _segment_sequence(frames)
+    _, _, events = run_linker(pairs, NCCTracker(search_size=64))
     assert len(records) == len(frames) - 1 == 19
     flagged = sum(len(r.flagged) for r in records)
     splits = sum(len(r.report.splits) for r in records)

@@ -67,12 +67,24 @@ def test_track_config_holds_only_what_a_run_varies():
     vary; single-valued numbers are module constants, and the paper's
     ablation is the `--baseline` flag, not a key."""
     assert sorted(_leaf_keys(PipelineConfig)) == [
-        "connectivity",
         "external_backward",
         "external_forward",
         "segmentation",
         "tracker.search_size",
     ]
+
+
+def test_one_module_builds_the_pixel_neighbourhood():
+    """Cells, random-walker components and overlay boundaries share the
+    4-connected cross that `imagecore` builds once."""
+    calls = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "generate_binary_structure" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert [name for name, _ in calls] == ["imagecore.py"], calls
 
 
 def test_the_environment_is_read_only_for_the_log_level():

@@ -10,7 +10,6 @@ from celllineage.tracker import (
     TEMPLATE_PAD,
     ExternalTracker,
     NCCTracker,
-    TrackerConfig,
     TrackerPrediction,
     ncc_score,
     predict,
@@ -310,8 +309,7 @@ def test_predict_stationary_in_any_window(search_size):
     img = np.random.default_rng(9).integers(0, 256, size=(80, 80), dtype=np.uint8)
     cell = make_cell(1, [(r, c) for r in range(30, 46) for c in range(30, 46)])
     tb = (28, 28, 47, 47)
-    cfg = TrackerConfig(search_size=search_size)
-    pred = predict(Frame(1, img), Frame(2, img.copy()), cell, cfg)
+    pred = predict(Frame(1, img), Frame(2, img.copy()), cell, search_size)
     assert pred.region == tb
     assert pred.score == pytest.approx(1.0, abs=1e-9)
     assert pred.valid
@@ -336,13 +334,12 @@ def test_predict_translated_blob_exact_offset():
 
 def test_predict_matches_exhaustive_oracle():
     rng = np.random.default_rng(5)
-    cfg = TrackerConfig(search_size=30)
     for _ in range(5):
         img1 = rng.integers(0, 256, size=(50, 50), dtype=np.uint8)
         img2 = rng.integers(0, 256, size=(50, 50), dtype=np.uint8)
         f1, f2 = Frame(1, img1), Frame(2, img2)
         cell = make_cell(1, [(r, c) for r in range(20, 26) for c in range(22, 27)])
-        pred = predict(f1, f2, cell, cfg)
+        pred = predict(f1, f2, cell, search_size=30)
         # oracle: brute-force NCC over the same clipped window
         tb = (cell.bbox[0] - 2, cell.bbox[1] - 2, cell.bbox[2] + 2, cell.bbox[3] + 2)
         template = f1.normalized()[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
@@ -455,8 +452,7 @@ def test_predict_region_lies_in_reach():
     seen = dict.fromkeys(("top", "left", "bottom", "right", "wide", "small_window", "flat"), 0)
     for case in range(500):
         h, w = (int(v) for v in rng.integers(4, 48, size=2))
-        cfg = TrackerConfig(search_size=int(rng.integers(1, 60)))
-        tracker = NCCTracker(cfg)
+        tracker = NCCTracker(search_size=int(rng.integers(1, 60)))
         ch, cw = int(rng.integers(1, h // 2 + 2)), int(rng.integers(1, w // 2 + 2))
         ch, cw = min(ch, h), min(cw, w)
         top, left = int(rng.integers(0, h - ch + 1)), int(rng.integers(0, w - cw + 1))
@@ -471,19 +467,19 @@ def test_predict_region_lies_in_reach():
 
         pad = TEMPLATE_PAD
         tb = (max(0, top - pad), max(0, left - pad), min(h - 1, top + ch - 1 + pad), min(w - 1, left + cw - 1 + pad))
-        window = search_box(tb, (h, w), cfg.search_size)
+        window = search_box(tb, (h, w), tracker.search_size)
         th, tw = tb[2] - tb[0] + 1, tb[3] - tb[1] + 1
         assert box_inside(tb, window), case
         assert reach == window, case
         assert size == (th, tw) == (pred.region[2] - pred.region[0] + 1, pred.region[3] - pred.region[1] + 1), case
         assert box_inside(pred.region, window), case
-        half = cfg.search_size // 2
+        half = tracker.search_size // 2
         seen["top"] += round((tb[0] + tb[2]) / 2) - half < 0
         seen["left"] += round((tb[1] + tb[3]) / 2) - half < 0
-        seen["bottom"] += round((tb[0] + tb[2]) / 2) - half + cfg.search_size > h
-        seen["right"] += round((tb[1] + tb[3]) / 2) - half + cfg.search_size > w
-        seen["wide"] += max(th, tw) > cfg.search_size
-        seen["small_window"] += min(th, tw) > cfg.search_size
+        seen["bottom"] += round((tb[0] + tb[2]) / 2) - half + tracker.search_size > h
+        seen["right"] += round((tb[1] + tb[3]) / 2) - half + tracker.search_size > w
+        seen["wide"] += max(th, tw) > tracker.search_size
+        seen["small_window"] += min(th, tw) > tracker.search_size
         seen["flat"] += flat and not pred.valid and pred.region == tb
     assert all(seen.values()), seen
 
