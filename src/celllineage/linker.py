@@ -282,13 +282,11 @@ class StepRecord:
     states: dict  # previous cell id -> Apoptosis, Continuation or Mitosis
 
 
-def _fits(ceil, floor, lo, hi, size):
-    """k x k table, one axis: some span [s, s + size - 1] of integer s,
-    inside the inclusive [lo, hi], holds coordinates a and b. A span holds
-    the real x when ceil(x) - size + 1 <= s <= floor(x)."""
-    first = np.maximum(np.maximum.outer(ceil, ceil) - size + 1, lo)
-    last = np.minimum(np.minimum.outer(floor, floor), hi - size + 1)
-    return first <= last
+def _fits(ceil, floor, size):
+    """k x k table, one axis: some span [s, s + size - 1] of integer s holds
+    coordinates a and b. A span holds the real x when
+    ceil(x) - size + 1 <= s <= floor(x)."""
+    return np.maximum.outer(ceil, ceil) - np.minimum.outer(floor, floor) < size
 
 
 def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
@@ -299,19 +297,20 @@ def _backward_predictor(frame_prev, frame_cur, cells_prev, tracker):
     region. So a cell is flagged only if some box of that size inside the
     reach holds two previous centroids, and a piece is acted on only if such
     a box holds two of which one lies outside its parent set. Any other
-    cell or piece gets None.
+    cell or piece gets None. The reach's box never binds a span: it holds
+    every centroid tested and is at least the size, so a span that holds two
+    of them can be slid inside it.
     """
     centroids = _centroids(cells_prev)
     ceil, floor = np.ceil(centroids).astype(int), np.floor(centroids).astype(int)
     ids = np.array([c.id for c in cells_prev], dtype=int)
 
     def predict_backward(cell, parents=frozenset()):
-        (top, left, bottom, right), (height, width) = tracker.reach(cell, frame_cur.pixels.shape)
-        k = np.flatnonzero(_in_box((top, left, bottom, right), *centroids))
+        box, (height, width) = tracker.reach(cell, frame_cur.pixels.shape)
+        k = np.flatnonzero(_in_box(box, *centroids))
         if len(k) < 2:
             return None
-        pairs = _fits(ceil[0, k], floor[0, k], top, bottom, height)
-        pairs &= _fits(ceil[1, k], floor[1, k], left, right, width)
+        pairs = _fits(ceil[0, k], floor[0, k], height) & _fits(ceil[1, k], floor[1, k], width)
         np.fill_diagonal(pairs, False)
         outside = np.array([i not in parents for i in ids[k].tolist()])
         if not pairs[outside].any():

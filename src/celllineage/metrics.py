@@ -118,12 +118,15 @@ def seg_score(census):
 
 
 def _lineage_edges(lineage, nodes):
-    """Edges between `nodes` (t, label), each of kind 'track' or 'parent'."""
+    """Edges between `nodes` (t, label), each of kind 'track' or 'parent'.
+    Track edges come from the nodes, so a track's written span costs
+    nothing past them."""
     edges = {}
+    for t, label in nodes:
+        tr = lineage.tracks.get(label)
+        if tr is not None and tr.birth <= t < tr.end and (t + 1, label) in nodes:
+            edges[((t, label), (t + 1, label))] = "track"
     for tr in lineage.tracks.values():
-        for t in range(tr.birth, tr.end):
-            if (t, tr.id) in nodes and (t + 1, tr.id) in nodes:
-                edges[((t, tr.id), (t + 1, tr.id))] = "track"
         if tr.parent:
             parent = lineage.tracks[tr.parent]
             a, b = (parent.end, tr.parent), (tr.birth, tr.id)

@@ -11,10 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-
-# an integer field: an optional '-' and ASCII digits; int() would also take
-# '+', '_' and non-ASCII digits
-_INTEGER = re.compile(r"-?[0-9]+")
+from .trackfile import INTEGER
 # the score field: an ASCII decimal, optionally with an exponent; float()
 # would also take '+', '_', non-ASCII digits, 'nan' and 'inf'
 _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
@@ -73,8 +70,8 @@ def predict(frame_src, frame_dst, cell, search_size=SEARCH_SIZE):
     """Best placement of the cell's padded template from frame_src in frame_dst.
 
     The placement is searched in `search_box`'s window. NCC ties break to
-    the row-major earliest placement; a zero-variance template is invalid
-    and its region is the template box.
+    the row-major earliest placement; a zero-variance template scores 0 at
+    every placement, so it is invalid and its region is the window's first.
     """
     h, w = frame_src.pixels.shape
     if frame_dst.pixels.shape != (h, w):
@@ -82,9 +79,6 @@ def predict(frame_src, frame_dst, cell, search_size=SEARCH_SIZE):
     tb = _template_bbox(cell, h, w)
     th = tb[2] - tb[0] + 1
     tw = tb[3] - tb[1] + 1
-    patch = frame_src.pixels[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
-    if patch.min() == patch.max():
-        return TrackerPrediction(tb, 0.0, False)
     wtop, wleft, wbottom, wright = search_box(tb, (h, w), search_size)
     window = frame_dst.normalized((wtop, wleft, wbottom, wright))
     r, c, score = kernels.ncc_best(window, frame_src.normalized(tb))
@@ -137,13 +131,10 @@ class ExternalTracker:
             parts = line.split()
             if len(parts) != 7:
                 raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
-            try:
-                if not all(map(_INTEGER.fullmatch, parts[:6])) or not _DECIMAL.fullmatch(parts[6]):
-                    raise ValueError
-                t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
-                score = float(parts[6])
-            except ValueError:
-                raise ValueError("%s:%d: non-numeric field" % (path, lineno)) from None
+            if not all(map(INTEGER.fullmatch, parts[:6])) or not _DECIMAL.fullmatch(parts[6]):
+                raise ValueError("%s:%d: non-numeric field" % (path, lineno))
+            t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
+            score = float(parts[6])
             if cell_id < 1:
                 raise ValueError("%s:%d: cell id must be >= 1, got %d" % (path, lineno, cell_id))
             if t < 1 or top > bottom or left > right or top < 0 or left < 0:

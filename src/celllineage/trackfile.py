@@ -4,18 +4,20 @@ import re
 
 from .linker import LineageGraph, Track
 
-# an integer field: an optional '-' and ASCII digits; int() would also take
-# '+', '_' and non-ASCII digits
-_INTEGER = re.compile(r"-?[0-9]+")
+# an integer field: an optional '-' and at most 20 ASCII digits; int() would
+# also take '+', '_' and non-ASCII digits, and refuses 4,301 digits or more
+INTEGER = re.compile(r"-?[0-9]{1,20}")
 
 
 class TrackFileError(ValueError):
     pass
 
 
-def _parse_tracks(text):
-    """Line-by-line parse into a LineageGraph's tracks; rejects malformed
-    lines, duplicate ids and B > E. Parent links are left to `validate`."""
+def parse_track_file(text, labels=()):
+    """Strict parse into a LineageGraph; rejects malformed lines, duplicate
+    ids, dangling parents, parent gaps and B > E. `labels[t - 1]` holds the
+    mask labels present in frame t (0 is ignored). A mask label is its
+    track's id, so each must lie inside that track's span."""
     graph = LineageGraph()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -24,7 +26,7 @@ def _parse_tracks(text):
         parts = line.split()
         if len(parts) != 4:
             raise TrackFileError("line %d: expected 4 fields, got %d" % (lineno, len(parts)))
-        if not all(map(_INTEGER.fullmatch, parts)):
+        if not all(map(INTEGER.fullmatch, parts)):
             raise TrackFileError("line %d: non-integer field" % lineno)
         label, birth, end, parent = (int(p) for p in parts)
         if label <= 0:
@@ -36,21 +38,12 @@ def _parse_tracks(text):
         if parent < 0:
             raise TrackFileError("line %d: negative parent id" % lineno)
         graph.tracks[label] = Track(label, birth, end, parent)
-    return graph
-
-
-def _validated(graph):
+    graph.assignments = {t: {lab: lab for lab in present if lab} for t, present in enumerate(labels, start=1)}
     try:
         graph.validate()
     except ValueError as exc:
         raise TrackFileError(str(exc)) from None
     return graph
-
-
-def parse_track_file(text):
-    """Strict parse into a LineageGraph's tracks; rejects duplicate ids,
-    dangling parents, parent gaps and B > E."""
-    return _validated(_parse_tracks(text))
 
 
 def format_track_file(graph):
@@ -65,10 +58,10 @@ def write_track_file(path, graph):
 
 
 def read_track_file(path, labels=()):
-    """Read a track file; `labels[t - 1]` holds the mask labels present in
-    frame t (0 is ignored). A mask label is its track's id, so each must lie
-    inside that track's span."""
+    """`parse_track_file` of the file at `path`; each error names the file."""
     with open(path) as f:
-        graph = _parse_tracks(f.read())
-    graph.assignments = {t: {lab: lab for lab in present if lab} for t, present in enumerate(labels, start=1)}
-    return _validated(graph)
+        text = f.read()
+    try:
+        return parse_track_file(text, labels)
+    except TrackFileError as exc:
+        raise TrackFileError("%s: %s" % (path, exc)) from None

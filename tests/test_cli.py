@@ -384,7 +384,9 @@ def _end_track_at_birth(directory):
     return row[0], later
 
 
-@pytest.mark.parametrize("fault", ["gt track ends early", "pred track ends early", "pred mask shape"])
+@pytest.mark.parametrize(
+    "fault", ["gt track ends early", "pred track ends early", "pred mask shape", "pred track non-integer"]
+)
 def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys):
     gt, pred = str(tmp_path / "gt"), str(tmp_path / "pred")
     shutil.copytree(sim_dir, gt)
@@ -392,14 +394,48 @@ def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys
     if fault == "pred mask shape":
         pgm.write_pgm16(os.path.join(pred, MASK_FMT % 3), np.zeros((64, 64), dtype=np.uint16))
         expected = "frame 3: mask dimensions differ"
+    elif fault == "pred track non-integer":
+        path = os.path.join(pred, TRACK_FILE)
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write("1x" + text[1:])
+        expected = "%s: line 1: non-integer field" % path
     else:
-        tid, later = _end_track_at_birth(gt if fault.startswith("gt") else pred)
-        expected = "frame %d cell %d assigned to track %d outside its span" % (later, tid, tid)
+        directory = gt if fault.startswith("gt") else pred
+        tid, later = _end_track_at_birth(directory)
+        path = os.path.join(directory, TRACK_FILE)
+        expected = "%s: frame %d cell %d assigned to track %d outside its span" % (path, later, tid, tid)
     assert run(["evaluate", "--gt", gt, "--pred", pred]) == 1
     err = capsys.readouterr().err
     assert err.startswith("lineage: error: ") and expected in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not os.path.exists(os.path.join(pred, "report.json"))
+
+
+def test_evaluate_time_does_not_grow_with_a_written_track_end(sim_dir, tmp_path):
+    """TRA's edges join nodes found in the masks, so a track that the file
+    says ends at frame 10**15 scores as one that ends at its last mask."""
+    reports = []
+    for end in (None, 10**15):
+        pred = str(tmp_path / ("pred%s" % end))
+        shutil.copytree(sim_dir, pred)
+        path = os.path.join(pred, TRACK_FILE)
+        with open(path) as f:
+            rows = [line.split() for line in f]
+        if end is not None:
+            parents = {row[3] for row in rows}
+            row = next(row for row in rows if row[0] not in parents)
+            row[2] = str(end)
+            with open(path, "w") as f:
+                f.write("".join(" ".join(row) + "\n" for row in rows))
+        argv = ["evaluate", "--gt", sim_dir, "--pred", pred]
+        code = "import sys\nfrom celllineage.cli import main\nsys.exit(main(%r))\n" % argv
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(pred, "report.json"), "rb") as f:
+            reports.append(f.read())
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_scans_each_mask_once(sim_dir, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -757,6 +758,44 @@ def test_run_linker_pruned_backward_search_changes_nothing(sim, search_size):
     assert events == events_all
     assert calls < calls_all
     assert any(kind == "COLLISION" for _, kind, _ in events)
+
+
+class OffFrameInvalidTracker:
+    """An NCCTracker whose invalid predictions lie wholly off the frame."""
+
+    def __init__(self, search_size):
+        self.inner = NCCTracker(search_size)
+        self.invalid = 0
+
+    def predict(self, frame_src, frame_dst, cell):
+        prediction = self.inner.predict(frame_src, frame_dst, cell)
+        if prediction.valid:
+            return prediction
+        self.invalid += 1
+        top, left, bottom, right = prediction.region
+        return replace(prediction, region=(top - bottom - 1, left - right - 1, -1, -1))
+
+    def reach(self, cell, shape):
+        return self.inner.reach(cell, shape)
+
+
+@pytest.mark.parametrize("sim", [COLLISIONS_SIM, CROWDED_SIM], ids=["collisions-golden", "crowded-1"])
+def test_run_linker_reads_no_invalid_region(sim, monkeypatch):
+    """Detection, repair and forward matching read only the regions of valid
+    predictions, so an invalid one may put its region anywhere. Both
+    sequences score every prediction valid at MIN_SCORE; raised thresholds
+    make some invalid, with collisions still repaired at the lower one."""
+    frames, _ = simulate(from_doc(SimConfig, sim, "sim"))
+    pairs = list(_segment_sequence(frames))
+    for min_score, baseline in itertools.product((0.8, 0.9), (False, True)):
+        monkeypatch.setattr(tracker_module, "MIN_SCORE", min_score)
+        tracker = OffFrameInvalidTracker(64)
+        out_moved, graph_moved, events_moved = run_linker(pairs, tracker, baseline)
+        out, graph, events = run_linker(pairs, NCCTracker(64), baseline)
+        assert all(np.array_equal(a.labels, b.labels) for a, b in zip(out_moved, out, strict=True))
+        assert graph_moved == graph
+        assert events_moved == events
+        assert tracker.invalid > 0
 
 
 def test_run_linker_step_records(monkeypatch):

@@ -87,6 +87,28 @@ def test_one_module_builds_the_pixel_neighbourhood():
     assert [name for name, _ in calls] == ["imagecore.py"], calls
 
 
+def test_each_pattern_is_compiled_once():
+    """A field's syntax is one rule: each `re.compile` names a module-level
+    pattern, and no pattern is compiled in two modules; a module that needs
+    another's rule imports it."""
+    modules = {}  # pattern -> names of the modules that compile it
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "compile"
+            and getattr(node.func.value, "id", None) == "re"
+        ]
+        names = [node.targets[0].id for node in tree.body if isinstance(node, ast.Assign) and node.value in calls]
+        assert len(names) == len(calls), path.name
+        for name in names:
+            pattern = getattr(importlib.import_module("celllineage." + path.stem), name).pattern
+            modules.setdefault(pattern, set()).add(path.name)
+    assert len(modules) >= 3 and all(len(names) == 1 for names in modules.values()), modules
+
+
 def test_the_environment_is_read_only_for_the_log_level():
     """Options and config files set what a run does; the one environment
     variable the program reads is LINEAGE_LOG, in `cli.main`."""

@@ -523,9 +523,12 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     bad.write_text("1 1 10 12 20 200 0.9\n")  # exceeds frame
     with pytest.raises(ValueError):
         ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
-    # an integer field is '-'? [0-9]+ and the score an ASCII decimal: int() and
-    # float() would take '_', '+' and non-ASCII digits
+    # an integer field is '-'? and 1 to 20 of [0-9], as in a track file, and
+    # the score an ASCII decimal: int() and float() would take '_', '+' and
+    # non-ASCII digits
     for line in (
+        "%s 1 0 0 5 5 0.9\n" % ("1" * 21),
+        "2 1 0 0 5 %s 0.9\n" % ("1" * 21),
         "2 x 0 0 5 5 0.9\n",
         "2 1 0 0 5 5 high\n",
         "1_0 1 0 0 5 5 0.9\n",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,23 @@ def test_parse_rejections():
         parse_track_file("1 1 4 0\n2 7 9 1\n")  # parent gap
 
 
-@pytest.mark.parametrize("field", ["1_0", "+2", "\u0663", "1\u0660", "--1", "-", "0x1"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "1_0",
+        "+2",
+        "\u0663",
+        "1\u0660",
+        "--1",
+        "-",
+        "0x1",
+        pytest.param("1" * 21, id="21-digits"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ],
+)
 def test_parse_takes_only_ascii_decimal_integers(field):
-    # int() takes '_', '+' and non-ASCII digits; a field is '-'? [0-9]+
+    # int() takes '_', '+' and non-ASCII digits, and refuses 4,301 digits or
+    # more with its own message; a field is '-'? and 1 to 20 of [0-9]
     with pytest.raises(TrackFileError, match="^line 2: non-integer field$"):
         parse_track_file("1 1 2 0\n%s 1 2 0\n" % field)
     with pytest.raises(TrackFileError, match="^line 1: non-integer field$"):
@@ -95,6 +111,23 @@ def test_read_track_file_rejects_label_outside_span(tmp_path):
     path.write_text("1 1 1 0\n")
     with pytest.raises(ValueError):
         read_track_file(str(path), [set(), {1}])
+
+
+@pytest.mark.parametrize(
+    "text, labels, message",
+    [
+        ("1 1 x 0\n", (), "line 1: non-integer field"),
+        ("1 1 1 0\n", [set(), {1}], "frame 2 cell 1 assigned to track 1 outside its span"),
+    ],
+    ids=["line", "span"],
+)
+def test_read_track_file_errors_name_the_file(tmp_path, text, labels, message):
+    path = tmp_path / "res_track.txt"
+    path.write_text(text)
+    with pytest.raises(TrackFileError, match="^%s$" % re.escape("%s: %s" % (path, message))):
+        read_track_file(str(path), labels)
+    with pytest.raises(TrackFileError, match="^%s$" % re.escape(message)):
+        parse_track_file(text, labels)
 
 
 def test_file_round_trip(tmp_path):
