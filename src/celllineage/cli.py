@@ -141,9 +141,7 @@ def cmd_track(args):
     tracker = cfg.tracker
     if cfg.external_forward or cfg.external_backward:
         tracker = ExternalTracker(
-            cfg.external_forward or None,
-            cfg.external_backward or None,
-            frame_shape=pgm.read_pgm8(paths[0]).shape,
+            cfg.external_forward, cfg.external_backward, frame_shape=pgm.read_pgm8(paths[0]).shape
         )
     out_masks, graph, events = run_linker(steps, tracker, args.baseline)
 

@@ -24,17 +24,11 @@ class Frame:
             raise ValueError("frame pixels must be a 2-D uint8 array")
         self.pixels.setflags(write=False)
 
-    def normalized(self, region=None):
-        """Intensities rescaled to [0, 1] as float64.
-
-        `region`, an inclusive (top, left, bottom, right) box, limits the
-        result to that part of the frame.
-        """
-        pixels = self.pixels
-        if region is not None:
-            top, left, bottom, right = region
-            pixels = pixels[top : bottom + 1, left : right + 1]
-        return pixels / 255.0
+    def normalized(self, region):
+        """The frame's inclusive (top, left, bottom, right) box `region`,
+        its intensities rescaled to [0, 1] as float64."""
+        top, left, bottom, right = region
+        return self.pixels[top : bottom + 1, left : right + 1] / 255.0
 
 
 @dataclass(frozen=True)

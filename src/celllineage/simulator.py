@@ -365,18 +365,8 @@ def _divide(cells, graph, tid, t, rng, cfg):
 
 
 def script_collision_scenario(seed=0):
-    """Canonical regression scenario: one collision, one mitosis, one apoptosis."""
+    """Canonical regression scenario: `SimConfig()`'s defaults with one
+    collision, one mitosis and one apoptosis."""
     return SimConfig(
-        width=256,
-        height=256,
-        frames=20,
-        n_init=5,
-        radius_range=(9.0, 12.0),
-        drift_sigma=1.0,
-        collision_script=((8, 1, 2),),
-        mitosis_script=((12, 3),),
-        apoptosis_script=((14, 4),),
-        fade_frames=4,
-        noise_sigma=0.02,
-        rng_seed=seed,
+        collision_script=((8, 1, 2),), mitosis_script=((12, 3),), apoptosis_script=((14, 4),), rng_seed=seed
     )

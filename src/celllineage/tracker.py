@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .trackfile import INTEGER
+from .trackfile import INTEGER, records
 # the score field: an ASCII decimal, optionally with an exponent; float()
 # would also take '+', '_', non-ASCII digits, 'nan' and 'inf'
 _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
@@ -113,7 +113,7 @@ class ExternalTracker:
     frame t + 1, a backward-file line in frame t - 1. Pairs with no line are
     invalid."""
 
-    def __init__(self, forward_path=None, backward_path=None, frame_shape=None):
+    def __init__(self, forward_path="", backward_path="", *, frame_shape):
         self._preds = {}
         if forward_path:
             self._load(forward_path, 1, frame_shape)
@@ -122,24 +122,22 @@ class ExternalTracker:
 
     def _load(self, path, step, frame_shape):
         with open(path) as f:
-            lines = f.readlines()
+            lines = list(records(f))
         first_line = {}  # (t, cell id) -> the line that gave it
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+        for lineno, parts in lines:
             if len(parts) != 7:
                 raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
             if not all(map(INTEGER.fullmatch, parts[:6])) or not _DECIMAL.fullmatch(parts[6]):
                 raise ValueError("%s:%d: non-numeric field" % (path, lineno))
             t, cell_id, top, left, bottom, right = (int(p) for p in parts[:6])
             score = float(parts[6])
+            if t < 1:
+                raise ValueError("%s:%d: t must be >= 1, got %d" % (path, lineno, t))
             if cell_id < 1:
                 raise ValueError("%s:%d: cell id must be >= 1, got %d" % (path, lineno, cell_id))
-            if t < 1 or top > bottom or left > right or top < 0 or left < 0:
+            if top > bottom or left > right or top < 0 or left < 0:
                 raise ValueError("%s:%d: invalid region" % (path, lineno))
-            if frame_shape is not None and (bottom >= frame_shape[0] or right >= frame_shape[1]):
+            if bottom >= frame_shape[0] or right >= frame_shape[1]:
                 raise ValueError("%s:%d: region exceeds frame bounds" % (path, lineno))
             if not -1.0 <= score <= 1.0:
                 raise ValueError("%s:%d: score outside [-1, 1]" % (path, lineno))

@@ -13,17 +13,24 @@ class TrackFileError(ValueError):
     pass
 
 
+def records(lines):
+    """(line number from 1, whitespace-split fields) of each non-blank line.
+    Callers pass lines that end only at a newline (text split at '\\n', or a
+    text-mode file), so a form feed or '\\u2028' inside a line separates
+    fields and never starts a new line."""
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if fields:
+            yield lineno, fields
+
+
 def parse_track_file(text, labels=()):
     """Strict parse into a LineageGraph; rejects malformed lines, duplicate
-    ids, dangling parents, parent gaps and B > E. `labels[t - 1]` holds the
-    mask labels present in frame t (0 is ignored). A mask label is its
-    track's id, so each must lie inside that track's span."""
+    ids, dangling parents, parent gaps, B < 1 and B > E. `labels[t - 1]`
+    holds the mask labels present in frame t (0 is ignored). A mask label
+    is its track's id, so each must lie inside that track's span."""
     graph = LineageGraph()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text.split("\n")):
         if len(parts) != 4:
             raise TrackFileError("line %d: expected 4 fields, got %d" % (lineno, len(parts)))
         if not all(map(INTEGER.fullmatch, parts)):
@@ -33,6 +40,8 @@ def parse_track_file(text, labels=()):
             raise TrackFileError("line %d: track id must be positive" % lineno)
         if label in graph.tracks:
             raise TrackFileError("line %d: duplicate track id %d" % (lineno, label))
+        if birth < 1:
+            raise TrackFileError("line %d: birth frame must be >= 1, got %d" % (lineno, birth))
         if birth > end:
             raise TrackFileError("line %d: B > E for track %d" % (lineno, label))
         if parent < 0:

@@ -184,8 +184,17 @@ def test_frame_of_another_size_is_an_error_message(command, sim_dir, tmp_path, c
         ("1 1 10 12 20 22 0.9\n1 2 10 12 20 22\n", "fwd.txt:2: expected 7 fields, got 6"),
         ("1 1 10 12 20 22 1.5\n", "fwd.txt:1: score outside [-1, 1]"),
         ("1 1 10 12 20 128 0.9\n", "fwd.txt:1: region exceeds frame bounds"),  # the frames are 128x128
+        ("0 1 10 12 20 22 0.9\n", "fwd.txt:1: t must be >= 1, got 0"),
+        ("1 1 10 12 20 22 0.9\n-2 1 10 12 20 22 0.9\n", "fwd.txt:2: t must be >= 1, got -2"),
+        # a line ends only at a newline, as in res_track.txt
+        ("1 1 10 12 20 22 0.9\x0c\n1 0 10 12 20 22 0.9\n", "fwd.txt:2: cell id must be >= 1, got 0"),
+        ("1 1 10 12\x8520 22 0.9\n1 0 10 12 20 22 0.9\n", "fwd.txt:2: cell id must be >= 1, got 0"),
+        ("1 1 10 12 20 22 0.9\u2028\n1 0 10 12 20 22 0.9\n", "fwd.txt:2: cell id must be >= 1, got 0"),
     ],
-    ids=["zero id", "negative id", "second line", "six fields", "score 1.5", "past the frame"],
+    ids=[
+        "zero id", "negative id", "second line", "six fields", "score 1.5", "past the frame", "t zero", "t negative",
+        "form feed", "NEL", "line separator",
+    ],
 )
 def test_track_bad_external_cell_is_an_error_message(sim_dir, tmp_path, capsys, lines, expected):
     (tmp_path / "fwd.txt").write_text(lines)
@@ -385,7 +394,8 @@ def _end_track_at_birth(directory):
 
 
 @pytest.mark.parametrize(
-    "fault", ["gt track ends early", "pred track ends early", "pred mask shape", "pred track non-integer"]
+    "fault",
+    ["gt track ends early", "pred track ends early", "pred mask shape", "pred track non-integer", "pred track born at 0"],
 )
 def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys):
     gt, pred = str(tmp_path / "gt"), str(tmp_path / "pred")
@@ -401,6 +411,14 @@ def test_evaluate_bad_input_is_an_error_message(fault, sim_dir, tmp_path, capsys
         with open(path, "w") as f:
             f.write("1x" + text[1:])
         expected = "%s: line 1: non-integer field" % path
+    elif fault == "pred track born at 0":
+        path = os.path.join(pred, TRACK_FILE)
+        with open(path) as f:
+            rows = [line.split() for line in f]
+        rows[0][1] = "0"  # track 1, the first line
+        with open(path, "w") as f:
+            f.write("".join(" ".join(row) + "\n" for row in rows))
+        expected = "%s: line 1: birth frame must be >= 1, got 0" % path
     else:
         directory = gt if fault.startswith("gt") else pred
         tid, later = _end_track_at_birth(directory)
@@ -748,7 +766,7 @@ def test_readers_close_their_files(sim_dir, tmp_path):
         trackfile.read_track_file(os.path.join(sim_dir, "res_track.txt"))
         jsonconfig.load(PipelineConfig, str(cfg_path))
         jsonconfig.load(SimConfig, str(sim_path))
-        ExternalTracker(forward_path=str(pred_path))
+        ExternalTracker(forward_path=str(pred_path), frame_shape=(80, 80))
         del masks
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 

@@ -355,7 +355,7 @@ def test_mask_from_cells_matches_per_pixel_writes():
 def test_normalized_region_matches_slice():
     rng = np.random.default_rng(14)
     frame = Frame(1, rng.integers(0, 256, size=(17, 23), dtype=np.uint8))
-    full = frame.normalized()
+    full = frame.normalized((0, 0, 16, 22))
     assert full.dtype == np.float64 and full.shape == (17, 23)
     assert np.array_equal(full, frame.pixels / 255.0)
     for region in ((0, 0, 16, 22), (3, 4, 3, 4), (2, 5, 11, 22), (16, 0, 16, 22)):

@@ -594,7 +594,7 @@ def test_region_size_prune_changes_nothing():
         left = [0, int(rng.integers(0, w - cw + 1)), w - cw][int(rng.integers(0, 3))]
         cell = make_cell(1, [(top + r, left + c) for r in range(ch) for c in range(cw)])
         if rng.random() < 0.15:
-            tracker = ExternalTracker()  # reach and size: the whole frame
+            tracker = ExternalTracker(frame_shape=(h, w))  # reach and size: the whole frame
         else:
             # a search_size under the template's side makes the window the template box
             tracker = NCCTracker(search_size=int(rng.integers(1, 40)))

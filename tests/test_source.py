@@ -109,6 +109,20 @@ def test_each_pattern_is_compiled_once():
     assert len(modules) >= 3 and all(len(names) == 1 for names in modules.values()), modules
 
 
+def test_record_files_share_one_line_reader():
+    """A record file's line ends only at a newline, a rule `trackfile.records`
+    states once: `str.splitlines()` would also break at a form feed or
+    '\\u2028', and no module reads lines another way."""
+    calls = []  # (module, line number, method)
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            method = getattr(node.func, "attr", None) if isinstance(node, ast.Call) else None
+            if method in ("splitlines", "readlines"):
+                calls.append((path.name, node.lineno, method))
+    assert calls == [], calls
+
+
 def test_the_environment_is_read_only_for_the_log_level():
     """Options and config files set what a run does; the one environment
     variable the program reads is LINEAGE_LOG, in `cli.main`."""

@@ -342,10 +342,10 @@ def test_predict_matches_exhaustive_oracle():
         pred = predict(f1, f2, cell, search_size=30)
         # oracle: brute-force NCC over the same clipped window
         tb = (cell.bbox[0] - 2, cell.bbox[1] - 2, cell.bbox[2] + 2, cell.bbox[3] + 2)
-        template = f1.normalized()[tb[0] : tb[2] + 1, tb[1] : tb[3] + 1]
+        template = f1.normalized(tb)
         cy, cx = (tb[0] + tb[2]) // 2, (tb[1] + tb[3]) // 2
         wtop, wleft = max(0, cy + 1 - 15), max(0, cx + 1 - 15)
-        window = f2.normalized()[wtop : wtop + 30, wleft : wleft + 30]
+        window = f2.normalized((wtop, wleft, wtop + 29, wleft + 29))
         scores = brute_force_ncc(window, template)
         r, c = np.unravel_index(np.argmax(scores), scores.shape)
         assert pred.region[:2] == (wtop + r, wleft + c)
@@ -519,7 +519,7 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1 30 12 20 22 0.9\n")  # top > bottom
     with pytest.raises(ValueError):
-        ExternalTracker(forward_path=str(bad))
+        ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
     bad.write_text("1 1 10 12 20 200 0.9\n")  # exceeds frame
     with pytest.raises(ValueError):
         ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
@@ -540,7 +540,7 @@ def test_external_tracker_rejects_bad_lines(tmp_path):
     ):
         bad.write_text("1 1 10 12 20 22 0.9\n" + line)
         with pytest.raises(ValueError, match=re.escape("%s:2: non-numeric field" % bad)):
-            ExternalTracker(forward_path=str(bad))
+            ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
 
 
 def test_external_tracker_rejects_bad_cell_ids(tmp_path):
@@ -548,18 +548,18 @@ def test_external_tracker_rejects_bad_cell_ids(tmp_path):
     for cell_id in (0, -3):
         bad.write_text("1 1 10 12 20 22 0.9\n\n1 %d 10 12 20 22 0.9\n" % cell_id)
         with pytest.raises(ValueError, match=re.escape("%s:3: cell id must be >= 1, got %d" % (bad, cell_id))):
-            ExternalTracker(forward_path=str(bad))
+            ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
 
 
 def test_external_tracker_rejects_a_second_line_for_a_cell(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1 10 12 20 22 0.9\n1 2 10 12 20 22 0.9\n2 1 10 12 20 22 0.9\n1 1 10 12 20 22 0.5\n")
     with pytest.raises(ValueError, match=re.escape("%s:4: t=1 cell 1 already given on line 1" % bad)):
-        ExternalTracker(forward_path=str(bad))
+        ExternalTracker(forward_path=str(bad), frame_shape=(80, 80))
     # the same (t, cell) in the forward and the backward file is no repeat
     good = tmp_path / "good.txt"
     good.write_text("2 1 10 12 20 22 0.9\n")
-    ext = ExternalTracker(forward_path=str(good), backward_path=str(good))
+    ext = ExternalTracker(forward_path=str(good), backward_path=str(good), frame_shape=(80, 80))
     f1, f2, f3 = (blob_frame(t, (40, 40)) for t in (1, 2, 3))
     cell = blob_cell(f2)
     assert ext.predict(f2, f3, cell).valid and ext.predict(f2, f1, cell).valid
@@ -571,7 +571,7 @@ def test_external_lines_are_served_by_their_frame_pair(tmp_path):
     fwd, bwd = tmp_path / "fwd.txt", tmp_path / "bwd.txt"
     fwd.write_text("2 1 10 12 20 22 0.9\n")
     bwd.write_text("2 1 30 32 40 42 0.7\n")
-    ext = ExternalTracker(forward_path=str(fwd), backward_path=str(bwd))
+    ext = ExternalTracker(forward_path=str(fwd), backward_path=str(bwd), frame_shape=(80, 80))
     f1, f2, f3 = (blob_frame(t, (40, 40)) for t in (1, 2, 3))
     cell = blob_cell(f2)
     assert ext.predict(f2, f3, cell) == TrackerPrediction((10, 12, 20, 22), 0.9, True)
@@ -584,5 +584,5 @@ def test_external_score_never_decides_validity(tmp_path):
     path = tmp_path / "fwd.txt"
     path.write_text("1 1 10 12 20 22 -1.0\n")
     f1, f2 = blob_frame(1, (40, 40)), blob_frame(2, (40, 40))
-    pred = ExternalTracker(forward_path=str(path)).predict(f1, f2, blob_cell(f1))
+    pred = ExternalTracker(forward_path=str(path), frame_shape=(80, 80)).predict(f1, f2, blob_cell(f1))
     assert pred.valid and pred.score == -1.0 < MIN_SCORE

@@ -118,8 +118,16 @@ def test_read_track_file_rejects_label_outside_span(tmp_path):
     [
         ("1 1 x 0\n", (), "line 1: non-integer field"),
         ("1 1 1 0\n", [set(), {1}], "frame 2 cell 1 assigned to track 1 outside its span"),
+        ("1 -3 2 0\n", (), "line 1: birth frame must be >= 1, got -3"),
+        ("1 1 2 0\n2 0 0 0\n", (), "line 2: birth frame must be >= 1, got 0"),
+        # a line ends only at a newline: str.splitlines() would also break
+        # at these, and number the later lines wrong
+        ("1 1 4 0\x0c\n1 x 4 0\n", (), "line 2: non-integer field"),
+        ("1 1 4\x850\n1 x 4 0\n", (), "line 2: non-integer field"),
+        ("1 1 4 0\u2028\n1 x 4 0\n", (), "line 2: non-integer field"),
+        ("1 1 4 0\x1c2 1 4 0\n", (), "line 1: expected 4 fields, got 8"),
     ],
-    ids=["line", "span"],
+    ids=["line", "span", "born at -3", "born at 0", "form feed", "NEL", "line separator", "file separator"],
 )
 def test_read_track_file_errors_name_the_file(tmp_path, text, labels, message):
     path = tmp_path / "res_track.txt"
